@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import dataset, gateway as gw
@@ -34,22 +34,10 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-_CONFIG_KEYS = (
-    "strategy",
-    "backend",
-    "model",
-    "models",
-    "eval_models",
-    "rounds",
-    "pivot",
-    "concurrency",
-    "corpus",
-    "out",
-    "lexicons",
-    "transcripts",
-    "endpoint",
-    "api_key",
-)
+# Environment variables consulted for a setting when its flag is absent.
+_ENV_VARS = {"model": gw.ENV_MODEL, "endpoint": gw.ENV_ENDPOINT, "api_key": gw.ENV_API_KEY}
+# Settings taken only from flags, never from the environment or a config file.
+_FLAG_ONLY = ("record",)
 
 
 @dataclass
@@ -73,24 +61,30 @@ class RunConfig:
     api_key: str = ""
 
     def snapshot_lines(self) -> list[str]:
-        values = {
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "model": self.model,
-            "models": ",".join(self.models),
-            "eval_models": ",".join(self.eval_models),
-            "rounds": str(self.rounds),
-            "pivot": self.pivot,
-            "concurrency": str(self.concurrency),
-            "corpus": self.corpus,
-            "out": self.out,
-            "lexicons": self.lexicons,
-            "transcripts": self.transcripts,
-            "record": str(self.record).lower(),
-            "endpoint": self.endpoint,
-            "api_key": "***" if self.api_key else "",
-        }
+        values = {f.name: _render(getattr(self, f.name)) for f in fields(self)}
+        if self.api_key:
+            values["api_key"] = "***"
         return [f"{key} = {values[key]}" for key in sorted(values)]
+
+
+def _render(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
+def _parse(name: str, text: str, default: object) -> object:
+    """Convert a flag, environment or config-file string to the field's type."""
+    if isinstance(default, tuple):
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    if isinstance(default, int):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+    return text
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -110,49 +104,40 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _split_csv(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flags, SYNC_LLM_* environment, and the optional config file."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    settable = {f.name for f in fields(RunConfig)} - set(_FLAG_ONLY)
     for key in file_values:
-        if key not in _CONFIG_KEYS:
+        if key not in settable:
             raise ConfigError(f"unknown config key {key!r}")
 
-    def pick(name: str, env_var: str | None, default: str) -> str:
-        flag = getattr(args, name, None)
-        if flag not in (None, ""):
-            return str(flag)
-        if env_var and os.environ.get(env_var):
-            return os.environ[env_var]
-        return file_values.get(name, default)
-
-    config = RunConfig(
-        strategy=pick("strategy", None, "hierarchical"),
-        backend=pick("backend", None, "stub"),
-        model=pick("model", gw.ENV_MODEL, "stub-model"),
-        models=_split_csv(pick("models", None, "")),
-        eval_models=_split_csv(pick("eval_models", None, "")),
-        rounds=int(pick("rounds", None, "1")),
-        pivot=pick("pivot", None, DEFAULT_PIVOT),
-        concurrency=int(pick("concurrency", None, "4")),
-        corpus=pick("corpus", None, ""),
-        out=pick("out", None, ""),
-        lexicons=pick("lexicons", None, ""),
-        transcripts=pick("transcripts", None, ""),
-        record=bool(getattr(args, "record", False)),
-        endpoint=pick("endpoint", gw.ENV_ENDPOINT, ""),
-        api_key=pick("api_key", gw.ENV_API_KEY, ""),
-    )
+    values: dict[str, object] = {}
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
+        env_var = _ENV_VARS.get(f.name)
+        if f.name in _FLAG_ONLY:
+            values[f.name] = bool(flag)
+        elif flag not in (None, ""):
+            values[f.name] = _parse(f.name, str(flag), f.default)
+        elif env_var and os.environ.get(env_var):
+            values[f.name] = _parse(f.name, os.environ[env_var], f.default)
+        elif f.name in file_values:
+            values[f.name] = _parse(f.name, file_values[f.name], f.default)
+    config = RunConfig(**values)
     if not config.eval_models:
         config.eval_models = (config.model,)
     if config.rounds < 1:
         raise ConfigError("rounds must be >= 1")
+    if config.concurrency < 1:
+        raise ConfigError("concurrency must be >= 1")
     if config.backend not in ("stub", "http", "replay"):
         raise ConfigError(f"unknown backend {config.backend!r}")
+    if config.record and not config.transcripts:
+        raise ConfigError("--record requires --transcripts")
     if config.backend == "replay":
+        if config.record:
+            raise ConfigError("--record cannot be combined with the replay backend")
         if not config.transcripts:
             raise ConfigError("replay backend requires --transcripts")
         if not Path(config.transcripts).is_file():
@@ -171,14 +156,14 @@ def load_rules(config: RunConfig) -> StubRuleSet:
 
 
 def build_gateway(config: RunConfig) -> gw.Gateway:
+    transcript = gw.Transcript(config.transcripts) if config.transcripts else None
     if config.backend == "stub":
         backend = StubBackend(load_rules(config))
     elif config.backend == "replay":
-        backend = gw.ReplayBackend(config.transcripts)
+        backend = gw.ReplayBackend(transcript)
     else:
         backend = gw.HttpBackend(config.endpoint, config.api_key)
-    record_path = config.transcripts if (config.record and config.backend != "replay") else None
-    return gw.Gateway(backend, record_path=record_path, in_flight=config.concurrency)
+    return gw.Gateway(backend, transcript=transcript if config.record else None)
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -250,7 +235,7 @@ def cmd_sync(args: argparse.Namespace) -> int:
 
     results: dict[Path, tuple] = {}
     failures: dict[Path, StageFailed] = {}
-    with ThreadPoolExecutor(max_workers=max(1, config.concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         futures = {pool.submit(run_one, d): d for d in instance_dirs}
         for future, directory in futures.items():
             try:
@@ -394,10 +379,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_transcripts(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    if not path.is_file():
-        raise ConfigError(f"transcript file not found: {path}")
-    records = [json.loads(line) for line in path.read_text("utf-8").splitlines() if line.strip()]
+    records = list(gw.Transcript(args.file).records())
     if args.digest:
         for record in records:
             if record["digest"].startswith(args.digest):
@@ -419,10 +401,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-models", dest="eval_models", help="comma-separated evaluator model ids")
     parser.add_argument("--rounds", type=int, help="voting rounds per model")
     parser.add_argument("--pivot", help="pivot language code (default en)")
-    parser.add_argument("--concurrency", type=int, help="instance/in-flight parallelism cap")
+    parser.add_argument("--concurrency", type=int, help="instances, and so completions, in flight (>= 1)")
     parser.add_argument("--lexicons", help="stub lexicon directory")
     parser.add_argument("--transcripts", help="transcript file for record/replay")
-    parser.add_argument("--record", action="store_true", help="record completions to the transcript file")
+    parser.add_argument("--record", action="store_true", help="append completions to the --transcripts file")
     parser.add_argument("--endpoint", help="http backend endpoint URL")
     parser.add_argument("--api-key", dest="api_key", help="http backend API key")
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .alignment import Alignment, align_deterministic
+from .errors import ConfigError
 from .metrics import AtomicComparison, score_row, token_compare
 from .stub import StubRuleSet, translate_cells
 from .tables import DEFAULT_PIVOT, InfoTable, KnowledgeGraph, SyncInstance, flatten_kg
@@ -13,14 +14,14 @@ from .pipeline import StageTrace
 
 REDUNDANCY_OVERLAP = 0.5
 
-# Ledger column labels in pipeline order; the first is the reference baseline.
-LEDGER_STAGES = (
-    "in_reference",
-    "translate_en",
-    "kg_construction",
-    "merge",
-    "table_conversion",
-    "back_translate",
+# Ledger columns after the "in_reference" baseline, in pipeline order: (ledger
+# label, hierarchical trace stage whose output artifact the column scores).
+LEDGER_COLUMNS = (
+    ("translate_en", "translate_reference"),
+    ("kg_construction", "table_to_kg_reference"),
+    ("merge", "merge"),
+    ("table_conversion", "kg_to_table"),
+    ("back_translate", "back_translate"),
 )
 
 
@@ -153,6 +154,9 @@ class ErrorAnalyzer:
         back-translated output directly against gold.
         """
         by_stage = {trace.stage: trace for trace in traces}
+        missing = [stage for _, stage in LEDGER_COLUMNS if stage not in by_stage]
+        if missing:
+            raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
         gold_pivot = self._to_pivot(instance.gold)
 
         def table_of(artifact: object, language: str) -> InfoTable:
@@ -165,17 +169,13 @@ class ErrorAnalyzer:
             return InfoTable(instance.gold.entity, language, instance.gold.category, rows)
 
         columns: list[tuple[str, InfoTable, InfoTable]] = [
-            ("in_reference", self._to_pivot(instance.reference), gold_pivot),
-            ("translate_en", table_of(by_stage["translate_reference"].output_artifact, self.pivot), gold_pivot),
-            ("kg_construction", table_of(by_stage["table_to_kg_reference"].output_artifact, self.pivot), gold_pivot),
-            ("merge", table_of(by_stage["merge"].output_artifact, self.pivot), gold_pivot),
-            ("table_conversion", table_of(by_stage["kg_to_table"].output_artifact, self.pivot), gold_pivot),
-            (
-                "back_translate",
-                table_of(by_stage["back_translate"].output_artifact, instance.gold.language),
-                instance.gold,
-            ),
+            ("in_reference", self._to_pivot(instance.reference), gold_pivot)
         ]
+        for label, stage in LEDGER_COLUMNS[:-1]:
+            columns.append((label, table_of(by_stage[stage].output_artifact, self.pivot), gold_pivot))
+        label, stage = LEDGER_COLUMNS[-1]
+        final = table_of(by_stage[stage].output_artifact, instance.gold.language)
+        columns.append((label, final, instance.gold))
 
         entries: list[LedgerEntry] = []
         previous: ErrorCounts | None = None

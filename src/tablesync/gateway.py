@@ -9,11 +9,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import requests
 
-from .errors import BackendUnavailable, RateLimited, ReplayMiss
+from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss
 
 log = logging.getLogger(__name__)
 
@@ -24,7 +24,6 @@ ENV_MODEL = "SYNC_LLM_MODEL"
 DEFAULT_PIPELINE_TEMPERATURE = 0.0
 DEFAULT_EVAL_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 2048
-DEFAULT_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,8 @@ class HttpBackend:
 class ReplayBackend:
     """Serves recorded responses by request digest; misses are hard errors."""
 
-    def __init__(self, transcript_path: str | Path) -> None:
-        self.responses = load_transcript(transcript_path)
+    def __init__(self, transcript: Transcript) -> None:
+        self.responses = transcript.responses()
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
         digest = request_digest(request, attempt)
@@ -147,54 +146,45 @@ class ReplayBackend:
             ) from None
 
 
-def load_transcript(path: str | Path) -> dict[str, str]:
-    """Digest -> response map from a line-delimited transcript; last write wins."""
-    responses: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            responses[record["digest"]] = record["response"]
-    return responses
+class Transcript:
+    """Line-delimited JSON file with one record per completion.
 
-
-class Gateway:
-    """Front door for completions: concurrency cap plus optional recording.
-
-    Appends one JSON line per completion to the transcript when recording;
-    appends are serialized, so concurrent complete() calls are safe.
+    The only code that reads or writes the transcript format. Appends are
+    serialized, so concurrent Gateway.complete() calls each write one whole line.
     """
 
-    def __init__(
-        self,
-        backend: Backend,
-        *,
-        record_path: str | Path | None = None,
-        in_flight: int = DEFAULT_IN_FLIGHT,
-    ) -> None:
-        self.backend = backend
-        self.record_path = Path(record_path) if record_path else None
-        self._slots = threading.Semaphore(in_flight)
-        self._write_lock = threading.Lock()
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._lock = threading.Lock()
 
-    def complete(self, request: CompletionRequest, attempt: int = 0) -> str:
-        with self._slots:
-            started = time.monotonic()
-            response = self.backend.complete(request, attempt)
-            latency_ms = int((time.monotonic() - started) * 1000)
-        if self.record_path is not None:
-            self._record(request, attempt, response, latency_ms)
-        return response
+    def records(self) -> Iterator[dict]:
+        """Records in file order, read one line at a time; a malformed line is
+        a ConfigError naming it."""
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                        valid = (
+                            isinstance(record["digest"], str)
+                            and isinstance(record["response"], str)
+                            and isinstance(record.get("request", {}), dict)
+                        )
+                    except (ValueError, TypeError, KeyError):
+                        valid = False
+                    if not valid:
+                        raise ConfigError(f"{self.path}:{number}: malformed transcript record")
+                    yield record
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read transcript {self.path}: {exc}") from exc
 
-    def vote_runs(self, request: CompletionRequest, n: int) -> list[str]:
-        """n independent completions; the attempt index keeps their digests distinct."""
-        if n < 1:
-            raise ValueError("vote runs require n >= 1")
-        return [self.complete(request, attempt=i) for i in range(n)]
+    def responses(self) -> dict[str, str]:
+        """Digest -> response map; last write wins."""
+        return {record["digest"]: record["response"] for record in self.records()}
 
-    def _record(self, request: CompletionRequest, attempt: int, response: str, latency_ms: int) -> None:
+    def append(self, request: CompletionRequest, attempt: int, response: str, latency_ms: int) -> None:
         record = {
             "digest": request_digest(request, attempt),
             "request": {
@@ -210,7 +200,26 @@ class Gateway:
             "latency_ms": latency_ms,
         }
         line = json.dumps(record, sort_keys=True, ensure_ascii=False)
-        with self._write_lock:
-            self.record_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.record_path, "a", encoding="utf-8") as handle:
+        with self._lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
+
+
+class Gateway:
+    """Front door for completions; appends each one to the transcript when given.
+
+    Callers bound concurrency themselves (the CLI's instance pool).
+    """
+
+    def __init__(self, backend: Backend, *, transcript: Transcript | None = None) -> None:
+        self.backend = backend
+        self.transcript = transcript
+
+    def complete(self, request: CompletionRequest, attempt: int = 0) -> str:
+        started = time.monotonic()
+        response = self.backend.complete(request, attempt)
+        if self.transcript is not None:
+            latency_ms = int((time.monotonic() - started) * 1000)
+            self.transcript.append(request, attempt, response, latency_ms)
+        return response

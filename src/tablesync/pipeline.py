@@ -37,19 +37,6 @@ class Strategy(Enum):
     HIERARCHICAL = "hierarchical"
 
 
-# Fixed stage order of the hierarchical strategy; translation stages apply to
-# both tables and the pivot hop is elided when a table is already in pivot.
-HIERARCHICAL_STAGES = (
-    "translate_source",
-    "translate_reference",
-    "table_to_kg_source",
-    "table_to_kg_reference",
-    "merge",
-    "kg_to_table",
-    "back_translate",
-)
-
-
 @dataclass(frozen=True)
 class StageTrace:
     """What one stage consumed and produced, for replay and error attribution."""

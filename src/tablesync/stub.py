@@ -76,13 +76,6 @@ class StubRuleSet:
         entries = self.lexicons.get((src, tgt), ())
         return tuple(sorted(entries, key=lambda e: (-len(e[0]), e[0])))
 
-    def with_inverses(self) -> StubRuleSet:
-        """Add inverted lexicons for any pair missing its reverse direction."""
-        lexicons = dict(self.lexicons)
-        for (src, tgt), entries in self.lexicons.items():
-            lexicons.setdefault((tgt, src), tuple((b, a) for a, b in entries))
-        return StubRuleSet(lexicons, self.canned_responses, self.merge_drop_keys)
-
 
 def translate_cells(rows, pairs: LexiconPairs) -> tuple[TableRow, ...]:
     """Phrase substitution over keys and values; longest source phrase first.

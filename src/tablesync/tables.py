@@ -32,18 +32,6 @@ LANGUAGE_NAMES: dict[str, str] = {
     "zh": "Chinese",
 }
 
-DEFAULT_CATEGORIES = (
-    "Album",
-    "Athlete",
-    "City",
-    "College",
-    "Company",
-    "Country",
-    "Musician",
-    "Person",
-    "Stadium",
-)
-
 DEFAULT_PIVOT = "en"
 
 _TERMINAL_PUNCT = ".,:;!?。、：؛؟"
@@ -151,9 +139,6 @@ class InfoTable:
 
     def with_rows(self, rows) -> InfoTable:
         return InfoTable(self.entity, self.language, self.category, tuple(rows), self.revision_tag)
-
-    def with_language(self, language: str) -> InfoTable:
-        return InfoTable(self.entity, language, self.category, self.rows, self.revision_tag)
 
 
 # A knowledge-graph value is text, a list of values, or a nested map.

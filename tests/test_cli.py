@@ -1,9 +1,13 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from tablesync import cli
+from tablesync.errors import ConfigError
+from tablesync.stub import StubBackend
 from tablesync.tables import InfoTable, TableRow
 
 
@@ -92,6 +96,97 @@ class TestSync:
         )
         assert "strategy = hierarchical" in (out / "config.snapshot").read_text()
 
+    def test_concurrency_bounds_calls_in_flight(self, corpus, lexicons, tmp_path, monkeypatch):
+        lock = threading.Lock()
+        in_flight = peak = 0
+        complete = StubBackend.complete
+
+        def counted(self, request, attempt):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            try:
+                time.sleep(0.002)
+                return complete(self, request, attempt)
+            finally:
+                with lock:
+                    in_flight -= 1
+
+        monkeypatch.setattr(StubBackend, "complete", counted)
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "o"),
+            "--lexicons", lexicons, "--concurrency", "2",
+        )
+        assert code == cli.EXIT_OK
+        assert peak == 2  # the instance pool overlaps calls, never beyond the bound
+
+
+class TestConfig:
+    def resolve(self, *argv):
+        return cli.resolve_config(cli.build_parser().parse_args(["sync", *argv]))
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_concurrency_below_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="concurrency"):
+            self.resolve("--concurrency", value)
+
+    def test_record_requires_transcripts(self, corpus, lexicons, tmp_path, capsys):
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "o"),
+            "--lexicons", lexicons, "--record", "--instance", "musterstadt",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "--record requires --transcripts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_record_while_replaying_rejected(self, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("")
+        with pytest.raises(ConfigError, match="replay"):
+            self.resolve("--backend", "replay", "--transcripts", str(transcript), "--record")
+
+    def test_record_is_flag_only(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("record = true\n")
+        with pytest.raises(ConfigError, match="unknown config key 'record'"):
+            self.resolve("--config", str(config))
+
+    def test_non_integer_config_value_rejected(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("rounds = three\n")
+        with pytest.raises(ConfigError, match="rounds"):
+            self.resolve("--config", str(config))
+
+    def test_config_file_env_and_flag_precedence(self, tmp_path, monkeypatch):
+        config = tmp_path / "run.conf"
+        config.write_text("model = from-file\nmodels = a, b\nconcurrency = 3\nendpoint = file-url\n")
+        monkeypatch.setenv("SYNC_LLM_MODEL", "from-env")
+        monkeypatch.delenv("SYNC_LLM_ENDPOINT", raising=False)
+        resolved = self.resolve("--config", str(config), "--rounds", "2")
+        assert (resolved.model, resolved.models, resolved.eval_models) == ("from-env", ("a", "b"), ("from-env",))
+        assert (resolved.concurrency, resolved.rounds, resolved.endpoint) == (3, 2, "file-url")
+        assert self.resolve("--config", str(config), "--model", "flag").model == "flag"
+
+    def test_snapshot_lines(self):
+        config = cli.RunConfig(models=("a", "b"), api_key="secret", record=True)
+        assert config.snapshot_lines() == [
+            "api_key = ***",
+            "backend = stub",
+            "concurrency = 4",
+            "corpus = ",
+            "endpoint = ",
+            "eval_models = ",
+            "lexicons = ",
+            "model = stub-model",
+            "models = a,b",
+            "out = ",
+            "pivot = en",
+            "record = true",
+            "rounds = 1",
+            "strategy = hierarchical",
+            "transcripts = ",
+        ]
 
 class TestRecordReplay:
     def test_replayed_reports_byte_identical(self, corpus, lexicons, tmp_path):
@@ -141,6 +236,24 @@ class TestRecordReplay:
         assert "records" in listing and "tag=" in listing
         digest = listing.split()[0]
         assert run_cli("transcripts", str(transcript), "--digest", digest[:12]) == cli.EXIT_OK
+
+    def test_truncated_transcript_is_config_error(self, corpus, lexicons, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        assert run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "rec"), "--lexicons", lexicons,
+            "--transcripts", str(transcript), "--record", "--instance", "musterstadt",
+        ) == cli.EXIT_OK
+        lines = transcript.read_text("utf-8").splitlines()
+        transcript.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]), "utf-8")
+        capsys.readouterr()
+
+        assert run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "rep"), "--backend", "replay",
+            "--transcripts", str(transcript), "--instance", "musterstadt",
+        ) == cli.EXIT_CONFIG
+        assert f"t.jsonl:{len(lines)}: malformed transcript record" in capsys.readouterr().err
+        assert run_cli("transcripts", str(transcript)) == cli.EXIT_CONFIG
+        assert f"t.jsonl:{len(lines)}: malformed transcript record" in capsys.readouterr().err
 
 
 class TestEval:
@@ -222,6 +335,23 @@ class TestErrors:
         assert "in_reference" in capsys.readouterr().out
         doc = json.loads(ledger_out.read_text())
         assert doc["stages"][-1]["cumulative"]["total"] == 0
+
+
+    def test_ledger_needs_hierarchical_traces(self, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons,
+            "--strategy", "two", "--instance", "musterstadt",
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--lexicons", lexicons,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "translate_reference" in capsys.readouterr().err
 
 
 class TestStats:

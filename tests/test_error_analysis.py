@@ -8,6 +8,7 @@ from tablesync.error_analysis import (
     ledger_jsonable,
     render_ledger,
 )
+from tablesync.errors import ConfigError
 from tablesync.gateway import Gateway
 from tablesync.metrics import AtomicComparison, token_compare
 from tablesync.pipeline import Pipeline, Strategy
@@ -106,6 +107,12 @@ class TestLedger:
             result, ledger = run_and_ledger(instance, rules)
             final = ErrorAnalyzer(rules).classify(result.output, instance.gold)
             assert ledger.final == final
+
+    def test_missing_stage_named(self, instances, rules):
+        pipe = Pipeline(Gateway(StubBackend(rules)), "stub-model")
+        result = pipe.run(instances[0], Strategy.DIRECT)
+        with pytest.raises(ConfigError, match="translate_reference, table_to_kg_reference"):
+            ErrorAnalyzer(rules).stagewise_ledger(instances[0], result.traces)
 
     def test_cumulative_equals_previous_plus_delta(self, instances, rules, run_and_ledger):
         _, ledger = run_and_ledger(instances[0], rules)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -8,9 +10,10 @@ from tablesync.gateway import (
     Gateway,
     HttpBackend,
     ReplayBackend,
-    load_transcript,
+    Transcript,
     request_digest,
 )
+from tablesync.errors import ConfigError
 from tablesync.stub import StubBackend, StubRuleSet
 from tablesync import prompts
 
@@ -65,15 +68,11 @@ class TestStubBackend:
         gateway = Gateway(StubBackend(rules))
         assert gateway.complete(translation_request()) == '[["x","y"]]'
 
-    def test_vote_runs_identical_on_stub(self):
+    def test_attempts_identical_on_stub(self):
         gateway = Gateway(StubBackend(StubRuleSet()))
-        texts = gateway.vote_runs(translation_request(), 3)
+        texts = [gateway.complete(translation_request(), attempt=i) for i in range(3)]
         assert len(texts) == 3
         assert len(set(texts)) == 1
-
-    def test_vote_runs_singleton(self):
-        gateway = Gateway(StubBackend(StubRuleSet()))
-        assert len(gateway.vote_runs(translation_request(), 1)) == 1
 
     def test_empty_lexicon_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -82,40 +81,88 @@ class TestStubBackend:
 
 class TestRecordReplay:
     def test_replay_returns_recorded_bytes(self, tmp_path):
-        transcript = tmp_path / "transcript.jsonl"
+        transcript = Transcript(tmp_path / "transcript.jsonl")
         rules = StubRuleSet(lexicons={("fr", "en"): (("Pays", "Country"),)})
-        recording = Gateway(StubBackend(rules), record_path=transcript)
+        recording = Gateway(StubBackend(rules), transcript=transcript)
         request = translation_request()
-        recorded = recording.vote_runs(request, 3)
+        recorded = [recording.complete(request, attempt=i) for i in range(3)]
+        assert len(transcript.responses()) == 3  # attempts keep digests distinct
 
         replay = Gateway(ReplayBackend(transcript))
-        assert replay.vote_runs(request, 3) == recorded
+        assert [replay.complete(request, attempt=i) for i in range(3)] == recorded
 
     def test_replay_miss(self, tmp_path):
-        transcript = tmp_path / "transcript.jsonl"
-        Gateway(StubBackend(StubRuleSet()), record_path=transcript).complete(translation_request())
+        transcript = Transcript(tmp_path / "transcript.jsonl")
+        Gateway(StubBackend(StubRuleSet()), transcript=transcript).complete(translation_request())
         replay = Gateway(ReplayBackend(transcript))
         with pytest.raises(ReplayMiss):
             replay.complete(CompletionRequest(prompt="never recorded", model_id="m"))
 
     def test_last_write_wins(self, tmp_path):
-        transcript = tmp_path / "t.jsonl"
+        path = tmp_path / "t.jsonl"
         lines = [
             json.dumps({"digest": "d1", "response": "old"}),
             json.dumps({"digest": "d1", "response": "new"}),
         ]
-        transcript.write_text("\n".join(lines) + "\n")
-        assert load_transcript(transcript) == {"d1": "new"}
+        path.write_text("\n".join(lines) + "\n")
+        assert Transcript(path).responses() == {"d1": "new"}
 
     def test_transcript_records_shape(self, tmp_path):
-        transcript = tmp_path / "t.jsonl"
-        gateway = Gateway(StubBackend(StubRuleSet()), record_path=transcript)
+        transcript = Transcript(tmp_path / "t.jsonl")
+        gateway = Gateway(StubBackend(StubRuleSet()), transcript=transcript)
         request = translation_request()
         gateway.complete(request)
-        record = json.loads(transcript.read_text().splitlines()[0])
+        (record,) = list(transcript.records())
         assert record["digest"] == request_digest(request, 0)
         assert record["request"]["tag"] == "translate"
         assert "latency_ms" in record and "timestamp" in record
+
+    def test_unicode_line_separators_survive(self, tmp_path):
+        transcript = Transcript(tmp_path / "t.jsonl")
+        request = CompletionRequest(prompt="p", model_id="m")
+        transcript.append(request, 0, "a\u2028b\x85c\u2029d", latency_ms=0)
+        assert Gateway(ReplayBackend(transcript)).complete(request) == "a\u2028b\x85c\u2029d"
+
+    def test_concurrent_appends_write_whole_lines(self, tmp_path):
+        transcript = Transcript(tmp_path / "t.jsonl")
+        requests = [CompletionRequest(prompt=f"p{i}", model_id="m") for i in range(8)]
+
+        def append_all(request):
+            for attempt in range(40):
+                transcript.append(request, attempt, "r" * 2000, latency_ms=0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append_all, args=(r,)) for r in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(transcript.responses()) == 8 * 40
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"digest": "d2", "respo',
+            "[1, 2]",
+            '{"digest": "d2"}',
+            '{"digest": 7, "response": "x"}',
+            '{"digest": "d2", "response": "x", "request": "r"}',
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"digest": "d1", "response": "ok"}) + "\n\n" + bad_line + "\n")
+        with pytest.raises(ConfigError, match=r"t\.jsonl:3: malformed"):
+            Transcript(path).responses()
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            list(Transcript(tmp_path / "absent.jsonl").records())
 
 
 class FakeResponse:

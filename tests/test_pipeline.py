@@ -1,7 +1,7 @@
 import pytest
 
 from tablesync.errors import StageFailed
-from tablesync.gateway import Gateway
+from tablesync.gateway import Gateway, Transcript
 from tablesync.pipeline import (
     Pipeline,
     Strategy,
@@ -212,15 +212,14 @@ class TestRun:
         assert "translate_source" in stages and "merge" not in stages
 
     def test_parse_retry_uses_distinct_digest(self, de_instance, de_en_rules, tmp_path):
-        transcript = tmp_path / "t.jsonl"
+        transcript = Transcript(tmp_path / "t.jsonl")
         gateway = Gateway(StubBackend(StubRuleSet(
             canned_responses=(("provide only the translated table", "chatter with no table"),)
-        )), record_path=transcript)
+        )), transcript=transcript)
         pipe = Pipeline(gateway, "stub-model")
         with pytest.raises(StageFailed):
             pipe.run(de_instance, Strategy.HIERARCHICAL)
-        digests = {line.split('"digest": "')[1][:8] for line in transcript.read_text().splitlines()}
-        assert len(digests) == 2  # original attempt plus one reprompt
+        assert len(transcript.responses()) == 2  # original attempt plus one reprompt
 
 
 class TestTraceSerialization:
