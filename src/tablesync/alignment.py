@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import prompts
-from .errors import EmptyVoteSet, MalformedRow, NoTableFound, UniverseMismatch
+from .errors import EmptyVoteSet, UniverseMismatch
+from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
 from .similarity import key_similarity, normalized_edit_distance
 from .tables import InfoTable, language_name, normalize_key, parse_table, serialize_table
 
-if TYPE_CHECKING:
-    from .gateway import Gateway
-
 SIMILARITY_THRESHOLD = 0.5
 REANCHOR_MAX_DISTANCE = 0.2
-# Offset keeping retry digests apart from voting-round digests.
-RETRY_ATTEMPT_OFFSET = 1000
 
 
 @dataclass(frozen=True)
@@ -196,8 +192,6 @@ def align_llm(
     diagnostics: list[str] | None = None,
 ) -> Alignment:
     """Prompted alignment of table A against table G(=b), with fuzzy re-anchoring."""
-    from .gateway import CompletionRequest
-
     if a.language == b.language:
         language = language_name(a.language)
     else:
@@ -209,10 +203,7 @@ def align_llm(
         table_g=serialize_table(b),
     )
     request = CompletionRequest(prompt=prompt, model_id=model_id, tag="align")
-    try:
-        pairs = parse_table(gateway.complete(request, attempt=attempt))
-    except (NoTableFound, MalformedRow):
-        pairs = parse_table(gateway.complete(request, attempt=attempt + RETRY_ATTEMPT_OFFSET))
+    pairs, _ = gateway.complete_parsed(request, parse_table, attempt=attempt)
 
     edges: list[tuple[str, str]] = []
     for row in pairs:

@@ -23,8 +23,8 @@ from .alignment import (
     score_alignment,
 )
 from .error_analysis import ErrorAnalyzer, ledger_jsonable, render_ledger
-from .errors import ConfigError, StageFailed, TableSyncError
-from .metrics import aggregate_reports, evaluate_instance, report_jsonable
+from .errors import ConfigError, ParseError, StageFailed, TableSyncError
+from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
 from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
 from .stub import StubBackend, StubRuleSet
 from .tables import DEFAULT_PIVOT, InfoTable, parse_table, serialize_table
@@ -193,7 +193,7 @@ def _evaluate_and_write(
     output: InfoTable,
     config: RunConfig,
     gateway: gw.Gateway,
-) -> dict:
+) -> UpdateReport:
     evaluation = evaluate_instance(
         instance.source,
         output,
@@ -213,7 +213,47 @@ def _evaluate_and_write(
         "flagged_rows": [list(item) for item in evaluation.flagged],
     }
     _write_json(out_dir / "report.json", payload)
-    return {"ensemble": evaluation.ensemble, "payload": payload}
+    return evaluation.ensemble
+
+
+def _run_instances(config: RunConfig, instance_dirs: list[Path], gateway: gw.Gateway, produce) -> int:
+    """Run each instance in a pool of `--concurrency` workers: load it, take
+    its output table from `produce(instance, rel)`, evaluate it.
+
+    A TableSyncError fails only its own instance. It writes that instance's
+    failure.json, whose stage is the failed pipeline stage (partial traces go
+    to traces.json), "load" or "evaluate".
+    """
+    out_root = Path(config.out)
+
+    def run_one(directory: Path) -> UpdateReport | StageFailed:
+        rel = directory.relative_to(config.corpus)
+        stage = "load"
+        try:
+            instance = dataset.load_instance(directory)
+            output = produce(instance, rel)
+            stage = "evaluate"
+            return _evaluate_and_write(out_root / rel, instance, output, config, gateway)
+        except StageFailed as exc:
+            _write_json(out_root / rel / "traces.json", traces_jsonable(exc.traces))
+            failure = exc
+        except TableSyncError as exc:
+            failure = StageFailed(stage, exc)
+        _write_json(out_root / rel / "failure.json", {"stage": failure.stage, "error": str(failure)})
+        return failure
+
+    reports = []
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        for directory, outcome in zip(instance_dirs, pool.map(run_one, instance_dirs)):
+            rel = directory.relative_to(config.corpus)
+            if isinstance(outcome, StageFailed):
+                print(f"FAIL {rel}: {outcome}", file=sys.stderr)
+            else:
+                reports.append(outcome)
+                print(f"ok {rel}")
+    _write_json(out_root / "report.json", aggregate_reports(reports))
+    _write_snapshot(out_root, config)
+    return EXIT_OK if len(reports) == len(instance_dirs) else EXIT_PARTIAL
 
 
 def cmd_sync(args: argparse.Namespace) -> int:
@@ -227,45 +267,17 @@ def cmd_sync(args: argparse.Namespace) -> int:
     instance_dirs = _select_instances(config.corpus, args.instance)
     gateway = build_gateway(config)
     pipeline = Pipeline(gateway, config.model, pivot=config.pivot)
-    out_root = Path(config.out)
 
-    def run_one(directory: Path):
-        instance = dataset.load_instance(directory)
-        return instance, pipeline.run(instance, strategy)
-
-    results: dict[Path, tuple] = {}
-    failures: dict[Path, StageFailed] = {}
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = {pool.submit(run_one, d): d for d in instance_dirs}
-        for future, directory in futures.items():
-            try:
-                results[directory] = future.result()
-            except StageFailed as exc:
-                failures[directory] = exc
-
-    reports = []
-    for directory in instance_dirs:
-        rel = directory.relative_to(config.corpus)
-        out_dir = out_root / rel
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if directory in failures:
-            exc = failures[directory]
-            _write_json(out_dir / "traces.json", traces_jsonable(exc.traces))
-            _write_json(out_dir / "failure.json", {"stage": exc.stage, "error": str(exc)})
-            print(f"FAIL {rel}: {exc}", file=sys.stderr)
-            continue
-        instance, result = results[directory]
+    def synced(instance, rel: Path) -> InfoTable:
+        result = pipeline.run(instance, strategy)
+        out_dir = Path(config.out) / rel
+        _write_json(out_dir / "traces.json", traces_jsonable(result.traces))
         (out_dir / f"output.{result.output.language}.table").write_text(
             serialize_table(result.output) + "\n", "utf-8"
         )
-        _write_json(out_dir / "traces.json", traces_jsonable(result.traces))
-        evaluated = _evaluate_and_write(out_dir, instance, result.output, config, gateway)
-        reports.append(evaluated["ensemble"])
-        print(f"ok {rel}")
+        return result.output
 
-    _write_json(out_root / "report.json", aggregate_reports(reports))
-    _write_snapshot(out_root, config)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return _run_instances(config, instance_dirs, gateway, synced)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -275,31 +287,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not config.out:
         raise ConfigError("eval requires --out")
     instance_dirs = _select_instances(config.corpus, args.instance)
-    gateway = build_gateway(config)
-    out_root = Path(config.out)
 
-    reports = []
-    missing = 0
-    for directory in instance_dirs:
-        rel = directory.relative_to(config.corpus)
-        instance = dataset.load_instance(directory)
+    def stored(instance, rel: Path) -> InfoTable:
         table_path = Path(args.outputs) / rel / f"output.{instance.source.language}.table"
-        if not table_path.is_file():
-            print(f"FAIL {rel}: no output table at {table_path}", file=sys.stderr)
-            missing += 1
-            continue
-        output = InfoTable(
-            instance.source.entity,
-            instance.source.language,
-            instance.source.category,
-            parse_table(table_path.read_text("utf-8")),
-        )
-        evaluated = _evaluate_and_write(out_root / rel, instance, output, config, gateway)
-        reports.append(evaluated["ensemble"])
-        print(f"ok {rel}")
-    _write_json(out_root / "report.json", aggregate_reports(reports))
-    _write_snapshot(out_root, config)
-    return EXIT_PARTIAL if missing else EXIT_OK
+        try:
+            rows = parse_table(table_path.read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read output table {table_path}: {exc}") from exc
+        return instance.source.with_rows(rows)
+
+    return _run_instances(config, instance_dirs, build_gateway(config), stored)
 
 
 def _table_from_file(path: str, language: str, name: str) -> InfoTable:
@@ -335,12 +332,16 @@ def cmd_errors(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     instance = dataset.load_instance(args.instance_dir)
     try:
-        docs = json.loads(Path(args.traces).read_text("utf-8"))
+        traces = traces_from_jsonable(json.loads(Path(args.traces).read_text("utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot read traces {args.traces}: {exc}") from exc
-    traces = traces_from_jsonable(docs)
+    except (ValueError, LookupError, TypeError, AttributeError, TableSyncError) as exc:
+        raise ConfigError(f"malformed traces file {args.traces}: {exc!r}") from exc
     analyzer = ErrorAnalyzer(load_rules(config), pivot=config.pivot)
-    ledger = analyzer.stagewise_ledger(instance, traces)
+    try:
+        ledger = analyzer.stagewise_ledger(instance, traces)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.traces}: {exc}") from exc
     print(render_ledger(ledger))
     if args.out:
         _write_json(Path(args.out), ledger_jsonable(ledger))

@@ -47,8 +47,12 @@ def read_manifest(directory: str | Path) -> InstanceManifest:
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise MissingFile(f"no manifest in {directory}")
+    try:
+        text = path.read_text("utf-8")
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    for line in path.read_text("utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

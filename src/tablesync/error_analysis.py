@@ -159,22 +159,23 @@ class ErrorAnalyzer:
             raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
         gold_pivot = self._to_pivot(instance.gold)
 
-        def table_of(artifact: object, language: str) -> InfoTable:
+        def table_of(stage: str, language: str) -> InfoTable:
+            artifact = by_stage[stage].output_artifact
             if isinstance(artifact, KnowledgeGraph):
                 rows = flatten_kg(artifact)
             elif isinstance(artifact, InfoTable):
                 rows = artifact.rows
             else:
-                raise TypeError(f"cannot score stage artifact: {type(artifact).__name__}")
+                raise ConfigError(f"stage {stage!r} trace holds a {type(artifact).__name__}, not a table or graph")
             return InfoTable(instance.gold.entity, language, instance.gold.category, rows)
 
         columns: list[tuple[str, InfoTable, InfoTable]] = [
             ("in_reference", self._to_pivot(instance.reference), gold_pivot)
         ]
         for label, stage in LEDGER_COLUMNS[:-1]:
-            columns.append((label, table_of(by_stage[stage].output_artifact, self.pivot), gold_pivot))
+            columns.append((label, table_of(stage, self.pivot), gold_pivot))
         label, stage = LEDGER_COLUMNS[-1]
-        final = table_of(by_stage[stage].output_artifact, instance.gold.language)
+        final = table_of(stage, instance.gold.language)
         columns.append((label, final, instance.gold))
 
         entries: list[LedgerEntry] = []

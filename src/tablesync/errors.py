@@ -68,7 +68,10 @@ class StructuralMismatch(TableSyncError):
 
 
 class StageFailed(TableSyncError):
-    """A pipeline stage failed; traces collected so far are preserved."""
+    """One instance failed in a pipeline stage, "load" or "evaluate".
+
+    A pipeline stage failure keeps the traces collected so far.
+    """
 
     def __init__(self, stage: str, cause: Exception | str, traces: tuple = ()) -> None:
         super().__init__(f"stage {stage!r} failed: {cause}")

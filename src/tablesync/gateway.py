@@ -9,11 +9,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 import requests
 
-from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss
+from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +24,8 @@ ENV_MODEL = "SYNC_LLM_MODEL"
 DEFAULT_PIPELINE_TEMPERATURE = 0.0
 DEFAULT_EVAL_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 2048
+# Offset keeping reprompt digests apart from voting-round digests.
+RETRY_ATTEMPT_OFFSET = 1000
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,13 @@ class HttpBackend:
                 continue
             if response.status_code != 200:
                 raise BackendUnavailable(f"HTTP {response.status_code}: {response.text[:200]}")
-            data = response.json()
-            return data["choices"][0]["message"]["content"]
+            try:
+                content = response.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise BackendUnavailable(f"malformed completion body: {exc!r}") from exc
+            if not isinstance(content, str):
+                raise BackendUnavailable(f"completion content is not text: {content!r}")
+            return content
         if rate_limited:
             raise RateLimited(f"rate limited after {self.attempts} attempts")
         raise BackendUnavailable(f"no response after {self.attempts} attempts: {last_error}")
@@ -223,3 +230,18 @@ class Gateway:
             latency_ms = int((time.monotonic() - started) * 1000)
             self.transcript.append(request, attempt, response, latency_ms)
         return response
+
+    def complete_parsed(self, request: CompletionRequest, parse: Callable[[str], object], attempt: int = 0):
+        """Complete and parse, reprompting once when parse raises a TableSyncError.
+
+        The reprompt uses attempt + RETRY_ATTEMPT_OFFSET, so it has its own
+        digest. Backend errors propagate without a reprompt. Returns the parsed
+        value and the response it came from.
+        """
+        response = self.complete(request, attempt=attempt)
+        try:
+            return parse(response), response
+        except TableSyncError as exc:
+            log.warning("%s output unparseable (%s); reprompting once", request.tag, exc)
+        response = self.complete(request, attempt=attempt + RETRY_ATTEMPT_OFFSET)
+        return parse(response), response

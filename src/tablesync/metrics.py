@@ -8,15 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import prompts
-from .alignment import RETRY_ATTEMPT_OFFSET, Alignment, align_deterministic
-from .errors import ComparisonFailed, StructuralMismatch, UniverseMismatch
+from .alignment import Alignment, align_deterministic
+from .errors import ComparisonFailed, StructuralMismatch, TableSyncError, UniverseMismatch
+from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
 from .tables import InfoTable, TableRow, language_name, parse_kg, serialize_table
-
-if TYPE_CHECKING:
-    from .gateway import Gateway
 
 COMPARISON_KEYS = ("similar_consistent", "similar_contradictory", "table1_unique", "table2_unique")
 
@@ -114,9 +112,11 @@ def compare_rows(
     language: str = "en",
     attempt: int = 0,
 ) -> AtomicComparison:
-    """LLM comparison of one aligned row pair into the four fact categories."""
-    from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest
+    """LLM comparison of one aligned row pair into the four fact categories.
 
+    Output that does not parse, even after one reprompt, is ComparisonFailed;
+    backend errors propagate.
+    """
     prompt = prompts.fill(
         prompts.EVALUATE,
         language=language_name(language),
@@ -130,21 +130,15 @@ def compare_rows(
         tag="evaluate",
     )
 
-    last: Exception | None = None
-    for extra in (0, RETRY_ATTEMPT_OFFSET):
-        response = gateway.complete(request, attempt=attempt + extra)
+    def parse(response: str) -> AtomicComparison:
         try:
             doc = parse_kg(response).root
-            facts = {name: _facts_from(doc.get(name)) for name in COMPARISON_KEYS}
-            return AtomicComparison(
-                facts["similar_consistent"],
-                facts["similar_contradictory"],
-                facts["table1_unique"],
-                facts["table2_unique"],
-            )
-        except Exception as exc:  # malformed model output; retry once
-            last = exc
-    raise ComparisonFailed(f"unparseable comparison output: {last}")
+            return AtomicComparison(*(_facts_from(doc.get(name)) for name in COMPARISON_KEYS))
+        except (TableSyncError, ValueError) as exc:  # no graph, or fact lists that overlap
+            raise ComparisonFailed(f"unparseable comparison output: {exc}") from exc
+
+    comparison, _ = gateway.complete_parsed(request, parse, attempt=attempt)
+    return comparison
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from . import prompts
-from .alignment import RETRY_ATTEMPT_OFFSET, Alignment, align_llm
-from .errors import MalformedRow, NoGraphFound, NoTableFound, StageFailed, TableSyncError
+from .alignment import Alignment, align_llm
+from .errors import StageFailed, TableSyncError
+from .gateway import CompletionRequest, Gateway
 from .tables import (
     DEFAULT_PIVOT,
     InfoTable,
@@ -22,11 +21,6 @@ from .tables import (
     serialize_table,
     table_to_flat_kg,
 )
-
-if TYPE_CHECKING:
-    from .gateway import Gateway
-
-log = logging.getLogger(__name__)
 
 
 class Strategy(Enum):
@@ -74,22 +68,14 @@ class Pipeline:
     # stage operations
 
     def _completed(self, prompt: str, tag: str, parse):
-        """One completion with a single reprompt retry on parse failure."""
-        from .gateway import CompletionRequest
-
+        """One completion of stage tag; any failure is StageFailed(tag)."""
         request = CompletionRequest(
             prompt=prompt, model_id=self.model_id, temperature=self.temperature, tag=tag
         )
-        response = self.gateway.complete(request, attempt=0)
         try:
-            return parse(response), response
-        except (NoTableFound, MalformedRow, NoGraphFound) as first:
-            log.warning("stage %s output unparseable (%s); reprompting once", tag, first)
-            response = self.gateway.complete(request, attempt=RETRY_ATTEMPT_OFFSET)
-            try:
-                return parse(response), response
-            except (NoTableFound, MalformedRow, NoGraphFound) as exc:
-                raise StageFailed(tag, exc) from exc
+            return self.gateway.complete_parsed(request, parse)
+        except TableSyncError as exc:
+            raise StageFailed(tag, exc) from exc
 
     def translate_table(
         self,
@@ -201,9 +187,6 @@ class Pipeline:
                 raise ValueError(f"unknown strategy: {strategy}")
         except StageFailed as exc:
             raise StageFailed(exc.stage, exc.cause, tuple(traces)) from exc
-        except TableSyncError as exc:
-            stage = traces[-1].stage if traces else strategy.value
-            raise StageFailed(stage, exc, tuple(traces)) from exc
         return SyncResult(output, tuple(traces))
 
     def _run_hierarchical(self, source: InfoTable, reference: InfoTable, traces: list[StageTrace]) -> InfoTable:
@@ -256,7 +239,7 @@ class Pipeline:
                 alignment = align_llm(
                     source, reference, self.model_id, self.gateway, diagnostics=diagnostics
                 )
-            except (NoTableFound, MalformedRow) as exc:
+            except TableSyncError as exc:
                 raise StageFailed("align", exc) from exc
             traces.append(
                 StageTrace("align", (source, reference), None, None, alignment, tuple(diagnostics))

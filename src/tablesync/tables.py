@@ -224,6 +224,9 @@ class SyncInstance:
 # ---------------------------------------------------------------------------
 
 _ESCAPES = {"'": "'", '"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+# Deepest list/map nesting a candidate may have; deeper candidates are skipped,
+# so model output cannot exhaust the parser's recursion.
+MAX_NESTING = 100
 
 
 class _Unbalanced(Exception):
@@ -269,7 +272,7 @@ def _parse_bare(text: str, i: int) -> tuple[str, int]:
     return text[start:i], i
 
 
-def _parse_value(text: str, i: int) -> tuple[object, int]:
+def _parse_value(text: str, i: int, depth: int) -> tuple[object, int]:
     i = _skip_ws(text, i)
     if i >= len(text):
         raise _Unbalanced("end of input")
@@ -277,19 +280,21 @@ def _parse_value(text: str, i: int) -> tuple[object, int]:
     if ch in "\"'":
         return _parse_string(text, i)
     if ch == "[":
-        return _parse_list(text, i)
+        return _parse_list(text, i, depth + 1)
     if ch == "{":
-        return _parse_map(text, i)
+        return _parse_map(text, i, depth + 1)
     return _parse_bare(text, i)
 
 
-def _parse_list(text: str, i: int) -> tuple[list, int]:
+def _parse_list(text: str, i: int, depth: int = 1) -> tuple[list, int]:
+    if depth > MAX_NESTING:
+        raise _Unbalanced("nesting too deep")
     items: list = []
     i = _skip_ws(text, i + 1)
     if i < len(text) and text[i] == "]":
         return items, i + 1
     while True:
-        value, i = _parse_value(text, i)
+        value, i = _parse_value(text, i, depth)
         items.append(value)
         i = _skip_ws(text, i)
         if i >= len(text):
@@ -304,7 +309,9 @@ def _parse_list(text: str, i: int) -> tuple[list, int]:
         raise _Unbalanced(f"unexpected {text[i]!r} in list")
 
 
-def _parse_map(text: str, i: int) -> tuple[dict, int]:
+def _parse_map(text: str, i: int, depth: int = 1) -> tuple[dict, int]:
+    if depth > MAX_NESTING:
+        raise _Unbalanced("nesting too deep")
     items: dict = {}
     i = _skip_ws(text, i + 1)
     if i < len(text) and text[i] == "}":
@@ -320,7 +327,7 @@ def _parse_map(text: str, i: int) -> tuple[dict, int]:
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != ":":
             raise _Unbalanced("missing ':' in map")
-        value, i = _parse_value(text, i + 1)
+        value, i = _parse_value(text, i + 1, depth)
         items[key] = value
         i = _skip_ws(text, i)
         if i >= len(text):

@@ -1,4 +1,5 @@
 import json
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tablesync import cli
-from tablesync.errors import ConfigError
+from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.stub import StubBackend
 from tablesync.tables import InfoTable, TableRow
 
@@ -120,6 +121,63 @@ class TestSync:
         )
         assert code == cli.EXIT_OK
         assert peak == 2  # the instance pool overlaps calls, never beyond the bound
+
+
+class TestFailureIsolation:
+    """A failing instance writes its own failure.json; the other nine complete."""
+
+    def failure(self, out: Path, rel: str) -> dict:
+        return json.loads((out / rel / "failure.json").read_text())
+
+    def assert_nine_reported(self, out: Path, capsys) -> None:
+        assert json.loads((out / "report.json").read_text())["instances"] == 9
+        assert sorted(p.parent for p in out.rglob("failure.json")) == [out / "City" / "musterstadt"]
+        assert capsys.readouterr().out.count("ok ") == 9
+
+    def test_evaluation_backend_error(self, corpus, lexicons, tmp_path, monkeypatch, capsys):
+        complete = StubBackend.complete
+
+        def failing(self, request, attempt):
+            if request.tag == "evaluate" and "Eva Neu" in request.prompt:  # a musterstadt gold value
+                raise BackendUnavailable("HTTP 503")
+            return complete(self, request, attempt)
+
+        monkeypatch.setattr(StubBackend, "complete", failing)
+        out = tmp_path / "out"
+        assert run_cli("sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons) == cli.EXIT_PARTIAL
+        assert self.failure(out, "City/musterstadt") == {
+            "stage": "evaluate", "error": "stage 'evaluate' failed: HTTP 503"
+        }
+        assert (out / "City" / "musterstadt" / "output.de.table").is_file()
+        assert (out / "City" / "musterstadt" / "traces.json").is_file()
+        self.assert_nine_reported(out, capsys)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("source.de.table", b'[["Name", '), ("manifest", b"\xff\xfe not utf-8")],
+        ids=["truncated-table", "undecodable-manifest"],
+    )
+    def test_corrupt_corpus_file(self, corpus_dir, lexicons, tmp_path, capsys, name, content):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        (corpus / "City" / "musterstadt" / name).write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli("sync", "--corpus", str(corpus), "--out", str(out), "--lexicons", lexicons) == cli.EXIT_PARTIAL
+        failure = self.failure(out, "City/musterstadt")
+        assert failure["stage"] == "load" and name in failure["error"]
+        self.assert_nine_reported(out, capsys)
+
+    def test_eval_unparseable_output(self, corpus, lexicons, tmp_path, capsys):
+        synced = tmp_path / "sync"
+        assert run_cli("sync", "--corpus", corpus, "--out", str(synced), "--lexicons", lexicons) == cli.EXIT_OK
+        (synced / "City" / "musterstadt" / "output.de.table").write_text("no table here", "utf-8")
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run_cli(
+            "eval", "--corpus", corpus, "--outputs", str(synced), "--out", str(out), "--lexicons", lexicons
+        ) == cli.EXIT_PARTIAL
+        assert self.failure(out, "City/musterstadt")["stage"] == "load"
+        self.assert_nine_reported(out, capsys)
 
 
 class TestConfig:
@@ -352,6 +410,36 @@ class TestErrors:
         )
         assert code == cli.EXIT_CONFIG
         assert "translate_reference" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"stage": ',  # truncated
+            '{"stage": "merge"}',  # an object, not a list
+            '[{"stage": "merge"}]',  # a trace without artifacts
+            json.dumps([  # every ledger stage, none holding a table or graph
+                {"stage": stage, "input": {"kind": "none"}, "output": {"kind": "none"}}
+                for stage in (
+                    "translate_source", "translate_reference", "table_to_kg_source",
+                    "table_to_kg_reference", "merge", "kg_to_table", "back_translate",
+                )
+            ]),
+        ],
+        ids=["truncated", "object", "no-artifacts", "no-tables"],
+    )
+    def test_malformed_traces_file(self, corpus, lexicons, tmp_path, capsys, text):
+        traces = tmp_path / "traces.json"
+        traces.write_text(text, "utf-8")
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(traces),
+            "--lexicons", lexicons,
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(traces) in err
 
 
 class TestStats:

@@ -172,6 +172,8 @@ class FakeResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
@@ -213,6 +215,24 @@ class TestHttpBackend:
 
     def test_hard_client_error_not_retried(self):
         session = FakeSession([FakeResponse(400, text="bad request")])
+        backend = HttpBackend("http://api", session=session, backoff_s=0.0)
+        with pytest.raises(BackendUnavailable):
+            backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)
+        assert session.calls == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            json.JSONDecodeError("Expecting value", "<html>", 0),
+            ["not", "an", "object"],
+            {"choices": []},
+            {"choices": [{"text": "legacy shape"}]},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": ["a", "list"]}}]},
+        ],
+    )
+    def test_malformed_200_body_is_backend_unavailable(self, payload):
+        session = FakeSession([FakeResponse(200, payload)])
         backend = HttpBackend("http://api", session=session, backoff_s=0.0)
         with pytest.raises(BackendUnavailable):
             backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)

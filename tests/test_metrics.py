@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tablesync.alignment import Alignment
-from tablesync.errors import ComparisonFailed, StructuralMismatch, UniverseMismatch
+from tablesync import metrics
+from tablesync.errors import ComparisonFailed, ReplayMiss, StructuralMismatch, UniverseMismatch
 from tablesync.gateway import Gateway
 from tablesync.metrics import (
     AtomicComparison,
@@ -128,6 +129,28 @@ class TestCompareRows:
         gateway = Gateway(StubBackend(rules))
         with pytest.raises(ComparisonFailed):
             compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", gateway)
+
+    def test_overlapping_fact_lists_fail_after_retry(self):
+        overlapping = '{"similar_consistent": ["k: a"], "table1_unique": ["k: a"]}'
+        rules = StubRuleSet(canned_responses=(("four types of information", overlapping),))
+        with pytest.raises(ComparisonFailed):
+            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", Gateway(StubBackend(rules)))
+
+    def test_backend_error_propagates(self):
+        class MissingBackend:
+            def complete(self, request, attempt):
+                raise ReplayMiss("no recorded response")
+
+        with pytest.raises(ReplayMiss):
+            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", Gateway(MissingBackend()))
+
+    def test_programming_error_propagates(self, stub_gateway, monkeypatch):
+        def broken(text):
+            raise TypeError("bug in the parser")
+
+        monkeypatch.setattr(metrics, "parse_kg", broken)
+        with pytest.raises(TypeError):
+            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", stub_gateway)
 
 
 class TestPartition:

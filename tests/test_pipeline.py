@@ -1,7 +1,7 @@
 import pytest
 
-from tablesync.errors import StageFailed
-from tablesync.gateway import Gateway, Transcript
+from tablesync.errors import BackendUnavailable, InvalidValue, StageFailed
+from tablesync.gateway import RETRY_ATTEMPT_OFFSET, Gateway, Transcript
 from tablesync.pipeline import (
     Pipeline,
     Strategy,
@@ -220,6 +220,52 @@ class TestRun:
         with pytest.raises(StageFailed):
             pipe.run(de_instance, Strategy.HIERARCHICAL)
         assert len(transcript.responses()) == 2  # original attempt plus one reprompt
+
+
+class FaultyBackend(StubBackend):
+    """Stub that logs every (tag, attempt) and raises `error` for one stage tag."""
+
+    def __init__(self, rules, tag, error):
+        super().__init__(rules)
+        self.tag, self.error, self.calls = tag, error, []
+
+    def complete(self, request, attempt):
+        self.calls.append((request.tag, attempt))
+        if request.tag == self.tag:
+            raise self.error
+        return super().complete(request, attempt)
+
+
+class TestStageAttribution:
+    def test_backend_error_names_its_stage(self, de_instance, de_en_rules):
+        backend = FaultyBackend(de_en_rules, "merge", BackendUnavailable("HTTP 503"))
+        with pytest.raises(StageFailed) as excinfo:
+            Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
+        assert excinfo.value.stage == "merge"
+        assert [t.stage for t in excinfo.value.traces][-1] == "table_to_kg_reference"
+        assert backend.calls.count(("merge", 0)) == 1  # a backend error is not reprompted
+        assert ("merge", RETRY_ATTEMPT_OFFSET) not in backend.calls
+
+    def test_invalid_graph_reprompted_once(self, de_instance, de_en_rules):
+        rules = StubRuleSet(
+            lexicons=de_en_rules.lexicons,
+            canned_responses=(("your task is to merge the graphs", '{"": "empty key"}'),),
+        )
+        backend = FaultyBackend(rules, None, None)
+        with pytest.raises(StageFailed) as excinfo:
+            Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
+        assert excinfo.value.stage == "merge"
+        assert isinstance(excinfo.value.cause, InvalidValue)
+        assert [call for call in backend.calls if call[0] == "merge"] == [
+            ("merge", 0),
+            ("merge", RETRY_ATTEMPT_OFFSET),
+        ]
+
+    def test_align_backend_error_names_align(self, de_instance, de_en_rules):
+        backend = FaultyBackend(de_en_rules, "align", BackendUnavailable("HTTP 503"))
+        with pytest.raises(StageFailed) as excinfo:
+            Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.ALIGN_UPDATE_TWO)
+        assert excinfo.value.stage == "align"
 
 
 class TestTraceSerialization:

@@ -2,8 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablesync.errors import EmptyKey, InvalidValue, MalformedRow, NoGraphFound, NoTableFound
+from tablesync.errors import (
+    EmptyKey,
+    InvalidValue,
+    MalformedRow,
+    NoGraphFound,
+    NoTableFound,
+    TableSyncError,
+)
 from tablesync.tables import (
+    MAX_NESTING,
     KnowledgeGraph,
     SyncInstance,
     TableRow,
@@ -45,6 +53,17 @@ def kg_value(depth: int):
 
 
 kg_strategy = st.dictionaries(key_text, kg_value(3), max_size=4).map(KnowledgeGraph)
+
+# Model output as the parsers may meet it: any text, text made mostly of
+# wire-format punctuation, and runs of openers deeper than the nesting cap.
+wire_punctuation = st.text(alphabet="[]{}\"',:\\ \nab1", max_size=200)
+deep_openers = st.builds(
+    lambda opener, n, tail: opener * n + tail,
+    st.sampled_from(["[", "{", '{"a":', '["k", ', "[{"]),
+    st.integers(min_value=MAX_NESTING - 2, max_value=2 * MAX_NESTING + 50),
+    wire_punctuation,
+)
+model_text = st.one_of(st.text(max_size=200), wire_punctuation, deep_openers)
 
 
 class TestParseTable:
@@ -144,6 +163,37 @@ class TestParseKg:
     @settings(max_examples=200)
     def test_round_trip(self, kg):
         assert parse_kg(serialize_kg(kg)) == kg
+
+
+class TestNesting:
+    def test_deep_list_is_no_table(self):
+        with pytest.raises(NoTableFound):
+            parse_table("[" * 600)
+
+    def test_deep_map_is_no_graph(self):
+        with pytest.raises(NoGraphFound):
+            parse_kg('{"a":' * 600)
+
+    def test_nesting_up_to_the_cap_parses(self):
+        text = '{"a":' * (MAX_NESTING - 1) + '{"a": "x"}' + "}" * (MAX_NESTING - 1)
+        kg = parse_kg(text)
+        node, depth = kg.root, 1
+        while isinstance(node["a"], dict):
+            node, depth = node["a"], depth + 1
+        assert depth == MAX_NESTING and node == {"a": "x"}
+
+    def test_table_inside_too_deep_wrapper_found(self):
+        wrapper = MAX_NESTING + 20
+        assert parse_table("[" * wrapper + '["k","v"]' + "]" * wrapper) == (TableRow("k", "v"),)
+
+    @given(model_text)
+    @settings(max_examples=200, deadline=None)
+    def test_parsers_return_or_raise_typed(self, text):
+        for parse in (parse_table, parse_kg):
+            try:
+                parse(text)
+            except TableSyncError:
+                pass
 
 
 class TestNormalizeKey:
