@@ -126,11 +126,7 @@ class AlignmentScore:
     f1: float
 
 
-def greedy_key_matches(
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    threshold: float = SIMILARITY_THRESHOLD,
-) -> list[tuple[str, str]]:
+def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> list[tuple[str, str]]:
     """Greedy one-to-one best matches over original key spellings.
 
     Candidates below the similarity threshold stay unmatched. Ties break on
@@ -140,7 +136,7 @@ def greedy_key_matches(
     for l in dict.fromkeys(left_keys):
         for r in dict.fromkeys(right_keys):
             score = key_similarity(l, r)
-            if score >= threshold:
+            if score >= SIMILARITY_THRESHOLD:
                 scored.append((-score, l, r))
     scored.sort()
     taken_left: set[str] = set()
@@ -155,9 +151,9 @@ def greedy_key_matches(
     return matches
 
 
-def align_deterministic(a: InfoTable, b: InfoTable, threshold: float = SIMILARITY_THRESHOLD) -> Alignment:
+def align_deterministic(a: InfoTable, b: InfoTable) -> Alignment:
     """String-similarity alignment of two same-language tables."""
-    matches = greedy_key_matches(a.keys(), b.keys(), threshold)
+    matches = greedy_key_matches(a.keys(), b.keys())
     edges = [(normalize_key(l), normalize_key(r)) for l, r in matches]
     return Alignment.build(a.normalized_keys(), b.normalized_keys(), edges)
 

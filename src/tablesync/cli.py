@@ -27,7 +27,7 @@ from .errors import ConfigError, ParseError, StageFailed, TableSyncError
 from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
 from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
 from .stub import StubBackend, StubRuleSet
-from .tables import DEFAULT_PIVOT, InfoTable, parse_table, serialize_table
+from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, parse_table, serialize_table
 from .wiki import MediaWikiClient
 
 EXIT_OK = 0
@@ -87,6 +87,24 @@ def _parse(name: str, text: str, default: object) -> object:
     return text
 
 
+def _registered_language(code: str, flag: str) -> str:
+    if code not in LANGUAGE_NAMES:
+        known = ", ".join(sorted(LANGUAGE_NAMES))
+        raise ConfigError(f"{flag} {code!r} is not a registered language code ({known})")
+    return code
+
+
+def _read_json(path: str, what: str, decode):
+    """decode() the JSON document at path; an unreadable or malformed file is a
+    ConfigError naming it."""
+    try:
+        return decode(json.loads(Path(path).read_text("utf-8")))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, LookupError, TypeError, AttributeError, TableSyncError) as exc:
+        raise ConfigError(f"malformed {what} file {path}: {exc!r}") from exc
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -131,6 +149,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("rounds must be >= 1")
     if config.concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
+    _registered_language(config.pivot, "pivot")
     if config.backend not in ("stub", "http", "replay"):
         raise ConfigError(f"unknown backend {config.backend!r}")
     if config.record and not config.transcripts:
@@ -302,15 +321,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _table_from_file(path: str, language: str, name: str) -> InfoTable:
     try:
         rows = parse_table(Path(path).read_text("utf-8"))
-    except OSError as exc:
+    except (OSError, ValueError, TableSyncError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
     return InfoTable(name, language, "Uncategorized", rows)
 
 
 def cmd_align(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    left = _table_from_file(args.left, args.language, "left")
-    right = _table_from_file(args.right, args.language, "right")
+    language = _registered_language(args.language, "language")
+    left = _table_from_file(args.left, language, "left")
+    right = _table_from_file(args.right, language, "right")
+    gold = _read_json(args.gold_alignment, "gold alignment", alignment_from_doc) if args.gold_alignment else None
     if config.models:
         gateway = build_gateway(config)
         alignment = multi_vote_align(left, right, config.models, config.rounds, gateway)
@@ -321,9 +342,8 @@ def cmd_align(args: argparse.Namespace) -> int:
         _write_json(Path(args.out), doc)
     else:
         print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
-    if args.gold_alignment:
-        gold_doc = json.loads(Path(args.gold_alignment).read_text("utf-8"))
-        score = score_alignment(alignment, alignment_from_doc(gold_doc))
+    if gold is not None:
+        score = score_alignment(alignment, gold)
         print(f"precision={score.precision:.4f} recall={score.recall:.4f} f1={score.f1:.4f}")
     return EXIT_OK
 
@@ -331,12 +351,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 def cmd_errors(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     instance = dataset.load_instance(args.instance_dir)
-    try:
-        traces = traces_from_jsonable(json.loads(Path(args.traces).read_text("utf-8")))
-    except OSError as exc:
-        raise ConfigError(f"cannot read traces {args.traces}: {exc}") from exc
-    except (ValueError, LookupError, TypeError, AttributeError, TableSyncError) as exc:
-        raise ConfigError(f"malformed traces file {args.traces}: {exc!r}") from exc
+    traces = _read_json(args.traces, "traces", traces_from_jsonable)
     analyzer = ErrorAnalyzer(load_rules(config), pivot=config.pivot)
     try:
         ledger = analyzer.stagewise_ledger(instance, traces)

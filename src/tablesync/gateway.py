@@ -9,11 +9,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError
+
+if TYPE_CHECKING:  # imported where HTTP is used, so other commands start without it
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -90,9 +91,15 @@ class HttpBackend:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
+        import requests
+
         body = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt}],

@@ -110,7 +110,6 @@ def compare_rows(
     gateway: Gateway,
     *,
     language: str = "en",
-    attempt: int = 0,
 ) -> AtomicComparison:
     """LLM comparison of one aligned row pair into the four fact categories.
 
@@ -137,7 +136,7 @@ def compare_rows(
         except (TableSyncError, ValueError) as exc:  # no graph, or fact lists that overlap
             raise ComparisonFailed(f"unparseable comparison output: {exc}") from exc
 
-    comparison, _ = gateway.complete_parsed(request, parse, attempt=attempt)
+    comparison, _ = gateway.complete_parsed(request, parse)
     return comparison
 
 
@@ -350,15 +349,16 @@ def evaluate_instance(
     *,
     gateway: Gateway,
     evaluator_models: Sequence[str],
-    align_fn=align_deterministic,
 ) -> InstanceEvaluation:
     """Full §-style evaluation of one output table against its instance.
 
     Alignments are source-gold and output-gold; each aligned pair is compared
-    per evaluator model and reports are ensemble-averaged.
+    per evaluator model and reports are ensemble-averaged. Each distinct
+    (candidate row, gold row) pair is compared once per model, so a row the
+    output leaves unchanged scores the same on both sides.
     """
-    ig = align_fn(source, gold)
-    og = align_fn(output, gold)
+    ig = align_deterministic(source, gold)
+    og = align_deterministic(output, gold)
     partition = partition_alignments(ig, og)
 
     ig_pairs = {g: s for s, g, _ in partition.tri} | {g: s for s, g in partition.bi_input_gold}
@@ -367,23 +367,22 @@ def evaluate_instance(
     per_model: dict[str, UpdateReport] = {}
     flagged: list[tuple[str, str]] = []
     for model_id in evaluator_models:
+        compared: dict[tuple[TableRow, TableRow], RowScore | None] = {}  # None: comparison failed
+
         def rows_scores(pairs: dict[str, str], candidate: InfoTable) -> dict[str, RowScore]:
             scores: dict[str, RowScore] = {}
             for gold_key, cand_key in sorted(pairs.items()):
-                cand_row = candidate.row_for(cand_key)
-                gold_row = gold.row_for(gold_key)
-                if cand_row is None or gold_row is None:
-                    scores[gold_key] = ZERO_ROW
+                rows = (candidate.row_for(cand_key), gold.row_for(gold_key))
+                if None not in rows and rows not in compared:
+                    try:
+                        comparison = compare_rows(*rows, model_id, gateway, language=gold.language)
+                        compared[rows] = score_row(comparison)
+                    except ComparisonFailed:
+                        compared[rows] = None
+                score = compared.get(rows)
+                if score is None:
                     flagged.append((model_id, gold_key))
-                    continue
-                try:
-                    comparison = compare_rows(
-                        cand_row, gold_row, model_id, gateway, language=gold.language
-                    )
-                    scores[gold_key] = score_row(comparison)
-                except ComparisonFailed:
-                    scores[gold_key] = ZERO_ROW
-                    flagged.append((model_id, gold_key))
+                scores[gold_key] = ZERO_ROW if score is None else score
             return scores
 
         report = build_report(partition, rows_scores(ig_pairs, source), rows_scores(og_pairs, output))

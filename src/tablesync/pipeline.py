@@ -6,13 +6,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import prompts
-from .alignment import Alignment, align_llm
+from .alignment import Alignment, align_llm, alignment_from_doc, alignment_to_doc
 from .errors import StageFailed, TableSyncError
 from .gateway import CompletionRequest, Gateway
 from .tables import (
     DEFAULT_PIVOT,
     InfoTable,
     KnowledgeGraph,
+    TableRow,
     escape_text,
     language_name,
     parse_kg,
@@ -52,26 +53,16 @@ class SyncResult:
 class Pipeline:
     """Runs a strategy over one instance; never reads the gold table."""
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        model_id: str,
-        *,
-        pivot: str = DEFAULT_PIVOT,
-        temperature: float = 0.0,
-    ) -> None:
+    def __init__(self, gateway: Gateway, model_id: str, *, pivot: str = DEFAULT_PIVOT) -> None:
         self.gateway = gateway
         self.model_id = model_id
         self.pivot = pivot
-        self.temperature = temperature
 
     # stage operations
 
     def _completed(self, prompt: str, tag: str, parse):
         """One completion of stage tag; any failure is StageFailed(tag)."""
-        request = CompletionRequest(
-            prompt=prompt, model_id=self.model_id, temperature=self.temperature, tag=tag
-        )
+        request = CompletionRequest(prompt=prompt, model_id=self.model_id, tag=tag)
         try:
             return self.gateway.complete_parsed(request, parse)
         except TableSyncError as exc:
@@ -93,25 +84,19 @@ class Pipeline:
         if table.language == target:
             trace = StageTrace(stage, table, None, None, table, ("skipped: already in target language",))
             return table, trace
-        if example is None:
-            prompt = prompts.fill(
-                prompts.TRANSLATE_TO_PIVOT,
-                source_language=language_name(table.language),
-                target_language=language_name(target),
-                category=table.category,
-                table=serialize_table(table),
-            )
-        else:
+        template, slots = prompts.TRANSLATE_TO_PIVOT, {}
+        if example is not None:
             original, translated = example
-            prompt = prompts.fill(
-                prompts.TRANSLATE_FROM_PIVOT,
-                source_language=language_name(table.language),
-                target_language=language_name(target),
-                category=table.category,
-                example_original=serialize_table(original),
-                example_translated=serialize_table(translated),
-                table=serialize_table(table),
-            )
+            template = prompts.TRANSLATE_FROM_PIVOT
+            slots = dict(example_original=serialize_table(original), example_translated=serialize_table(translated))
+        prompt = prompts.fill(
+            template,
+            source_language=language_name(table.language),
+            target_language=language_name(target),
+            category=table.category,
+            table=serialize_table(table),
+            **slots,
+        )
         rows, response = self._completed(prompt, stage, parse_table)
         diagnostics = []
         if len(rows) != len(table.rows):
@@ -140,8 +125,7 @@ class Pipeline:
             graph_b=serialize_kg(reference_kg),
         )
         merged, response = self._completed(prompt, stage, parse_kg)
-        trace = StageTrace(stage, (source_kg, reference_kg), prompt, response, merged)
-        return merged, trace
+        return merged, StageTrace(stage, (source_kg, reference_kg), prompt, response, merged)
 
     def kg_to_table(
         self,
@@ -163,58 +147,26 @@ class Pipeline:
         result = exemplar.with_rows(rows)
         return result, StageTrace(stage, kg, prompt, response, result)
 
-    # strategies
-
-    def run(self, instance, strategy: Strategy) -> SyncResult:
-        """Produce the output table for an instance; gold stays untouched."""
-        source: InfoTable = instance.source
-        reference: InfoTable = instance.reference
-        traces: list[StageTrace] = []
+    def align_tables(
+        self, source: InfoTable, reference: InfoTable, *, stage: str = "align"
+    ) -> tuple[Alignment, StageTrace]:
+        """LLM key alignment of source against reference. align_llm builds and
+        reprompts its own request, so its failures become StageFailed here."""
+        diagnostics: list[str] = []
         try:
-            if strategy is Strategy.HIERARCHICAL:
-                output = self._run_hierarchical(source, reference, traces)
-            elif strategy is Strategy.DIRECT:
-                output = self._run_single_prompt(source, reference, traces, prompts.DIRECT, "direct")
-            elif strategy is Strategy.DIRECT_DECOMPOSE:
-                output = self._run_single_prompt(
-                    source, reference, traces, prompts.DIRECT_DECOMPOSE, "direct_decompose"
-                )
-            elif strategy is Strategy.ALIGN_UPDATE_JOINT:
-                output = self._run_align_update(source, reference, traces, joint=True)
-            elif strategy is Strategy.ALIGN_UPDATE_TWO:
-                output = self._run_align_update(source, reference, traces, joint=False)
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown strategy: {strategy}")
-        except StageFailed as exc:
-            raise StageFailed(exc.stage, exc.cause, tuple(traces)) from exc
-        return SyncResult(output, tuple(traces))
+            alignment = align_llm(source, reference, self.model_id, self.gateway, diagnostics=diagnostics)
+        except TableSyncError as exc:
+            raise StageFailed(stage, exc) from exc
+        return alignment, StageTrace(stage, (source, reference), None, None, alignment, tuple(diagnostics))
 
-    def _run_hierarchical(self, source: InfoTable, reference: InfoTable, traces: list[StageTrace]) -> InfoTable:
-        source_en, trace = self.translate_table(source, self.pivot, stage="translate_source")
-        traces.append(trace)
-        reference_en, trace = self.translate_table(reference, self.pivot, stage="translate_reference")
-        traces.append(trace)
+    def update_table(
+        self, source: InfoTable, reference: InfoTable, template: str, stage: str, **slots: str
+    ) -> tuple[InfoTable, StageTrace]:
+        """Update source from reference with one prompt of template.
 
-        kg_source, trace = self.table_to_kg(source_en, stage="table_to_kg_source")
-        traces.append(trace)
-        kg_reference, trace = self.table_to_kg(reference_en, stage="table_to_kg_reference")
-        traces.append(trace)
-
-        merged, trace = self.merge_kgs(kg_source, kg_reference, stage="merge")
-        traces.append(trace)
-
-        table_en, trace = self.kg_to_table(merged, source_en, kg_source, stage="kg_to_table")
-        traces.append(trace)
-
-        output, trace = self.translate_table(
-            table_en, source.language, example=(source_en, source), stage="back_translate"
-        )
-        traces.append(trace)
-        return output
-
-    def _run_single_prompt(
-        self, source: InfoTable, reference: InfoTable, traces: list[StageTrace], template: str, stage: str
-    ) -> InfoTable:
+        Fills the slots every update template shares (both languages, the
+        category, both tables); further slots are passed through.
+        """
         prompt = prompts.fill(
             template,
             language_a=language_name(source.language),
@@ -222,50 +174,53 @@ class Pipeline:
             category=source.category,
             table_a=serialize_table(source),
             table_b=serialize_table(reference),
+            **slots,
         )
         rows, response = self._completed(prompt, stage, parse_table)
         output = source.with_rows(rows)
-        traces.append(StageTrace(stage, (source, reference), prompt, response, output))
-        return output
+        return output, StageTrace(stage, (source, reference), prompt, response, output)
 
-    def _run_align_update(
-        self, source: InfoTable, reference: InfoTable, traces: list[StageTrace], *, joint: bool
-    ) -> InfoTable:
-        if joint:
-            alignments_text = prompts.SELF_ALIGN_INSTRUCTION
-        else:
-            diagnostics: list[str] = []
-            try:
-                alignment = align_llm(
-                    source, reference, self.model_id, self.gateway, diagnostics=diagnostics
-                )
-            except TableSyncError as exc:
-                raise StageFailed("align", exc) from exc
-            traces.append(
-                StageTrace("align", (source, reference), None, None, alignment, tuple(diagnostics))
-            )
-            alignments_text = format_alignment_slot(alignment, source, reference)
-        prompt = prompts.fill(
-            prompts.ALIGN_UPDATE,
-            language_a=language_name(source.language),
-            language_b=language_name(reference.language),
-            category=source.category,
-            table_a=serialize_table(source),
-            table_b=serialize_table(reference),
-            alignments=alignments_text,
-        )
-        stage = "align_update" if joint else "update"
-        rows, response = self._completed(prompt, stage, parse_table)
-        output = source.with_rows(rows)
-        traces.append(StageTrace(stage, (source, reference), prompt, response, output))
-        return output
+    # strategies
+
+    def run(self, instance, strategy: Strategy) -> SyncResult:
+        """Produce the output table for an instance; gold stays untouched."""
+        source, reference = instance.source, instance.reference
+        traces: list[StageTrace] = []
+
+        def staged(result: tuple[object, StageTrace]):
+            value, trace = result
+            traces.append(trace)
+            return value
+
+        try:
+            if strategy is Strategy.HIERARCHICAL:
+                source_pivot = staged(self.translate_table(source, self.pivot, stage="translate_source"))
+                reference_pivot = staged(self.translate_table(reference, self.pivot, stage="translate_reference"))
+                kg_source = staged(self.table_to_kg(source_pivot, stage="table_to_kg_source"))
+                kg_reference = staged(self.table_to_kg(reference_pivot, stage="table_to_kg_reference"))
+                merged = staged(self.merge_kgs(kg_source, kg_reference))
+                table_pivot = staged(self.kg_to_table(merged, source_pivot, kg_source))
+                output = staged(self.translate_table(
+                    table_pivot, source.language, example=(source_pivot, source), stage="back_translate"
+                ))
+            elif strategy is Strategy.DIRECT:
+                output = staged(self.update_table(source, reference, prompts.DIRECT, "direct"))
+            elif strategy is Strategy.DIRECT_DECOMPOSE:
+                output = staged(self.update_table(source, reference, prompts.DIRECT_DECOMPOSE, "direct_decompose"))
+            elif strategy is Strategy.ALIGN_UPDATE_JOINT:
+                output = staged(self.update_table(
+                    source, reference, prompts.ALIGN_UPDATE, "align_update", alignments=prompts.SELF_ALIGN_INSTRUCTION
+                ))
+            else:  # Strategy.ALIGN_UPDATE_TWO
+                alignment = staged(self.align_tables(source, reference))
+                slot = format_alignment_slot(alignment, source, reference)
+                output = staged(self.update_table(source, reference, prompts.ALIGN_UPDATE, "update", alignments=slot))
+        except StageFailed as exc:
+            raise StageFailed(exc.stage, exc.cause, tuple(traces)) from exc
+        return SyncResult(output, tuple(traces))
 
 
 def artifact_jsonable(artifact: object) -> dict:
-    from .alignment import alignment_to_doc
-
-    if artifact is None:
-        return {"kind": "none"}
     if isinstance(artifact, InfoTable):
         return {
             "kind": "table",
@@ -281,16 +236,11 @@ def artifact_jsonable(artifact: object) -> dict:
         return {"kind": "alignment", **alignment_to_doc(artifact)}
     if isinstance(artifact, tuple):
         return {"kind": "pair", "items": [artifact_jsonable(item) for item in artifact]}
-    return {"kind": "text", "text": str(artifact)}
+    raise TypeError(f"not a stage artifact: {type(artifact).__name__}")
 
 
 def artifact_from_jsonable(doc: dict) -> object:
-    from .alignment import alignment_from_doc
-    from .tables import TableRow
-
     kind = doc["kind"]
-    if kind == "none":
-        return None
     if kind == "table":
         return InfoTable(
             doc["entity"],
@@ -305,7 +255,7 @@ def artifact_from_jsonable(doc: dict) -> object:
         return alignment_from_doc(doc)
     if kind == "pair":
         return tuple(artifact_from_jsonable(item) for item in doc["items"])
-    return doc.get("text", "")
+    raise ValueError(f"unknown artifact kind: {kind!r}")
 
 
 def traces_jsonable(traces) -> list[dict]:
@@ -341,7 +291,7 @@ def format_alignment_slot(alignment: Alignment, left: InfoTable, right: InfoTabl
     echoing the tables' original key spellings."""
 
     def originals(table: InfoTable, norm_keys) -> list[str]:
-        return [table.original_key(k) or k for k in norm_keys]
+        return [row.key if (row := table.row_for(k)) else k for k in norm_keys]
 
     lines: list[str] = []
     for pair in alignment.pairs:

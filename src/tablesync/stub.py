@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import prompts
 from .alignment import greedy_key_matches
-from .errors import NoTableFound
+from .errors import ConfigError, NoTableFound
 from .gateway import CompletionRequest
 from .metrics import COMPARISON_KEYS, token_compare
 from .tables import (
@@ -57,17 +57,27 @@ class StubRuleSet:
 
     @staticmethod
     def from_dir(path: str | Path, **kwargs) -> StubRuleSet:
-        """Load `<src>-<tgt>.tsv` lexicon files (tab-separated phrase pairs)."""
+        """Load `<src>-<tgt>.tsv` lexicon files (tab-separated phrase pairs).
+
+        An unreadable file, or a line that is not two nonempty phrases
+        separated by a tab, is a ConfigError naming the file and line.
+        """
         lexicons: dict[tuple[str, str], LexiconPairs] = {}
         for file in sorted(Path(path).glob("*-*.tsv")):
             src, tgt = file.stem.split("-", 1)
+            try:
+                lines = file.read_text("utf-8").splitlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read lexicon {file}: {exc}") from exc
             entries: list[tuple[str, str]] = []
-            for line in file.read_text("utf-8").splitlines():
+            for number, line in enumerate(lines, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                left, _, right = line.partition("\t")
-                entries.append((left.strip(), right.strip()))
+                left, _, right = (part.strip() for part in line.partition("\t"))
+                if not left or not right:
+                    raise ConfigError(f"{file}:{number}: expected 'source<TAB>target', got {line!r}")
+                entries.append((left, right))
             lexicons[(src, tgt)] = tuple(entries)
         return StubRuleSet(lexicons=lexicons, **kwargs)
 

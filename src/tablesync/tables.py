@@ -96,7 +96,7 @@ class TableRow:
 class InfoTable:
     """An entity-centric key-value table tied to a language and category.
 
-    Duplicate keys are preserved in order; duplicate_keys() flags them.
+    Duplicate keys are preserved in order.
     """
 
     entity: str
@@ -124,18 +124,6 @@ class InfoTable:
             if normalize_key(row.key) == norm_key:
                 return row
         return None
-
-    def original_key(self, norm_key: str) -> str | None:
-        row = self.row_for(norm_key)
-        return row.key if row is not None else None
-
-    def duplicate_keys(self) -> tuple[str, ...]:
-        """Normalized keys occurring more than once, in first-seen order."""
-        seen: dict[str, int] = {}
-        for row in self.rows:
-            norm = normalize_key(row.key)
-            seen[norm] = seen.get(norm, 0) + 1
-        return tuple(k for k, n in seen.items() if n > 1)
 
     def with_rows(self, rows) -> InfoTable:
         return InfoTable(self.entity, self.language, self.category, tuple(rows), self.revision_tag)
@@ -442,17 +430,18 @@ def serialize_kg(kg: KnowledgeGraph) -> str:
     return _write_kg_value(kg.root, 0)
 
 
-def flatten_kg(kg: KnowledgeGraph, path_sep: str = " - ", list_sep: str = ", ") -> tuple[TableRow, ...]:
-    """Deterministic flattening: nested maps join path segments, scalar lists join values."""
+def flatten_kg(kg: KnowledgeGraph) -> tuple[TableRow, ...]:
+    """Deterministic flattening: nested maps join path segments with " - ",
+    scalar lists join values with ", "."""
     rows: list[TableRow] = []
 
     def walk(path: list[str], value) -> None:
         if isinstance(value, str):
-            rows.append(TableRow(path_sep.join(path), value))
+            rows.append(TableRow(" - ".join(path), value))
             return
         if isinstance(value, list):
             if all(isinstance(item, str) for item in value):
-                rows.append(TableRow(path_sep.join(path), list_sep.join(value)))
+                rows.append(TableRow(" - ".join(path), ", ".join(value)))
                 return
             for i, item in enumerate(value):
                 walk(path + [f"#{i}"], item)

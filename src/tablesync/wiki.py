@@ -5,11 +5,13 @@ from __future__ import annotations
 import re
 import time
 from datetime import datetime, timezone
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import NetworkError, NoInfobox, PageNotFound
 from .tables import InfoTable, TableRow
+
+if TYPE_CHECKING:  # imported where HTTP is used, so other commands start without it
+    import requests
 
 DEFAULT_API_TEMPLATE = "https://{lang}.wikipedia.org/w/api.php"
 USER_AGENT = "tablesync/0.1 (table synchronization research tooling)"
@@ -134,7 +136,11 @@ class MediaWikiClient:
         min_interval_s: float = 1.0,
         timeout_s: float = 30.0,
     ) -> None:
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.api_template = api_template
         self.min_interval_s = min_interval_s
         self.timeout_s = timeout_s
@@ -168,6 +174,8 @@ class MediaWikiClient:
             "rvdir": "older",
             "rvstart": as_of,
         }
+        import requests
+
         self._throttle()
         try:
             response = self.session.get(

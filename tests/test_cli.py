@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -368,6 +371,67 @@ class TestAlign:
             "align", "--left", str(left), "--right", str(right), "--gold-alignment", str(gold)
         ) == 0
         assert "f1=1.0000" in capsys.readouterr().out
+
+
+TABLE = '[["Name","x"]]'
+ALIGN = ["align", "--left", "{tmp}/ok.table", "--right", "{tmp}/ok.table"]
+# id: (files written under the temp dir, argv, text the error must contain);
+# "{tmp}" and "{corpus}" are filled in.
+INPUT_ERRORS = {
+    "sync-pivot": ({}, ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--pivot", "xx"], "'xx'"),
+    "eval-pivot": (
+        {}, ["eval", "--corpus", "{corpus}", "--outputs", "{tmp}", "--out", "{tmp}/o", "--pivot", "xx"], "'xx'"
+    ),
+    "errors-pivot": (
+        {"traces.json": "[]"},
+        ["errors", "--instance-dir", "{corpus}/City/musterstadt", "--traces", "{tmp}/traces.json", "--pivot", "xx"],
+        "'xx'",
+    ),
+    "align-language": ({"ok.table": TABLE}, [*ALIGN, "--language", "xx"], "'xx'"),
+    "gold-alignment-missing": (
+        {"ok.table": TABLE}, [*ALIGN, "--gold-alignment", "{tmp}/absent.json"], "{tmp}/absent.json"
+    ),
+    "gold-alignment-malformed": (
+        {"ok.table": TABLE, "gold.json": '{"pairs": 5}'},
+        [*ALIGN, "--gold-alignment", "{tmp}/gold.json"],
+        "{tmp}/gold.json",
+    ),
+    "unparseable-table": (
+        {"ok.table": TABLE, "bad.table": "no table here"},
+        ["align", "--left", "{tmp}/bad.table", "--right", "{tmp}/ok.table"],
+        "{tmp}/bad.table",
+    ),
+    "lexicon-line-without-tab": (
+        {"lex/de-en.tsv": "# de to en\nLand Country\n"},
+        ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--lexicons", "{tmp}/lex"],
+        "{tmp}/lex/de-en.tsv:2",
+    ),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+    def test_named_config_error(self, case, corpus, tmp_path, capsys):
+        files, argv, needle = case
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text, "utf-8")
+
+        def fill(text: str) -> str:
+            return text.format(tmp=tmp_path, corpus=corpus)
+
+        assert run_cli(*map(fill, argv)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and fill(needle) in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestStartup:
+    def test_cli_import_leaves_requests_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        check = "import sys, tablesync.cli; sys.exit('requests' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 class TestErrors:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tablesync.alignment import Alignment
 from tablesync import metrics
 from tablesync.errors import ComparisonFailed, ReplayMiss, StructuralMismatch, UniverseMismatch
-from tablesync.gateway import Gateway
+from tablesync.gateway import Gateway, ReplayBackend, Transcript
 from tablesync.metrics import (
     AtomicComparison,
     PERFECT_ROW,
@@ -266,3 +266,57 @@ class TestEvaluateInstance:
         assert all(r.updated == reports[0].updated for r in reports)
         assert evaluation.ensemble.updated == reports[0].updated
         assert evaluation.ensemble.updated == Fraction(100, 2)
+
+
+class CountingEvaluator(StubBackend):
+    """Stub that counts evaluate calls. With spoil_first it is nondeterministic:
+    its first evaluate answer calls the row pair contradictory."""
+
+    def __init__(self, rules, spoil_first=False):
+        super().__init__(rules)
+        self.spoil_first = spoil_first
+        self.evaluate_calls = 0
+
+    def complete(self, request, attempt):
+        if request.tag == "evaluate":
+            self.evaluate_calls += 1
+            if self.spoil_first and self.evaluate_calls == 1:
+                return '{"similar_contradictory": ["spoiled"]}'
+        return super().complete(request, attempt)
+
+
+class TestRowPairsComparedOnce:
+    @pytest.fixture()
+    def unchanged(self, mk_table):
+        source = mk_table([("Name", "X"), ("Population", "1")], lang="en")
+        gold = mk_table([("Name", "X"), ("Population", "2"), ("Area", "3")], lang="en")
+        return source, source, gold
+
+    def test_unchanged_output_updates_nothing(self, unchanged):
+        source, output, gold = unchanged
+        backend = CountingEvaluator(StubRuleSet(), spoil_first=True)
+        evaluation = evaluate_instance(
+            source, output, gold, gateway=Gateway(backend), evaluator_models=["m"]
+        )
+        assert evaluation.ensemble.updated == 0
+        assert backend.evaluate_calls == 2  # one per distinct row pair
+
+    def test_record_then_replay_scores_alike(self, unchanged, tmp_path):
+        source, output, gold = unchanged
+        transcript = Transcript(tmp_path / "t.jsonl")
+        recording = Gateway(CountingEvaluator(StubRuleSet(), spoil_first=True), transcript=transcript)
+        recorded = evaluate_instance(source, output, gold, gateway=recording, evaluator_models=["m"])
+        replaying = Gateway(ReplayBackend(transcript))
+        replayed = evaluate_instance(source, output, gold, gateway=replaying, evaluator_models=["m"])
+        assert replayed.per_model == recorded.per_model
+        assert replayed.flagged == recorded.flagged
+
+    def test_failed_pair_compared_once_and_flagged_per_side(self, mk_table):
+        rules = StubRuleSet(canned_responses=(("four types of information", "no structured output"),))
+        backend = CountingEvaluator(rules)
+        table = mk_table([("Name", "X")], lang="en")
+        evaluation = evaluate_instance(
+            table, table, table, gateway=Gateway(backend), evaluator_models=["m"]
+        )
+        assert evaluation.flagged == (("m", "name"), ("m", "name"))
+        assert backend.evaluate_calls == 2  # the first attempt and its one reprompt

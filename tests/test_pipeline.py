@@ -277,6 +277,13 @@ class TestTraceSerialization:
         assert restored[4].output_artifact == result.traces[4].output_artifact  # merge KG
         assert restored[-1].output_artifact == result.output
 
+    @pytest.mark.parametrize("kind", ["none", "text", "bogus"])
+    def test_unknown_artifact_kind_rejected(self, de_instance, de_en_rules, kind):
+        docs = traces_jsonable(pipeline_for(de_en_rules).run(de_instance, Strategy.DIRECT).traces)
+        docs[0]["output"] = {"kind": kind, "text": "x"}
+        with pytest.raises(ValueError, match=kind):
+            traces_from_jsonable(docs)
+
 
 class TestAlignmentSlot:
     def test_interleaved_format(self, mk_table):
