@@ -88,7 +88,9 @@ class Pipeline:
         if example is not None:
             original, translated = example
             template = prompts.TRANSLATE_FROM_PIVOT
-            slots = dict(example_original=serialize_table(original), example_translated=serialize_table(translated))
+            slots = dict(
+                example_original=serialize_table(original), example_translated=serialize_table(translated)
+            )
         prompt = prompts.fill(
             template,
             source_language=language_name(table.language),
@@ -125,7 +127,8 @@ class Pipeline:
             graph_b=serialize_kg(reference_kg),
         )
         merged, response = self._completed(prompt, stage, parse_kg)
-        return merged, StageTrace(stage, (source_kg, reference_kg), prompt, response, merged)
+        trace = StageTrace(stage, (source_kg, reference_kg), prompt, response, merged)
+        return merged, trace
 
     def kg_to_table(
         self,
@@ -147,17 +150,15 @@ class Pipeline:
         result = exemplar.with_rows(rows)
         return result, StageTrace(stage, kg, prompt, response, result)
 
-    def align_tables(
-        self, source: InfoTable, reference: InfoTable, *, stage: str = "align"
-    ) -> tuple[Alignment, StageTrace]:
+    def align_tables(self, source: InfoTable, reference: InfoTable) -> tuple[Alignment, StageTrace]:
         """LLM key alignment of source against reference. align_llm builds and
         reprompts its own request, so its failures become StageFailed here."""
         diagnostics: list[str] = []
         try:
             alignment = align_llm(source, reference, self.model_id, self.gateway, diagnostics=diagnostics)
         except TableSyncError as exc:
-            raise StageFailed(stage, exc) from exc
-        return alignment, StageTrace(stage, (source, reference), None, None, alignment, tuple(diagnostics))
+            raise StageFailed("align", exc) from exc
+        return alignment, StageTrace("align", (source, reference), None, None, alignment, tuple(diagnostics))
 
     def update_table(
         self, source: InfoTable, reference: InfoTable, template: str, stage: str, **slots: str
@@ -195,7 +196,9 @@ class Pipeline:
         try:
             if strategy is Strategy.HIERARCHICAL:
                 source_pivot = staged(self.translate_table(source, self.pivot, stage="translate_source"))
-                reference_pivot = staged(self.translate_table(reference, self.pivot, stage="translate_reference"))
+                reference_pivot = staged(
+                    self.translate_table(reference, self.pivot, stage="translate_reference")
+                )
                 kg_source = staged(self.table_to_kg(source_pivot, stage="table_to_kg_source"))
                 kg_reference = staged(self.table_to_kg(reference_pivot, stage="table_to_kg_reference"))
                 merged = staged(self.merge_kgs(kg_source, kg_reference))
@@ -206,15 +209,20 @@ class Pipeline:
             elif strategy is Strategy.DIRECT:
                 output = staged(self.update_table(source, reference, prompts.DIRECT, "direct"))
             elif strategy is Strategy.DIRECT_DECOMPOSE:
-                output = staged(self.update_table(source, reference, prompts.DIRECT_DECOMPOSE, "direct_decompose"))
+                output = staged(
+                    self.update_table(source, reference, prompts.DIRECT_DECOMPOSE, "direct_decompose")
+                )
             elif strategy is Strategy.ALIGN_UPDATE_JOINT:
                 output = staged(self.update_table(
-                    source, reference, prompts.ALIGN_UPDATE, "align_update", alignments=prompts.SELF_ALIGN_INSTRUCTION
+                    source, reference, prompts.ALIGN_UPDATE, "align_update",
+                    alignments=prompts.SELF_ALIGN_INSTRUCTION,
                 ))
             else:  # Strategy.ALIGN_UPDATE_TWO
                 alignment = staged(self.align_tables(source, reference))
                 slot = format_alignment_slot(alignment, source, reference)
-                output = staged(self.update_table(source, reference, prompts.ALIGN_UPDATE, "update", alignments=slot))
+                output = staged(
+                    self.update_table(source, reference, prompts.ALIGN_UPDATE, "update", alignments=slot)
+                )
         except StageFailed as exc:
             raise StageFailed(exc.stage, exc.cause, tuple(traces)) from exc
         return SyncResult(output, tuple(traces))
