@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 from . import prompts
 from .errors import EmptyVoteSet, UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
-from .similarity import key_similarity, normalized_edit_distance
+from .similarity import feature_similarity, key_features, normalized_edit_distance
 from .tables import InfoTable, language_name, normalize_key, parse_table, serialize_table
 
 SIMILARITY_THRESHOLD = 0.5
@@ -129,13 +129,17 @@ class AlignmentScore:
 def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> list[tuple[str, str]]:
     """Greedy one-to-one best matches over original key spellings.
 
-    Candidates below the similarity threshold stay unmatched. Ties break on
-    score, then lexicographic key order, so the result is deterministic.
+    Each distinct key is normalized and split into tokens and trigrams once;
+    scoring a pair only intersects those sets. Candidates below the
+    similarity threshold stay unmatched. Ties break on score, then
+    lexicographic key order, so the result is deterministic.
     """
+    left = {key: key_features(key) for key in left_keys}
+    right = {key: key_features(key) for key in right_keys}
     scored = []
-    for l in dict.fromkeys(left_keys):
-        for r in dict.fromkeys(right_keys):
-            score = key_similarity(l, r)
+    for l, left_features in left.items():
+        for r, right_features in right.items():
+            score = feature_similarity(left_features, right_features)
             if score >= SIMILARITY_THRESHOLD:
                 scored.append((-score, l, r))
     scored.sort()

@@ -195,9 +195,13 @@ def _write_snapshot(out_dir: Path, config: RunConfig) -> None:
     (out_dir / "config.snapshot").write_text("\n".join(config.snapshot_lines()) + "\n", "utf-8")
 
 
-def _select_instances(corpus: str, selector: str | None) -> list[Path]:
+def _require_corpus(corpus: str) -> None:
     if not corpus or not Path(corpus).is_dir():
         raise ConfigError(f"corpus directory not found: {corpus!r}")
+
+
+def _select_instances(corpus: str, selector: str | None) -> list[Path]:
+    _require_corpus(corpus)
     dirs = dataset.iter_instance_dirs(corpus)
     if selector:
         dirs = [d for d in dirs if selector in str(d.relative_to(corpus))]
@@ -350,6 +354,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def cmd_errors(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    if not (Path(args.instance_dir) / dataset.MANIFEST_NAME).is_file():
+        raise ConfigError(f"not an instance directory (no {dataset.MANIFEST_NAME}): {args.instance_dir}")
     instance = dataset.load_instance(args.instance_dir)
     traces = _read_json(args.traces, "traces", traces_from_jsonable)
     analyzer = ErrorAnalyzer(load_rules(config), pivot=config.pivot)
@@ -364,6 +370,7 @@ def cmd_errors(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _require_corpus(args.corpus)
     stats = dataset.corpus_stats(args.corpus)
     payload = {
         "instances": stats.instance_count,

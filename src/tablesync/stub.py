@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from . import prompts
@@ -87,17 +88,33 @@ class StubRuleSet:
         return tuple(sorted(entries, key=lambda e: (-len(e[0]), e[0])))
 
 
-def translate_cells(rows, pairs: LexiconPairs) -> tuple[TableRow, ...]:
-    """Phrase substitution over keys and values; longest source phrase first.
+@lru_cache(maxsize=64)
+def _lexicon_matcher(pairs: LexiconPairs) -> tuple[re.Pattern[str], dict[str, str]]:
+    """One compiled alternation of all sources, in the given order, and the
+    first target listed for each source."""
+    targets: dict[str, str] = {}
+    for src, tgt in pairs:
+        targets.setdefault(src, tgt)
+    alternation = "|".join(map(re.escape, targets))
+    return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)"), targets
 
-    Matches only at word boundaries, so a phrase embedded in a longer word
-    (Ville in Villeneuve) is left alone.
+
+def translate_cells(rows, pairs: LexiconPairs) -> tuple[TableRow, ...]:
+    """Phrase substitution over keys and values in one left-to-right pass.
+
+    At each position the longest source phrase that matches at word
+    boundaries wins (pairs come longest source first, as from
+    StubRuleSet.lexicon), and is replaced by the first target listed for it.
+    Replaced text is never rescanned, so there is no chained substitution
+    (A->B, B->C turns A into B). A phrase embedded in a longer word (Ville in
+    Villeneuve) is left alone.
     """
+    if not pairs:
+        return tuple(rows)
+    pattern, targets = _lexicon_matcher(pairs)
 
     def swap(text: str) -> str:
-        for src, tgt in pairs:
-            text = re.sub(rf"(?<!\w){re.escape(src)}(?!\w)", lambda _: tgt, text)
-        return text
+        return pattern.sub(lambda match: targets[match.group()], text)
 
     return tuple(TableRow(swap(r.key), swap(r.value)) for r in rows)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptyKey,
@@ -115,15 +116,20 @@ class InfoTable:
     def keys(self) -> tuple[str, ...]:
         return tuple(row.key for row in self.rows)
 
+    @cached_property
+    def _row_index(self) -> dict[str, TableRow]:
+        """Normalized key -> first row with that key, built once per table."""
+        index: dict[str, TableRow] = {}
+        for row in self.rows:
+            index.setdefault(normalize_key(row.key), row)
+        return index
+
     def normalized_keys(self) -> frozenset[str]:
-        return frozenset(normalize_key(row.key) for row in self.rows)
+        return frozenset(self._row_index)
 
     def row_for(self, norm_key: str) -> TableRow | None:
         """First row whose normalized key matches."""
-        for row in self.rows:
-            if normalize_key(row.key) == norm_key:
-                return row
-        return None
+        return self._row_index.get(norm_key)
 
     def with_rows(self, rows) -> InfoTable:
         return InfoTable(self.entity, self.language, self.category, tuple(rows), self.revision_tag)

@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablesync.alignment import (
+    SIMILARITY_THRESHOLD,
     Alignment,
     AlignmentPair,
     align_deterministic,
     align_llm,
+    greedy_key_matches,
     majority_vote,
     multi_vote_align,
     score_alignment,
@@ -15,6 +17,7 @@ from tablesync.alignment import (
 )
 from tablesync.errors import EmptyVoteSet, UniverseMismatch
 from tablesync.gateway import Gateway
+from tablesync.similarity import key_similarity
 from tablesync.stub import StubBackend, StubRuleSet
 
 
@@ -79,6 +82,41 @@ class TestDeterministic:
         assert align_deterministic(a, b) == align_deterministic(a, b)
         # greedy best-match gives the exact key the single slot
         assert align_deterministic(a, b).edges() == {("population", "population")}
+
+
+def pairwise_reference(left_keys, right_keys):
+    """Greedy matching that scores each pair with key_similarity."""
+    scored = []
+    for l in dict.fromkeys(left_keys):
+        for r in dict.fromkeys(right_keys):
+            score = key_similarity(l, r)
+            if score >= SIMILARITY_THRESHOLD:
+                scored.append((-score, l, r))
+    scored.sort()
+    taken_left, taken_right, matches = set(), set(), []
+    for _, l, r in scored:
+        if l not in taken_left and r not in taken_right:
+            taken_left.add(l)
+            taken_right.add(r)
+            matches.append((l, r))
+    return matches
+
+
+key_words = st.sampled_from(["Birth", "birth", "date", "Date:", "of", "place", "name", "birthdate", "Geburt"])
+match_keys = st.lists(
+    st.one_of(
+        st.lists(key_words, min_size=1, max_size=3).map(" ".join),
+        st.text("abcd -:.", min_size=1, max_size=8).filter(str.strip),
+    ),
+    max_size=12,
+)
+
+
+class TestGreedyKeyMatches:
+    @given(match_keys, match_keys)
+    @settings(max_examples=200)
+    def test_equals_pairwise_key_similarity(self, left, right):
+        assert greedy_key_matches(left, right) == pairwise_reference(left, right)
 
 
 class TestLlmAlign:

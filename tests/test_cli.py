@@ -406,6 +406,21 @@ INPUT_ERRORS = {
         ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--lexicons", "{tmp}/lex"],
         "{tmp}/lex/de-en.tsv:2",
     ),
+    "stats-missing-corpus": (
+        {},
+        ["stats", "--corpus", "{tmp}/nonexistent"],
+        "{tmp}/nonexistent",
+    ),
+    "errors-missing-instance-dir": (
+        {"t.json": "[]"},
+        ["errors", "--instance-dir", "{tmp}/nonexistent", "--traces", "{tmp}/t.json", "--out", "{tmp}/o"],
+        "{tmp}/nonexistent",
+    ),
+    "errors-instance-dir-without-manifest": (
+        {"t.json": "[]"},
+        ["errors", "--instance-dir", "{tmp}", "--traces", "{tmp}/t.json", "--out", "{tmp}/o"],
+        "no manifest",
+    ),
 }
 
 

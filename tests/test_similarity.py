@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tablesync.similarity import (
     key_similarity,
@@ -7,6 +9,7 @@ from tablesync.similarity import (
     token_dice,
     trigram_dice,
 )
+from tablesync.tables import normalize_key
 
 
 def test_token_dice_hand_computed():
@@ -41,3 +44,23 @@ def test_levenshtein():
 def test_normalized_edit_distance():
     assert normalized_edit_distance("", "") == 0.0
     assert normalized_edit_distance("abcd", "abce") == pytest.approx(0.25)
+
+
+def reference_key_similarity(a: str, b: str) -> float:
+    na, nb = normalize_key(a), normalize_key(b)
+    if na == nb:
+        return 1.0
+    ta, tb = set(na.split()), set(nb.split())
+    if ta and tb and ta & tb:
+        return 2.0 * len(ta & tb) / (len(ta) + len(tb))
+    ga = {na[i : i + 3] for i in range(len(na) - 2)} or {na}
+    gb = {nb[i : i + 3] for i in range(len(nb) - 2)} or {nb}
+    return 2.0 * len(ga & gb) / (len(ga) + len(gb))
+
+
+similarity_keys = st.text("ab c-:.", min_size=1, max_size=10).filter(str.strip)
+
+
+@given(similarity_keys, similarity_keys)
+def test_key_similarity_equals_reference_bit_for_bit(a, b):
+    assert key_similarity(a, b) == reference_key_similarity(a, b)

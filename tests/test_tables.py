@@ -239,6 +239,12 @@ class TestModelTypes:
         table = mk_table([("Genre", "Pop"), ("genre:", "Rock")])
         assert table.keys() == ("Genre", "genre:")
 
+    def test_row_for_returns_first_of_alike_keys(self, mk_table):
+        table = mk_table([("Genre", "Pop"), ("genre:", "Rock"), ("Label", "X")])
+        assert table.row_for("genre") == TableRow("Genre", "Pop")
+        assert table.row_for("Genre") is None
+        assert table.normalized_keys() == {"genre", "label"}
+
     def test_sync_instance_language_constraints(self, mk_table):
         source = mk_table([("a", "1")], lang="de")
         reference = mk_table([("a", "1")], lang="en")
