@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 from . import prompts
 from .errors import EmptyVoteSet, UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
-from .similarity import feature_similarity, key_features, normalized_edit_distance
+from .similarity import normalized_edit_distance, trigrams
 from .tables import InfoTable, language_name, normalize_key, parse_table, serialize_table
 
 SIMILARITY_THRESHOLD = 0.5
@@ -126,22 +126,60 @@ class AlignmentScore:
     f1: float
 
 
+def _keys_by_norm(keys: Iterable[str]) -> dict[str, list[str]]:
+    """Distinct original spellings grouped under their normalized form."""
+    groups: dict[str, list[str]] = {}
+    for key in dict.fromkeys(keys):
+        groups.setdefault(normalize_key(key), []).append(key)
+    return groups
+
+
+def _overlaps(features: Iterable[str], index: dict[str, list[str]]) -> dict[str, int]:
+    """Per indexed key, how many of the features it shares."""
+    counts: dict[str, int] = {}
+    for feature in features:
+        for other in index.get(feature, ()):
+            counts[other] = counts.get(other, 0) + 1
+    return counts
+
+
 def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> list[tuple[str, str]]:
     """Greedy one-to-one best matches over original key spellings.
 
-    Each distinct key is normalized and split into tokens and trigrams once;
-    scoring a pair only intersects those sets. Candidates below the
-    similarity threshold stay unmatched. Ties break on score, then
-    lexicographic key order, so the result is deterministic.
+    A pair scores 1.0 when the normalized keys are equal; otherwise the Dice
+    coefficient of their token sets, or of their character trigrams when
+    they share no token. A pair sharing neither scores 0, so the right keys
+    are indexed by normalized form, token and trigram, and each left key is
+    scored from overlap counts against only the keys its postings reach.
+    Candidates below the similarity threshold stay unmatched. Ties break on
+    score, then lexicographic key order, so the result is deterministic.
     """
-    left = {key: key_features(key) for key in left_keys}
-    right = {key: key_features(key) for key in right_keys}
+    right = _keys_by_norm(right_keys)
+    token_index: dict[str, list[str]] = {}
+    gram_index: dict[str, list[str]] = {}
+    sizes: dict[str, tuple[int, int]] = {}
+    for norm in right:
+        tokens, grams = frozenset(norm.split()), trigrams(norm)
+        sizes[norm] = (len(tokens), len(grams))
+        for token in tokens:
+            token_index.setdefault(token, []).append(norm)
+        for gram in grams:
+            gram_index.setdefault(gram, []).append(norm)
+
     scored = []
-    for l, left_features in left.items():
-        for r, right_features in right.items():
-            score = feature_similarity(left_features, right_features)
+    for norm, lefts in _keys_by_norm(left_keys).items():
+        tokens, grams = frozenset(norm.split()), trigrams(norm)
+        # Equal normalized forms have equal token sets: their Dice is exactly 1.0.
+        scores = {
+            other: 2.0 * n / (len(tokens) + sizes[other][0])
+            for other, n in _overlaps(tokens, token_index).items()
+        }
+        for other, n in _overlaps(grams, gram_index).items():
+            if other not in scores:
+                scores[other] = 2.0 * n / (len(grams) + sizes[other][1])
+        for other, score in scores.items():
             if score >= SIMILARITY_THRESHOLD:
-                scored.append((-score, l, r))
+                scored.extend((-score, l, r) for l in lefts for r in right[other])
     scored.sort()
     taken_left: set[str] = set()
     taken_right: set[str] = set()
@@ -168,12 +206,11 @@ def _reanchor(echoed: str, table: InfoTable, diagnostics: list[str] | None) -> s
     real = table.normalized_keys()
     if norm in real:
         return norm
-    best = min(
-        sorted(real),
-        key=lambda key: (normalized_edit_distance(norm, key), key),
-        default=None,
+    distance, best = min(
+        ((normalized_edit_distance(norm, key), key) for key in real),
+        default=(None, None),
     )
-    if best is not None and normalized_edit_distance(norm, best) <= REANCHOR_MAX_DISTANCE:
+    if best is not None and distance <= REANCHOR_MAX_DISTANCE:
         if diagnostics is not None:
             diagnostics.append(f"re-anchored {echoed!r} -> {best!r}")
         return best

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,8 @@ from tablesync.alignment import (
 )
 from tablesync.errors import EmptyVoteSet, UniverseMismatch
 from tablesync.gateway import Gateway
-from tablesync.similarity import key_similarity
 from tablesync.stub import StubBackend, StubRuleSet
+from test_similarity import key_similarity
 
 
 LEFT_KEYS = ("k1", "k2", "k3", "k4")
@@ -102,14 +104,26 @@ def pairwise_reference(left_keys, right_keys):
     return matches
 
 
-key_words = st.sampled_from(["Birth", "birth", "date", "Date:", "of", "place", "name", "birthdate", "Geburt"])
-match_keys = st.lists(
-    st.one_of(
-        st.lists(key_words, min_size=1, max_size=3).map(" ".join),
-        st.text("abcd -:.", min_size=1, max_size=8).filter(str.strip),
-    ),
-    max_size=12,
+key_words = st.sampled_from(
+    ["Birth", "birth", "date", "Date:", "of", "place", "name", "birthdate", "Geburt", "x", "ab", "cd"]
 )
+match_key = st.one_of(
+    st.lists(key_words, min_size=1, max_size=3).map(" ".join),
+    st.text("abcd -:.", min_size=1, max_size=8).filter(str.strip),
+    # Shorter than a trigram.
+    st.text("abx", min_size=1, max_size=2),
+    # Trigrams shared only across a token boundary ("ab cd" / "xab cdx"),
+    # none at all ("ab cd" / "abcd"), or a short token shared without a
+    # trigram ("x" / "of x").
+    st.sampled_from(["ab cd", "abcd", "xab cdx", "x", "of x", "x of"]),
+)
+# Case and whitespace variants that normalize alike.
+spellings = st.sampled_from(
+    [str, str.upper, str.title, lambda key: f"  {key}\t", lambda key: key.replace(" ", " \n ")]
+)
+match_keys = st.lists(
+    st.tuples(match_key, spellings).map(lambda pair: pair[1](pair[0])), max_size=12
+).flatmap(lambda keys: st.permutations(keys + keys[::3]))  # with repeated keys
 
 
 class TestGreedyKeyMatches:
@@ -117,6 +131,21 @@ class TestGreedyKeyMatches:
     @settings(max_examples=200)
     def test_equals_pairwise_key_similarity(self, left, right):
         assert greedy_key_matches(left, right) == pairwise_reference(left, right)
+
+    def test_equals_pairwise_reference_on_fixture_corpus(self, instances):
+        tables = [table for inst in instances for table in (inst.source, inst.reference, inst.gold)]
+        for a in tables:
+            for b in tables:
+                assert greedy_key_matches(a.keys(), b.keys()) == pairwise_reference(a.keys(), b.keys())
+
+    def test_keys_sharing_nothing_are_never_scored(self):
+        # 3000 x 3000 distinct CJK characters, no token or trigram shared
+        # across the sides: scoring every pair would take 9M scores (> 10 s).
+        left = [chr(0x4E00 + i) for i in range(3000)]
+        right = [chr(0x4E00 + 3000 + i) for i in range(3000)]
+        start = time.perf_counter()
+        assert greedy_key_matches(left, right) == []
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLlmAlign:
@@ -138,6 +167,19 @@ class TestLlmAlign:
         diagnostics = []
         alignment = align_llm(a, b, "m", gateway, diagnostics=diagnostics)
         assert alignment.edges() == {("birth date", "birth date")}
+
+    def test_reanchoring_tie_picks_smaller_key(self, mk_table):
+        # The echo is one edit from both real keys (distance 0.1 each).
+        rules = StubRuleSet(
+            canned_responses=(("matching Table G keys", '[["abcdefghij","Name"]]'),)
+        )
+        gateway = Gateway(StubBackend(rules))
+        a = mk_table([("abcdefghiz", "x"), ("abcdefghiy", "y")])
+        b = mk_table([("Name", "z")])
+        diagnostics = []
+        alignment = align_llm(a, b, "m", gateway, diagnostics=diagnostics)
+        assert alignment.edges() == {("abcdefghiy", "name")}
+        assert diagnostics == ["re-anchored 'abcdefghij' -> 'abcdefghiy'"]
 
     def test_unanchorable_key_dropped_with_diagnostic(self, mk_table):
         rules = StubRuleSet(
