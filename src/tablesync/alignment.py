@@ -318,15 +318,11 @@ def alignment_to_doc(alignment: Alignment) -> dict:
 def alignment_from_doc(doc: dict) -> Alignment:
     left_keys: set[str] = set(doc.get("unaligned_left", ()))
     right_keys: set[str] = set(doc.get("unaligned_right", ()))
-    edges: list[tuple[str, str]] = []
+    for left, right in doc["pairs"]:
+        left_keys.update(left)
+        right_keys.update(right)
     if "edges" in doc:
         edges = [(l, r) for l, r in doc["edges"]]
-        for left, right in doc["pairs"]:
-            left_keys.update(left)
-            right_keys.update(right)
     else:
-        for left, right in doc["pairs"]:
-            left_keys.update(left)
-            right_keys.update(right)
-            edges.extend((l, r) for l in left for r in right)
+        edges = [(l, r) for left, right in doc["pairs"] for l in left for r in right]
     return Alignment.build(left_keys, right_keys, edges)

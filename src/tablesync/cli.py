@@ -402,13 +402,18 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_transcripts(args: argparse.Namespace) -> int:
-    records = list(gw.Transcript(args.file).records())
+    transcript = gw.Transcript(args.file)
     if args.digest:
-        for record in records:
-            if record["digest"].startswith(args.digest):
-                print(record["response"])
-                return EXIT_OK
-        raise ConfigError(f"digest {args.digest!r} not in transcript")
+        # The response replay serves: the last one recorded under the digest.
+        responses = transcript.responses()
+        matches = [digest for digest in responses if digest.startswith(args.digest)]
+        if not matches:
+            raise ConfigError(f"digest {args.digest!r} not in transcript")
+        if len(matches) > 1:
+            raise ConfigError(f"digest prefix {args.digest!r} matches {len(matches)} digests")
+        print(responses[matches[0]])
+        return EXIT_OK
+    records = list(transcript.records())
     for record in records:
         tag = record.get("request", {}).get("tag", "")
         print(f"{record['digest']}  tag={tag}  latency_ms={record.get('latency_ms', '?')}")
@@ -484,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transcripts", help="inspect a transcript file")
     p_tr.add_argument("file")
-    p_tr.add_argument("--digest", help="print the recorded response for this digest prefix")
+    p_tr.add_argument("--digest", help="print the response replay serves for this digest prefix")
     p_tr.set_defaults(func=cmd_transcripts)
 
     return parser

@@ -84,9 +84,7 @@ def _load_table(
     try:
         rows = parse_table(path.read_text("utf-8"))
         return InfoTable(manifest.entity, lang, manifest.category, rows, revision)
-    except TableSyncError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (TableSyncError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -263,7 +263,7 @@ class StubBackend:
         # The slot ends where the template resumes; the trailing output schema
         # must not be mistaken for an alignment list.
         payload = payload.split("\nProvide the updated Table A", 1)[0]
-        candidate = next(iter(extract_candidates(payload, "[")), None)
+        candidate = next(extract_candidates(payload, "["), None)
         if not isinstance(candidate, list):
             return None
         sides: list[list[str]] = []

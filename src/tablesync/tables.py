@@ -222,131 +222,129 @@ _ESCAPES = {"'": "'", '"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 # so model output cannot exhaust the parser's recursion.
 MAX_NESTING = 100
 
+# A scalar also takes the whitespace after it.
+_WS = re.compile(r"[ \t\r\n]*")
+_SCALAR = re.compile(
+    r'(?:"([^"\\]*(?:\\.[^"\\]*)*)"'  # group 1: body of a "string"
+    r"|'([^'\\]*(?:\\.[^'\\]*)*)'"  # group 2: body of a 'string'
+    r"""|([^,\]}:"' \t\r\n][^,\]}: \t\r\n]*))[ \t\r\n]*""",  # group 3: bare token
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
 
 class _Unbalanced(Exception):
     """Internal: candidate did not parse as a balanced value."""
 
 
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i] in " \t\r\n":
-        i += 1
-    return i
+class _TooDeep(Exception):
+    """Internal: candidate nests deeper than MAX_NESTING."""
 
 
-def _parse_string(text: str, i: int) -> tuple[str, int]:
-    quote = text[i]
-    i += 1
-    out: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-            else:
-                out.append(ch + nxt)  # unknown escape kept verbatim
-            i += 2
-            continue
-        if ch == quote:
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise _Unbalanced("unterminated string")
+def _unescape(match: re.Match) -> str:
+    char = match[1]
+    return _ESCAPES.get(char, "\\" + char)  # unknown escape kept verbatim
 
 
-def _parse_bare(text: str, i: int) -> tuple[str, int]:
-    start = i
-    n = len(text)
-    while i < n and text[i] not in ",]}: \t\r\n":
-        i += 1
-    if i == start:
-        raise _Unbalanced("empty token")
-    return text[start:i], i
+def _scalar(text: str, i: int) -> tuple[str, int]:
+    """Read the quoted string or bare token at i; return it and the index past
+    the whitespace that follows."""
+    match = _SCALAR.match(text, i)
+    if match is None:
+        raise _Unbalanced("no string or token")
+    value = match[match.lastindex]
+    if match.lastindex < 3 and "\\" in value:
+        value = _ESCAPE.sub(_unescape, value)
+    return value, match.end()
 
 
-def _parse_value(text: str, i: int, depth: int) -> tuple[object, int]:
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise _Unbalanced("end of input")
-    ch = text[i]
-    if ch in "\"'":
-        return _parse_string(text, i)
-    if ch == "[":
-        return _parse_list(text, i, depth + 1)
-    if ch == "{":
-        return _parse_map(text, i, depth + 1)
-    return _parse_bare(text, i)
+def _container(text: str, i: int, depth: int, dead: set, trail: list) -> tuple[object, int]:
+    """Read the list or map that opens at text[i]; return it and the index past
+    the whitespace that follows.
 
-
-def _parse_list(text: str, i: int, depth: int = 1) -> tuple[list, int]:
+    An item position is where an item or the closer may start; it is kept as
+    p in a list and as ~p in a map. What follows an item position depends only
+    on the text, the position and the container kind, so one in dead fails at
+    once. Each open container's item positions stay on trail until it closes.
+    """
     if depth > MAX_NESTING:
-        raise _Unbalanced("nesting too deep")
-    items: list = []
-    i = _skip_ws(text, i + 1)
-    if i < len(text) and text[i] == "]":
-        return items, i + 1
+        raise _TooDeep
+    is_map = text[i] == "{"
+    closer = "}" if is_map else "]"
+    items: list | dict = {} if is_map else []
+    mark = len(trail)
+    i = _WS.match(text, i + 1).end()
     while True:
-        value, i = _parse_value(text, i, depth)
-        items.append(value)
-        i = _skip_ws(text, i)
-        if i >= len(text):
-            raise _Unbalanced("unterminated list")
-        if text[i] == ",":
-            i = _skip_ws(text, i + 1)
-            if i < len(text) and text[i] == "]":  # trailing comma tolerated
-                return items, i + 1
-            continue
-        if text[i] == "]":
-            return items, i + 1
-        raise _Unbalanced(f"unexpected {text[i]!r} in list")
-
-
-def _parse_map(text: str, i: int, depth: int = 1) -> tuple[dict, int]:
-    if depth > MAX_NESTING:
-        raise _Unbalanced("nesting too deep")
-    items: dict = {}
-    i = _skip_ws(text, i + 1)
-    if i < len(text) and text[i] == "}":
-        return items, i + 1
-    while True:
-        i = _skip_ws(text, i)
-        if i >= len(text):
-            raise _Unbalanced("unterminated map")
-        if text[i] in "\"'":
-            key, i = _parse_string(text, i)
+        state = ~i if is_map else i
+        if state in dead:
+            raise _Unbalanced("an earlier candidate failed here")
+        trail.append(state)
+        char = text[i : i + 1]
+        if char == closer:
+            break
+        if is_map:
+            key, i = _scalar(text, i)  # a key is never a container: {[a: b} has key "[a"
+            if text[i : i + 1] != ":":
+                raise _Unbalanced("missing ':' in map")
+            i = _WS.match(text, i + 1).end()
+            char = text[i : i + 1]
+        if char == "[" or char == "{":
+            value, i = _container(text, i, depth + 1, dead, trail)
         else:
-            key, i = _parse_bare(text, i)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ":":
-            raise _Unbalanced("missing ':' in map")
-        value, i = _parse_value(text, i + 1, depth)
-        items[key] = value
-        i = _skip_ws(text, i)
-        if i >= len(text):
-            raise _Unbalanced("unterminated map")
-        if text[i] == ",":
-            i = _skip_ws(text, i + 1)
-            if i < len(text) and text[i] == "}":
-                return items, i + 1
-            continue
-        if text[i] == "}":
-            return items, i + 1
-        raise _Unbalanced(f"unexpected {text[i]!r} in map")
+            value, i = _scalar(text, i)
+        if is_map:
+            items[key] = value
+        else:
+            items.append(value)
+        char = text[i : i + 1]
+        if char == closer:
+            break
+        if char != ",":
+            raise _Unbalanced(f"expected ',' or {closer!r}")
+        i = _WS.match(text, i + 1).end()  # a trailing comma is tolerated
+    del trail[mark:]
+    return items, _WS.match(text, i + 1).end()
+
+
+def _mark_dead(text: str, trail: list, dead: set) -> None:
+    """Mark the item positions of a failed candidate dead.
+
+    A bare token read at one of them ends at the same place from each later
+    character that can start an item of that kind, so those positions are dead
+    too; openers inside one long token then do not each re-read it.
+    """
+    dead.update(trail)
+    for state in trail:
+        is_map = state < 0
+        start = ~state if is_map else state
+        not_bare = "\"'" if is_map else "\"'[{"
+        match = None if text[start : start + 1] in not_bare else _SCALAR.match(text, start)
+        if match is not None:
+            dead.update(~p if is_map else p for p in range(start + 1, match.end(3)) if text[p] not in not_bare)
 
 
 def extract_candidates(text: str, opener: str):
-    """Yield every balanced value parsed from each occurrence of opener, left to right."""
-    parser = _parse_list if opener == "[" else _parse_map
-    for i, ch in enumerate(text):
-        if ch != opener:
-            continue
+    """Yield every balanced value parsed from each occurrence of opener, left to right.
+
+    The item positions of a failed candidate are remembered for the rest of
+    the call, so a later candidate that reaches one stops there: rejecting
+    unbalanced text is linear in its length. A failure at the nesting cap is
+    not remembered, as it depends on the depth where the candidate began, so
+    text nested deeper than MAX_NESTING costs O(len(text) * MAX_NESTING).
+    """
+    dead: set = set()
+    i = text.find(opener)
+    while i >= 0:
+        trail: list = []
         try:
-            value, _ = parser(text, i)
+            value, _ = _container(text, i, 1, dead, trail)
         except _Unbalanced:
-            continue
-        yield value
+            _mark_dead(text, trail, dead)
+        except _TooDeep:
+            pass
+        else:
+            yield value
+        i = text.find(opener, i + 1)
 
 
 def _rows_from_candidate(candidate: list) -> tuple[TableRow, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tablesync import cli
+from tablesync import cli, gateway as gw
 from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.stub import StubBackend
 from tablesync.tables import InfoTable, TableRow
@@ -297,6 +297,29 @@ class TestRecordReplay:
         assert "records" in listing and "tag=" in listing
         digest = listing.split()[0]
         assert run_cli("transcripts", str(transcript), "--digest", digest[:12]) == cli.EXIT_OK
+
+    def test_digest_shows_the_response_replay_serves(self, tmp_path, capsys):
+        transcript = gw.Transcript(tmp_path / "t.jsonl")
+        request = gw.CompletionRequest(prompt="p", model_id="m")
+        transcript.append(request, 0, "FIRST", 1)
+        transcript.append(request, 0, "SECOND", 1)
+        digest = gw.request_digest(request)
+        assert transcript.responses() == {digest: "SECOND"}
+        assert run_cli("transcripts", str(transcript.path), "--digest", digest[:12]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "SECOND\n"
+
+    def test_ambiguous_digest_prefix_is_config_error(self, tmp_path, capsys):
+        transcript = gw.Transcript(tmp_path / "t.jsonl")
+        digests = []
+        for prompt in map(str, range(17)):  # 17 digests: two share a first hex digit
+            request = gw.CompletionRequest(prompt=prompt, model_id="m")
+            transcript.append(request, 0, prompt, 1)
+            digests.append(gw.request_digest(request))
+        prefix = max("0123456789abcdef", key=lambda c: sum(d.startswith(c) for d in digests))
+        count = sum(d.startswith(prefix) for d in digests)
+        assert count > 1
+        assert run_cli("transcripts", str(transcript.path), "--digest", prefix) == cli.EXIT_CONFIG
+        assert f"matches {count} digests" in capsys.readouterr().err
 
     def test_truncated_transcript_is_config_error(self, corpus, lexicons, tmp_path, capsys):
         transcript = tmp_path / "t.jsonl"

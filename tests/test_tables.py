@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from tablesync.tables import (
     KnowledgeGraph,
     SyncInstance,
     TableRow,
+    extract_candidates,
     flatten_kg,
     normalize_key,
     parse_kg,
@@ -55,7 +58,9 @@ def kg_value(depth: int):
 kg_strategy = st.dictionaries(key_text, kg_value(3), max_size=4).map(KnowledgeGraph)
 
 # Model output as the parsers may meet it: any text, text made mostly of
-# wire-format punctuation, and runs of openers deeper than the nesting cap.
+# wire-format punctuation, runs of openers deeper than the nesting cap, pieces
+# of the wire formats in any order, and truncated output whose bare tokens
+# hold openers.
 wire_punctuation = st.text(alphabet="[]{}\"',:\\ \nab1", max_size=200)
 deep_openers = st.builds(
     lambda opener, n, tail: opener * n + tail,
@@ -63,7 +68,156 @@ deep_openers = st.builds(
     st.integers(min_value=MAX_NESTING - 2, max_value=2 * MAX_NESTING + 50),
     wire_punctuation,
 )
-model_text = st.one_of(st.text(max_size=200), wire_punctuation, deep_openers)
+wire_pieces = st.lists(
+    st.sampled_from(
+        ["[", "]", "{", "}", ",", ":", " ", "\n", '"a"', "'b'", '"x\\"y"', '"\\q"', "\\",
+         '"', "'", "tok", '"k":', '["k","v"]', "a[b", "k:v{", "{{"]
+    ),
+    max_size=150,
+).map("".join)
+truncated_tokens = st.builds(
+    lambda shape, k, tail: shape[0] + shape[1] * k + tail,
+    st.sampled_from([("[", "a[b,"), ("{", "k:v{,"), ("[", "a["), ("{", "{"), ('{"k":', "v{")]),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from(["", "]", "}", ":v}", '"', "a"]),
+)
+model_text = st.one_of(st.text(max_size=200), wire_punctuation, deep_openers, wire_pieces, truncated_tokens)
+
+
+# The recursive-descent parser that extract_candidates replaced, kept verbatim
+# (its entry point renamed) as the reference the new parser must equal.
+_ESCAPES = {"'": "'", '"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+class _Unbalanced(Exception):
+    """Internal: candidate did not parse as a balanced value."""
+
+
+def _skip_ws(text: str, i: int) -> int:
+    n = len(text)
+    while i < n and text[i] in " \t\r\n":
+        i += 1
+    return i
+
+
+def _parse_string(text: str, i: int) -> tuple[str, int]:
+    quote = text[i]
+    i += 1
+    out: list[str] = []
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            nxt = text[i + 1]
+            if nxt in _ESCAPES:
+                out.append(_ESCAPES[nxt])
+            else:
+                out.append(ch + nxt)  # unknown escape kept verbatim
+            i += 2
+            continue
+        if ch == quote:
+            return "".join(out), i + 1
+        out.append(ch)
+        i += 1
+    raise _Unbalanced("unterminated string")
+
+
+def _parse_bare(text: str, i: int) -> tuple[str, int]:
+    start = i
+    n = len(text)
+    while i < n and text[i] not in ",]}: \t\r\n":
+        i += 1
+    if i == start:
+        raise _Unbalanced("empty token")
+    return text[start:i], i
+
+
+def _parse_value(text: str, i: int, depth: int) -> tuple[object, int]:
+    i = _skip_ws(text, i)
+    if i >= len(text):
+        raise _Unbalanced("end of input")
+    ch = text[i]
+    if ch in "\"'":
+        return _parse_string(text, i)
+    if ch == "[":
+        return _parse_list(text, i, depth + 1)
+    if ch == "{":
+        return _parse_map(text, i, depth + 1)
+    return _parse_bare(text, i)
+
+
+def _parse_list(text: str, i: int, depth: int = 1) -> tuple[list, int]:
+    if depth > MAX_NESTING:
+        raise _Unbalanced("nesting too deep")
+    items: list = []
+    i = _skip_ws(text, i + 1)
+    if i < len(text) and text[i] == "]":
+        return items, i + 1
+    while True:
+        value, i = _parse_value(text, i, depth)
+        items.append(value)
+        i = _skip_ws(text, i)
+        if i >= len(text):
+            raise _Unbalanced("unterminated list")
+        if text[i] == ",":
+            i = _skip_ws(text, i + 1)
+            if i < len(text) and text[i] == "]":  # trailing comma tolerated
+                return items, i + 1
+            continue
+        if text[i] == "]":
+            return items, i + 1
+        raise _Unbalanced(f"unexpected {text[i]!r} in list")
+
+
+def _parse_map(text: str, i: int, depth: int = 1) -> tuple[dict, int]:
+    if depth > MAX_NESTING:
+        raise _Unbalanced("nesting too deep")
+    items: dict = {}
+    i = _skip_ws(text, i + 1)
+    if i < len(text) and text[i] == "}":
+        return items, i + 1
+    while True:
+        i = _skip_ws(text, i)
+        if i >= len(text):
+            raise _Unbalanced("unterminated map")
+        if text[i] in "\"'":
+            key, i = _parse_string(text, i)
+        else:
+            key, i = _parse_bare(text, i)
+        i = _skip_ws(text, i)
+        if i >= len(text) or text[i] != ":":
+            raise _Unbalanced("missing ':' in map")
+        value, i = _parse_value(text, i + 1, depth)
+        items[key] = value
+        i = _skip_ws(text, i)
+        if i >= len(text):
+            raise _Unbalanced("unterminated map")
+        if text[i] == ",":
+            i = _skip_ws(text, i + 1)
+            if i < len(text) and text[i] == "}":
+                return items, i + 1
+            continue
+        if text[i] == "}":
+            return items, i + 1
+        raise _Unbalanced(f"unexpected {text[i]!r} in map")
+
+
+def reference_extract_candidates(text: str, opener: str):
+    """Yield every balanced value parsed from each occurrence of opener, left to right."""
+    parser = _parse_list if opener == "[" else _parse_map
+    for i, ch in enumerate(text):
+        if ch != opener:
+            continue
+        try:
+            value, _ = parser(text, i)
+        except _Unbalanced:
+            continue
+        yield value
+
+
+def assert_same_candidates(text: str) -> None:
+    for opener in "[{":
+        assert list(extract_candidates(text, opener)) == list(reference_extract_candidates(text, opener))
 
 
 class TestParseTable:
@@ -194,6 +348,70 @@ class TestNesting:
                 parse(text)
             except TableSyncError:
                 pass
+
+
+class TestExtractCandidates:
+    def test_candidates_come_in_opener_order(self):
+        assert list(extract_candidates("[1] x [2] y [3]", "[")) == [["1"], ["2"], ["3"]]
+
+    def test_nested_candidate_follows_its_container(self):
+        assert list(extract_candidates("[[a],{k:[b]}]", "[")) == [
+            [["a"], {"k": ["b"]}], ["a"], ["b"],
+        ]
+
+    def test_candidate_may_start_inside_a_string_of_a_failed_one(self):
+        assert list(extract_candidates('[a, "[b, c]"', "[")) == [["b", "c"]]
+
+    def test_candidate_may_start_inside_a_failed_token(self):
+        # The first candidate fails at the ':' after its value token "x{k"; the
+        # map that opens inside that token is balanced.
+        assert list(extract_candidates("{a: x{k:v}", "{")) == [{"k": "v"}]
+
+    def test_dead_positions_are_kept_per_container_kind(self):
+        # The failed map's key token "a[1" covers the list's item "1"; that
+        # position is dead for maps only.
+        assert list(extract_candidates("[{a[1]", "[")) == [["1"]]
+
+    def test_map_key_is_never_a_container(self):
+        assert list(extract_candidates("{[a: b}", "{")) == [{"[a": "b"}]
+
+    def test_string_escapes(self):
+        text = r"""['a\"b', "c\'d", "\\", "\n\t\r", "\q"]"""
+        assert list(extract_candidates(text, "[")) == [['a"b', "c'd", "\\", "\n\t\r", "\\q"]]
+
+    @given(model_text)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference_parser(self, text):
+        assert_same_candidates(text)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+    def test_equals_reference_parser_around_the_cap(self, depth):
+        for text in [
+            "[" * depth + "]" * depth,
+            "[" * depth + '"x"' + "]" * depth,
+            '{"a":' * depth + '"x"' + "}" * depth,
+            '{"a":' * (depth - 1) + "{}" + "}" * (depth - 1),
+            '["k",' * depth + '"v"' + "]" * depth,
+            "[{" * (depth // 2) + "}]" * (depth // 2),
+            "x[" + "[" * depth + "]" * depth + "]",
+            "[" * depth,
+            '{"a":' * depth,
+            "[" * depth + "]" * (depth - 1),
+        ]:
+            assert_same_candidates(text)
+
+    @pytest.mark.parametrize("parse, error, head, piece, k", [
+        (parse_table, NoTableFound, "[", "a[b,", 8192),
+        (parse_kg, NoGraphFound, "{", "k:v{,", 6554),
+        (parse_table, NoTableFound, "[", "a[", 16384),
+        (parse_kg, NoGraphFound, "{", "{", 32767),
+    ])
+    def test_truncated_32kb_rejected_in_linear_time(self, parse, error, head, piece, k):
+        text = head + piece * k
+        start = time.perf_counter()
+        with pytest.raises(error):
+            parse(text)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNormalizeKey:
