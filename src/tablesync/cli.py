@@ -421,16 +421,21 @@ def cmd_transcripts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of every command that resolves a RunConfig; `errors` reads only these."""
     parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--pivot", help="pivot language code (default en)")
+    parser.add_argument("--lexicons", help="stub lexicon directory")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    _add_rule_flags(parser)
     parser.add_argument("--backend", choices=["stub", "http", "replay"])
     parser.add_argument("--model", help="pipeline model id")
     parser.add_argument("--models", help="comma-separated alignment voter model ids")
     parser.add_argument("--eval-models", dest="eval_models", help="comma-separated evaluator model ids")
     parser.add_argument("--rounds", type=int, help="voting rounds per model")
-    parser.add_argument("--pivot", help="pivot language code (default en)")
     parser.add_argument("--concurrency", type=int, help="instances, and so completions, in flight (>= 1)")
-    parser.add_argument("--lexicons", help="stub lexicon directory")
     parser.add_argument("--transcripts", help="transcript file for record/replay")
     parser.add_argument("--record", action="store_true", help="append completions to the --transcripts file")
     parser.add_argument("--endpoint", help="http backend endpoint URL")
@@ -470,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_errors.add_argument("--instance-dir", dest="instance_dir", required=True)
     p_errors.add_argument("--traces", required=True)
     p_errors.add_argument("--out", help="write the ledger JSON here")
-    _add_config_flags(p_errors)
+    _add_rule_flags(p_errors)
     p_errors.set_defaults(func=cmd_errors)
 
     p_stats = sub.add_parser("stats", help="corpus statistics")

@@ -82,8 +82,6 @@ def _sct_overlap(a: AtomicComparison, b: AtomicComparison) -> float:
 
 
 def classify_errors(
-    candidate: InfoTable,
-    gold: InfoTable,
     alignment: Alignment,
     comparisons: Mapping[tuple[str, str], AtomicComparison],
 ) -> ErrorCounts:
@@ -142,7 +140,7 @@ class ErrorAnalyzer:
             comparisons[(cand_key, gold_key)] = token_compare(
                 candidate.row_for(cand_key), gold.row_for(gold_key)
             )
-        return classify_errors(candidate, gold, alignment, comparisons)
+        return classify_errors(alignment, comparisons)
 
     def stagewise_ledger(self, instance: SyncInstance, traces: tuple[StageTrace, ...]) -> StageErrorLedger:
         """Error compounding across the hierarchical stages.

@@ -373,7 +373,7 @@ def evaluate_instance(
             scores: dict[str, RowScore] = {}
             for gold_key, cand_key in sorted(pairs.items()):
                 rows = (candidate.row_for(cand_key), gold.row_for(gold_key))
-                if None not in rows and rows not in compared:
+                if rows not in compared:
                     try:
                         comparison = compare_rows(*rows, model_id, gateway, language=gold.language)
                         compared[rows] = score_row(comparison)

@@ -119,15 +119,15 @@ class Pipeline:
         return kg, StageTrace(stage, table, prompt, response, kg, tuple(diagnostics))
 
     def merge_kgs(
-        self, source_kg: KnowledgeGraph, reference_kg: KnowledgeGraph, *, stage: str = "merge"
+        self, source_kg: KnowledgeGraph, reference_kg: KnowledgeGraph
     ) -> tuple[KnowledgeGraph, StageTrace]:
         prompt = prompts.fill(
             prompts.MERGE_KGS,
             graph_a=serialize_kg(source_kg),
             graph_b=serialize_kg(reference_kg),
         )
-        merged, response = self._completed(prompt, stage, parse_kg)
-        trace = StageTrace(stage, (source_kg, reference_kg), prompt, response, merged)
+        merged, response = self._completed(prompt, "merge", parse_kg)
+        trace = StageTrace("merge", (source_kg, reference_kg), prompt, response, merged)
         return merged, trace
 
     def kg_to_table(
@@ -135,8 +135,6 @@ class Pipeline:
         kg: KnowledgeGraph,
         exemplar: InfoTable,
         exemplar_kg: KnowledgeGraph | None = None,
-        *,
-        stage: str = "kg_to_table",
     ) -> tuple[InfoTable, StageTrace]:
         if exemplar_kg is None:
             exemplar_kg = table_to_flat_kg(exemplar)
@@ -146,9 +144,9 @@ class Pipeline:
             example_table=serialize_table(exemplar),
             graph=serialize_kg(kg),
         )
-        rows, response = self._completed(prompt, stage, parse_table)
+        rows, response = self._completed(prompt, "kg_to_table", parse_table)
         result = exemplar.with_rows(rows)
-        return result, StageTrace(stage, kg, prompt, response, result)
+        return result, StageTrace("kg_to_table", kg, prompt, response, result)
 
     def align_tables(self, source: InfoTable, reference: InfoTable) -> tuple[Alignment, StageTrace]:
         """LLM key alignment of source against reference. align_llm builds and

@@ -1,4 +1,4 @@
-"""Prompt template assets: loading and slot filling."""
+"""Prompt template assets: loading, slot filling, and reading slots back."""
 
 from __future__ import annotations
 
@@ -18,18 +18,6 @@ DIRECT = "direct"
 DIRECT_DECOMPOSE = "direct_decompose"
 EVALUATE = "evaluate"
 
-# Distinctive phrases the deterministic stub keys on to recognize each prompt.
-MARK_TRANSLATE = "provide only the translated table as the output"
-MARK_TABLE_TO_KG = "convert the following table into a knowledge graph"
-MARK_MERGE = "your task is to merge the graphs"
-MARK_KG_TO_TABLE = "Now convert Knowledge Graph G to table G"
-MARK_BACK_TRANSLATE = "Now translate the following table:"
-MARK_ALIGN = "matching Table G keys with suitable Table A keys"
-MARK_ALIGN_UPDATE = "you are given a set of alignments"
-MARK_DIRECT = "Give more importance to the information in Table B"
-MARK_DECOMPOSE = "Translate both tables to English."
-MARK_EVALUATE = "Your comparison should result in four types of information"
-
 # Instruction used for the joint align-update variant, where the model builds
 # the alignments itself instead of receiving them.
 SELF_ALIGN_INSTRUCTION = (
@@ -46,3 +34,51 @@ def template_text(name: str) -> str:
 def fill(name: str, **slots: str) -> str:
     """Fill a template's named slots; unknown or missing slots raise KeyError."""
     return Template(template_text(name)).substitute(**slots)
+
+
+@lru_cache(maxsize=None)
+def _split(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Template text cut at its slots: the literals, one more than the slot
+    names, and the slot names in order."""
+    literals, names, start = [""], [], 0
+    for match in Template.pattern.finditer(text):
+        literals[-1] += text[start : match.start()]
+        start = match.end()
+        slot = match.group("named") or match.group("braced")
+        if slot is None:  # "$$" fills in as one "$"
+            literals[-1] += "$"
+        else:
+            names.append(slot)
+            literals.append("")
+    literals[-1] += text[start:]
+    return tuple(literals), tuple(names)
+
+
+def slots_of(name: str, prompt: str) -> dict[str, str] | None:
+    """The slot values fill(name, ...) put into prompt; None when prompt is not
+    a filling of that template.
+
+    The template is split at each $slot into literal, slot, literal, and so on.
+    The prompt must start with the first literal and end with the last one.
+    Each slot ends at the first occurrence of the literal that follows it (the
+    last slot, where the final literal begins), and a slot that appears more
+    than once must hold the same text each time. So the inverse is exact for
+    any wording, as long as no slot value contains the literal that follows it.
+    """
+    literals, names = _split(template_text(name))
+    first, last = literals[0], literals[-1]
+    end = len(prompt) - len(last)
+    if end < len(first) or not prompt.startswith(first) or not prompt.endswith(last):
+        return None
+    slots: dict[str, str] = {}
+    position = len(first)
+    for index, slot in enumerate(names, 1):
+        literal = literals[index]
+        stop = end if index == len(names) else prompt.find(literal, position, end)
+        if stop < 0:
+            return None
+        value = prompt[position:stop]
+        if slots.setdefault(slot, value) != value:
+            return None
+        position = stop + len(literal)
+    return slots

@@ -1,8 +1,10 @@
 """Deterministic offline backend: rule-driven responses for every prompt kind.
 
-The stub recognizes each prompt by a template-specific marker phrase, extracts
-the embedded tables or graphs, and answers with a pure function of the request
-and the rule set, so whole runs are reproducible without any model access.
+The stub reads each prompt through the template that filled it
+(`prompts.slots_of`), simulates that stage on the slot values, and answers with
+a pure function of the request and the rule set, so whole runs are reproducible
+without any model access. A template may be reworded as long as its $slot
+names stay and no slot value contains the literal that follows it.
 """
 
 from __future__ import annotations
@@ -156,19 +158,6 @@ def merge_graphs(
     return KnowledgeGraph(merge_maps(a.root, b.root))
 
 
-def _payload_after(prompt: str, marker: str) -> str:
-    index = prompt.index(marker)
-    return prompt[index + len(marker) :]
-
-
-def _table_after(prompt: str, marker: str) -> tuple[TableRow, ...]:
-    return parse_table(_payload_after(prompt, marker))
-
-
-def _kg_after(prompt: str, marker: str) -> KnowledgeGraph:
-    return parse_kg(_payload_after(prompt, marker))
-
-
 def _lang_code(name: str) -> str | None:
     try:
         return language_code(name.strip())
@@ -187,26 +176,22 @@ class StubBackend:
         for pattern, response in self.rules.canned_responses:
             if pattern in prompt:
                 return response
-        if prompts.MARK_BACK_TRANSLATE in prompt:
-            return self._back_translate(prompt)
-        if prompts.MARK_TRANSLATE in prompt:
-            return self._translate(prompt)
-        if prompts.MARK_TABLE_TO_KG in prompt:
-            return self._table_to_kg(prompt)
-        if prompts.MARK_MERGE in prompt:
-            return self._merge(prompt)
-        if prompts.MARK_KG_TO_TABLE in prompt:
-            return self._kg_to_table(prompt)
-        if prompts.MARK_ALIGN in prompt:
-            return self._align(prompt)
-        if prompts.MARK_ALIGN_UPDATE in prompt:
-            return self._align_update(prompt)
-        if prompts.MARK_DECOMPOSE in prompt:
-            return self._decompose(prompt)
-        if prompts.MARK_DIRECT in prompt:
-            return self._direct(prompt)
-        if prompts.MARK_EVALUATE in prompt:
-            return self._evaluate(prompt)
+        # Each simulation takes its template's slots as keyword arguments.
+        for name, simulate in (
+            (prompts.TRANSLATE_TO_PIVOT, self._translate),
+            (prompts.TABLE_TO_KG, self._table_to_kg),
+            (prompts.MERGE_KGS, self._merge),
+            (prompts.KG_TO_TABLE, self._kg_to_table),
+            (prompts.TRANSLATE_FROM_PIVOT, self._translate),
+            (prompts.ALIGN, self._align),
+            (prompts.ALIGN_UPDATE, self._align_update),
+            (prompts.DIRECT, self._direct),
+            (prompts.DIRECT_DECOMPOSE, self._decompose),
+            (prompts.EVALUATE, self._evaluate),
+        ):
+            slots = prompts.slots_of(name, prompt)
+            if slots is not None:
+                return simulate(**slots)
         raise NoTableFound(f"stub cannot recognize prompt (tag={request.tag!r})")
 
     # stage simulations
@@ -216,54 +201,29 @@ class StubBackend:
             return tuple(rows)
         return translate_cells(rows, self.rules.lexicon(src, tgt))
 
-    def _translate(self, prompt: str) -> str:
-        head = re.search(r"Translate the following (.+?) table of Category .+? into (.+?),", prompt)
-        rows = _table_after(prompt, "\nTable:\n")
-        if head is None:
-            return serialize_table(rows)
-        rows = self._swap_rows(rows, _lang_code(head.group(1)), _lang_code(head.group(2)))
-        return serialize_table(rows)
+    def _translate(self, source_language: str, target_language: str, table: str, **_) -> str:
+        rows = parse_table(table)
+        return serialize_table(self._swap_rows(rows, _lang_code(source_language), _lang_code(target_language)))
 
-    def _back_translate(self, prompt: str) -> str:
-        head = re.search(
-            r"Translate the following (.+?) language table of Category .+? to (.+?)\.", prompt
-        )
-        rows = _table_after(prompt, prompts.MARK_BACK_TRANSLATE)
-        if head is None:
-            return serialize_table(rows)
-        rows = self._swap_rows(rows, _lang_code(head.group(1)), _lang_code(head.group(2)))
-        return serialize_table(rows)
+    def _table_to_kg(self, table: str, **_) -> str:
+        return serialize_kg(table_to_flat_kg(parse_table(table)))
 
-    def _table_to_kg(self, prompt: str) -> str:
-        rows = _table_after(prompt, "\nTable:\n")
-        return serialize_kg(table_to_flat_kg(rows))
+    def _merge(self, graph_a: str, graph_b: str) -> str:
+        merged = merge_graphs(parse_kg(graph_a), parse_kg(graph_b), self.rules.merge_drop_keys)
+        return serialize_kg(merged)
 
-    def _merge(self, prompt: str) -> str:
-        graph_a = _kg_after(prompt, "Graph A:")
-        graph_b = _kg_after(prompt, "Graph B:")
-        return serialize_kg(merge_graphs(graph_a, graph_b, self.rules.merge_drop_keys))
+    def _kg_to_table(self, graph: str, **_) -> str:
+        return serialize_table(flatten_kg(parse_kg(graph)))
 
-    def _kg_to_table(self, prompt: str) -> str:
-        graph = _kg_after(prompt, "Knowledge Graph G:")
-        return serialize_table(flatten_kg(graph))
-
-    def _align(self, prompt: str) -> str:
-        rows_a = _table_after(prompt, "Table A:")
-        rows_g = _table_after(prompt, "Table G:")
+    def _align(self, table_a: str, table_g: str, **_) -> str:
+        rows_a, rows_g = parse_table(table_a), parse_table(table_g)
         matches = greedy_key_matches([r.key for r in rows_a], [r.key for r in rows_g])
         return serialize_table(TableRow(a, g) for a, g in matches)
 
-    def _parse_alignment_slot(self, prompt: str) -> list[tuple[list[str], list[str]]] | None:
+    def _parse_alignment_slot(self, alignments: str) -> list[tuple[list[str], list[str]]] | None:
         """Pairs from the filled alignments slot; None when the slot holds the
         self-align instruction instead of a list."""
-        try:
-            payload = _payload_after(prompt, "\nAlignments:\n")
-        except ValueError:
-            return None
-        # The slot ends where the template resumes; the trailing output schema
-        # must not be mistaken for an alignment list.
-        payload = payload.split("\nProvide the updated Table A", 1)[0]
-        candidate = next(extract_candidates(payload, "["), None)
+        candidate = next(extract_candidates(alignments, "["), None)
         if not isinstance(candidate, list):
             return None
         sides: list[list[str]] = []
@@ -275,10 +235,9 @@ class StubBackend:
             return None
         return [(sides[i], sides[i + 1]) for i in range(0, len(sides), 2)]
 
-    def _align_update(self, prompt: str) -> str:
-        rows_a = _table_after(prompt, "Table A :")
-        rows_b = _table_after(prompt, "Table B :")
-        pairs = self._parse_alignment_slot(prompt)
+    def _align_update(self, table_a: str, table_b: str, alignments: str, **_) -> str:
+        rows_a, rows_b = parse_table(table_a), parse_table(table_b)
+        pairs = self._parse_alignment_slot(alignments)
         if pairs is None:
             pairs = [([a], [b]) for a, b in greedy_key_matches(
                 [r.key for r in rows_a], [r.key for r in rows_b]
@@ -303,18 +262,13 @@ class StubBackend:
         updated.extend(r for r in rows_b if normalize_key(r.key) not in covered_b)
         return serialize_table(updated)
 
-    def _direct(self, prompt: str) -> str:
+    def _direct(self, table_a: str, **_) -> str:
         # Conservative single-prompt behavior: keep the source table as-is.
-        rows_a = _table_after(prompt, "Table A :")
-        return serialize_table(rows_a)
+        return serialize_table(parse_table(table_a))
 
-    def _decompose(self, prompt: str) -> str:
-        head = re.search(r"Table A\(in (.+?), Category .+?\)", prompt)
-        head_b = re.search(r"Table B\(in (.+?)\)", prompt)
-        rows_a = _table_after(prompt, "Table A :")
-        rows_b = _table_after(prompt, "Table B :")
-        lang_a = _lang_code(head.group(1)) if head else None
-        lang_b = _lang_code(head_b.group(1)) if head_b else None
+    def _decompose(self, language_a: str, language_b: str, table_a: str, table_b: str, **_) -> str:
+        rows_a, rows_b = parse_table(table_a), parse_table(table_b)
+        lang_a, lang_b = _lang_code(language_a), _lang_code(language_b)
         pivot = "en"
         rows_a = self._swap_rows(rows_a, lang_a, pivot)
         rows_b = self._swap_rows(rows_b, lang_b, pivot)
@@ -331,9 +285,8 @@ class StubBackend:
                 merged.append(row)
         return serialize_table(self._swap_rows(merged, pivot, lang_a))
 
-    def _evaluate(self, prompt: str) -> str:
-        rows_1 = _table_after(prompt, "Table 1:")
-        rows_2 = _table_after(prompt, "Table 2:")
+    def _evaluate(self, table_1: str, table_2: str, **_) -> str:
+        rows_1, rows_2 = parse_table(table_1), parse_table(table_2)
         comparison = token_compare(
             rows_1[0] if rows_1 else None,
             rows_2[0] if rows_2 else None,

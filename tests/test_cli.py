@@ -514,6 +514,19 @@ class TestErrors:
         assert "translate_reference" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", [["--concurrency", "2"], ["--backend", "http"]])
+    def test_unread_run_flags_are_usage_errors(self, corpus, tmp_path, flag):
+        traces = tmp_path / "traces.json"
+        traces.write_text("[]", "utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                "errors",
+                "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+                "--traces", str(traces),
+                *flag,
+            )
+        assert excinfo.value.code == cli.EXIT_CONFIG
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -60,11 +60,11 @@ class TestClassify:
             ("full name", "name"): token_compare(candidate.rows[0], gold.rows[0]),
             ("name", "name"): token_compare(candidate.rows[1], gold.rows[0]),
         }
-        counts = classify_errors(candidate, gold, alignment, comparisons)
+        counts = classify_errors(alignment, comparisons)
         assert counts.redundant == 1
         assert counts.missing == 0
 
-    def test_distinct_facts_on_same_gold_key_not_redundant(self, mk_table):
+    def test_distinct_facts_on_same_gold_key_not_redundant(self):
         alignment = Alignment.build(
             ["a", "b"], ["g"], [("a", "g"), ("b", "g")]
         )
@@ -72,7 +72,7 @@ class TestClassify:
             ("a", "g"): AtomicComparison(sct=("g: one",)),
             ("b", "g"): AtomicComparison(sct=("g: two",)),
         }
-        counts = classify_errors(mk_table([]), mk_table([]), alignment, comparisons)
+        counts = classify_errors(alignment, comparisons)
         assert counts.redundant == 0
 
 
