@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -38,6 +39,8 @@ EXIT_CONFIG = 2
 _ENV_VARS = {"model": gw.ENV_MODEL, "endpoint": gw.ENV_ENDPOINT, "api_key": gw.ENV_API_KEY}
 # Settings taken only from flags, never from the environment or a config file.
 _FLAG_ONLY = ("record",)
+# The settings `errors` reads; it ignores the others a shared config file holds.
+_RULE_SETTINGS = ("pivot", "lexicons")
 
 
 @dataclass
@@ -122,8 +125,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, SYNC_LLM_* environment, and the optional config file."""
+def _merged_config(args: argparse.Namespace, names: Collection[str]) -> RunConfig:
+    """Merge flags, SYNC_LLM_* environment, and the optional config file for
+    the settings in names; the others keep their defaults. Any config-file key
+    that is not a setting is an error."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     settable = {f.name for f in fields(RunConfig)} - set(_FLAG_ONLY)
     for key in file_values:
@@ -132,6 +137,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     values: dict[str, object] = {}
     for f in fields(RunConfig):
+        if f.name not in names:
+            continue
         flag = getattr(args, f.name, None)
         env_var = _ENV_VARS.get(f.name)
         if f.name in _FLAG_ONLY:
@@ -142,7 +149,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[f.name] = _parse(f.name, os.environ[env_var], f.default)
         elif f.name in file_values:
             values[f.name] = _parse(f.name, file_values[f.name], f.default)
-    config = RunConfig(**values)
+    return RunConfig(**values)
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Every setting, merged and checked."""
+    config = _merged_config(args, {f.name for f in fields(RunConfig)})
     if not config.eval_models:
         config.eval_models = (config.model,)
     if config.rounds < 1:
@@ -182,7 +194,9 @@ def build_gateway(config: RunConfig) -> gw.Gateway:
         backend = gw.ReplayBackend(transcript)
     else:
         backend = gw.HttpBackend(config.endpoint, config.api_key)
-    return gw.Gateway(backend, transcript=transcript if config.record else None)
+    return gw.Gateway(
+        backend, transcript=transcript if config.record else None, concurrency=config.concurrency
+    )
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -288,19 +302,19 @@ def cmd_sync(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"unknown strategy {config.strategy!r}") from None
     instance_dirs = _select_instances(config.corpus, args.instance)
-    gateway = build_gateway(config)
-    pipeline = Pipeline(gateway, config.model, pivot=config.pivot)
+    with build_gateway(config) as gateway:
+        pipeline = Pipeline(gateway, config.model, pivot=config.pivot)
 
-    def synced(instance, rel: Path) -> InfoTable:
-        result = pipeline.run(instance, strategy)
-        out_dir = Path(config.out) / rel
-        _write_json(out_dir / "traces.json", traces_jsonable(result.traces))
-        (out_dir / f"output.{result.output.language}.table").write_text(
-            serialize_table(result.output) + "\n", "utf-8"
-        )
-        return result.output
+        def synced(instance, rel: Path) -> InfoTable:
+            result = pipeline.run(instance, strategy)
+            out_dir = Path(config.out) / rel
+            _write_json(out_dir / "traces.json", traces_jsonable(result.traces))
+            (out_dir / f"output.{result.output.language}.table").write_text(
+                serialize_table(result.output) + "\n", "utf-8"
+            )
+            return result.output
 
-    return _run_instances(config, instance_dirs, gateway, synced)
+        return _run_instances(config, instance_dirs, gateway, synced)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -319,7 +333,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ParseError(f"cannot read output table {table_path}: {exc}") from exc
         return instance.source.with_rows(rows)
 
-    return _run_instances(config, instance_dirs, build_gateway(config), stored)
+    with build_gateway(config) as gateway:
+        return _run_instances(config, instance_dirs, gateway, stored)
 
 
 def _table_from_file(path: str, language: str, name: str) -> InfoTable:
@@ -337,8 +352,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     right = _table_from_file(args.right, language, "right")
     gold = _read_json(args.gold_alignment, "gold alignment", alignment_from_doc) if args.gold_alignment else None
     if config.models:
-        gateway = build_gateway(config)
-        alignment = multi_vote_align(left, right, config.models, config.rounds, gateway)
+        with build_gateway(config) as gateway:
+            alignment = multi_vote_align(left, right, config.models, config.rounds, gateway)
     else:
         alignment = align_deterministic(left, right)
     doc = alignment_to_doc(alignment)
@@ -353,7 +368,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_errors(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config = _merged_config(args, _RULE_SETTINGS)
+    _registered_language(config.pivot, "pivot")
     if not (Path(args.instance_dir) / dataset.MANIFEST_NAME).is_file():
         raise ConfigError(f"not an instance directory (no {dataset.MANIFEST_NAME}): {args.instance_dir}")
     instance = dataset.load_instance(args.instance_dir)
@@ -422,7 +438,8 @@ def cmd_transcripts(args: argparse.Namespace) -> int:
 
 
 def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of every command that resolves a RunConfig; `errors` reads only these."""
+    """Flags of every command that resolves a RunConfig; `errors` reads only
+    these (_RULE_SETTINGS, plus the config file)."""
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--pivot", help="pivot language code (default en)")
     parser.add_argument("--lexicons", help="stub lexicon directory")
@@ -435,7 +452,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--models", help="comma-separated alignment voter model ids")
     parser.add_argument("--eval-models", dest="eval_models", help="comma-separated evaluator model ids")
     parser.add_argument("--rounds", type=int, help="voting rounds per model")
-    parser.add_argument("--concurrency", type=int, help="instances, and so completions, in flight (>= 1)")
+    parser.add_argument(
+        "--concurrency", type=int, help="completions in flight and instances in progress (>= 1)"
+    )
     parser.add_argument("--transcripts", help="transcript file for record/replay")
     parser.add_argument("--record", action="store_true", help="append completions to the --transcripts file")
     parser.add_argument("--endpoint", help="http backend endpoint URL")

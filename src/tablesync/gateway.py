@@ -7,14 +7,16 @@ import json
 import logging
 import threading
 import time
+import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError
 
-if TYPE_CHECKING:  # imported where HTTP is used, so other commands start without it
-    import requests
+T = TypeVar("T")
+R = TypeVar("R")
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +70,15 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """Generic chat-completion client; endpoint and key come from configuration.
+    """Generic chat-completion client on the standard library.
+
+    Each thread keeps one keep-alive connection (http.client, TCP_NODELAY) and
+    sends each request's header block and body in one write. A connection the
+    server closed while idle is found before the write and reopened at once;
+    a request is never sent twice on one attempt. Proxies come from the
+    environment (http_proxy, https_proxy, no_proxy): an http endpoint is
+    reached by absolute URI through the proxy, an https endpoint through a
+    CONNECT tunnel. https verifies against the system CA store.
 
     Transient failures (connection errors, 429, 5xx) are retried with capped
     exponential backoff.
@@ -83,32 +93,80 @@ class HttpBackend:
         backoff_s: float = 1.0,
         backoff_cap_s: float = 8.0,
         timeout_s: float = 60.0,
-        session: requests.Session | None = None,
     ) -> None:
+        # Imported where HTTP is used, so other commands start without them.
+        import base64
+        import http.client
+        import urllib.request
+
         self.endpoint = endpoint
         self.api_key = api_key
         self.attempts = attempts
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
-        if session is None:
-            import requests
 
-            session = requests.Session()
-        self.session = session
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"endpoint is not an http or https URL: {endpoint!r}")
+        https = url.scheme == "https"
+        port = url.port or (443 if https else 80)
+        host = url.netloc.rpartition("@")[2]
+        target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        headers = {"Host": host, "Content-Type": "application/json"}
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+
+        self._address, self._tunnel = (url.hostname, port), None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ConfigError(f"{url.scheme}_proxy is not an http:// proxy URL: {proxy!r}")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                user = urllib.parse.unquote(proxy_url.username)
+                password = urllib.parse.unquote(proxy_url.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode()
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if https:
+                self._tunnel = (url.hostname, port, proxy_headers)
+            else:
+                target = urllib.parse.urlunsplit((url.scheme, host, url.path or "/", url.query, ""))
+                headers.update(proxy_headers)
+        if https:
+            import ssl
+
+            self._connection_class = http.client.HTTPSConnection
+            self._connection_args = {"context": ssl.create_default_context()}
+        else:
+            self._connection_class = http.client.HTTPConnection
+            self._connection_args = {}
+
+        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
+        if any(ch in line for line in lines for ch in "\r\n"):
+            raise ConfigError("endpoint, API key and proxy settings must not hold line breaks")
+        try:
+            self._head = ("\r\n".join(lines) + "\r\n").encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"endpoint or API key is not Latin-1 text: {exc}") from None
+        self._local = threading.local()
+        self._connections: list = []  # every thread's connection, for close()
+        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
-        import requests
+        import http.client
 
-        body = {
-            "model": request.model_id,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(
+            {
+                "model": request.model_id,
+                "messages": [{"role": "user", "content": request.prompt}],
+                "temperature": request.temperature,
+                "max_tokens": request.max_tokens,
+            }
+        ).encode("utf-8")
+        message = self._head + b"Content-Length: %d\r\n\r\n" % len(body) + body
 
         last_error: Exception | None = None
         rate_limited = False
@@ -117,23 +175,22 @@ class HttpBackend:
                 log.warning("retrying completion (%d/%d): %s", retry, self.attempts, last_error)
                 time.sleep(min(self.backoff_s * 2 ** (retry - 1), self.backoff_cap_s))
             try:
-                response = self.session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                status, data = self._exchange(message)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code == 429:
+            if status == 429:
                 rate_limited = True
                 last_error = RateLimited("HTTP 429")
                 continue
-            if response.status_code >= 500:
-                last_error = BackendUnavailable(f"HTTP {response.status_code}")
+            if status >= 500:
+                last_error = BackendUnavailable(f"HTTP {status}")
                 continue
-            if response.status_code != 200:
-                raise BackendUnavailable(f"HTTP {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                text = data[:200].decode("utf-8", "replace")
+                raise BackendUnavailable(f"HTTP {status}: {text}")
             try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, LookupError, TypeError) as exc:
                 raise BackendUnavailable(f"malformed completion body: {exc!r}") from exc
             if not isinstance(content, str):
@@ -142,6 +199,45 @@ class HttpBackend:
         if rate_limited:
             raise RateLimited(f"rate limited after {self.attempts} attempts")
         raise BackendUnavailable(f"no response after {self.attempts} attempts: {last_error}")
+
+    def _exchange(self, message: bytes) -> tuple[int, bytes]:
+        """Send one request on this thread's connection; (status, body)."""
+        import select
+
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(
+                *self._address, timeout=self.timeout_s, **self._connection_args
+            )
+            if self._tunnel is not None:
+                host, port, headers = self._tunnel
+                connection.set_tunnel(host, port, headers)
+            with self._lock:
+                self._connections.append(connection)
+            self._local.connection = connection
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # An idle keep-alive socket is readable only when the server
+            # closed it (or sent bytes nobody asked for): reopen before writing.
+            connection.close()
+        keep = False
+        try:
+            if connection.sock is None:
+                connection.connect()
+            connection.sock.sendall(message)
+            response = connection.response_class(connection.sock, method="POST")
+            response.begin()
+            data = response.read()
+            keep = not response.will_close
+            return response.status, data
+        finally:
+            if not keep:
+                connection.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; call when no completion is running."""
+        with self._lock:
+            for connection in self._connections:
+                connection.close()
 
 
 class ReplayBackend:
@@ -170,6 +266,7 @@ class Transcript:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._handle = None  # opened by the first append
 
     def records(self) -> Iterator[dict]:
         """Records in file order, read one line at a time; a malformed line is
@@ -213,26 +310,77 @@ class Transcript:
             "timestamp": time.time(),
             "latency_ms": latency_ms,
         }
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 class Gateway:
-    """Front door for completions; appends each one to the transcript when given.
+    """Front door for completions.
 
-    Callers bound concurrency themselves (the CLI's instance pool).
+    At most `concurrency` backend calls are in flight at once, whichever
+    threads ask. `map` overlaps independent calls on the calling thread and
+    `concurrency - 1` helper threads. Each completion is appended to the
+    transcript when one is given. `close` (or leaving a `with` block) stops
+    the helpers and closes the transcript and the backend.
     """
 
-    def __init__(self, backend: Backend, *, transcript: Transcript | None = None) -> None:
+    def __init__(
+        self, backend: Backend, *, transcript: Transcript | None = None, concurrency: int = 1
+    ) -> None:
+        if concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
         self.backend = backend
         self.transcript = transcript
+        self._slots = threading.Semaphore(concurrency)
+        self._helper_count = concurrency - 1
+        self._helpers = None
+        if self._helper_count:
+            self._helpers = ThreadPoolExecutor(self._helper_count, "tablesync-gateway")
+
+    def __enter__(self) -> Gateway:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._helpers is not None:
+            self._helpers.shutdown()
+        if self.transcript is not None:
+            self.transcript.close()
+        close_backend = getattr(self.backend, "close", None)
+        if close_backend is not None:
+            close_backend()
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """[fn(item) for item in items], with the calls overlapped.
+
+        The calling thread takes part, so with concurrency 1 every call runs
+        on it, in item order. Once a call raises, calls not yet started are
+        skipped; when the started ones have finished, the exception of the
+        first failing item in item order is raised.
+        """
+        batch = _Batch(fn, list(items))
+        for _ in range(min(self._helper_count, len(batch.items) - 1)):
+            self._helpers.submit(batch.run)  # never raises: run() keeps every outcome
+        batch.run()
+        return batch.results()
 
     def complete(self, request: CompletionRequest, attempt: int = 0) -> str:
-        started = time.monotonic()
-        response = self.backend.complete(request, attempt)
+        with self._slots:
+            started = time.monotonic()
+            response = self.backend.complete(request, attempt)
         if self.transcript is not None:
             latency_ms = int((time.monotonic() - started) * 1000)
             self.transcript.append(request, attempt, response, latency_ms)
@@ -252,3 +400,49 @@ class Gateway:
             log.warning("%s output unparseable (%s); reprompting once", request.tag, exc)
         response = self.complete(request, attempt=attempt + RETRY_ATTEMPT_OFFSET)
         return parse(response), response
+
+
+class _Batch:
+    """The items of one `Gateway.map` call, claimed in order by the caller and
+    by the helpers it was handed to."""
+
+    def __init__(self, fn: Callable, items: list) -> None:
+        self.fn = fn
+        self.items = items
+        self._outcomes: list[tuple[bool, object] | None] = [None] * len(items)  # (raised, value)
+        self._next = 0
+        self._running = 0
+        self._failed = False
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        if not items:
+            self._done.set()
+
+    def _claim(self) -> int | None:
+        with self._lock:
+            if self._failed or self._next == len(self.items):
+                return None
+            self._next += 1
+            self._running += 1
+            return self._next - 1
+
+    def run(self) -> None:
+        while (index := self._claim()) is not None:
+            try:
+                outcome = (False, self.fn(self.items[index]))
+            except BaseException as exc:  # noqa: BLE001 - re-raised by results() in the caller
+                outcome = (True, exc)
+            with self._lock:
+                self._outcomes[index] = outcome
+                self._failed = self._failed or outcome[0]
+                self._running -= 1
+                finished = not self._running and (self._failed or self._next == len(self.items))
+            if finished:
+                self._done.set()
+
+    def results(self) -> list:
+        self._done.wait()
+        for outcome in self._outcomes:
+            if outcome is not None and outcome[0]:
+                raise outcome[1]
+        return [value for _, value in self._outcomes]

@@ -353,9 +353,11 @@ def evaluate_instance(
     """Full §-style evaluation of one output table against its instance.
 
     Alignments are source-gold and output-gold; each aligned pair is compared
-    per evaluator model and reports are ensemble-averaged. Each distinct
-    (candidate row, gold row) pair is compared once per model, so a row the
-    output leaves unchanged scores the same on both sides.
+    per evaluator model and reports are ensemble-averaged. The distinct
+    (model, candidate row, gold row) comparisons are planned first, in the
+    order the reports read them, and issued as one `gateway.map` batch, so a
+    row the output leaves unchanged is compared once and scores the same on
+    both sides. A backend error is the first one in plan order.
     """
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
@@ -363,31 +365,47 @@ def evaluate_instance(
 
     ig_pairs = {g: s for s, g, _ in partition.tri} | {g: s for s, g in partition.bi_input_gold}
     og_pairs = {g: o for _, g, o in partition.tri} | {g: o for g, o in partition.bi_gold_output}
+    # Per side: (gold key, candidate row, gold row) by gold key.
+    sides = [
+        [
+            (gold_key, candidate.row_for(cand_key), gold.row_for(gold_key))
+            for gold_key, cand_key in sorted(pairs.items())
+        ]
+        for pairs, candidate in ((ig_pairs, source), (og_pairs, output))
+    ]
+    plan = list(
+        dict.fromkeys(
+            (model_id, candidate_row, gold_row)
+            for model_id in evaluator_models
+            for side in sides
+            for _, candidate_row, gold_row in side
+        )
+    )
 
-    per_model: dict[str, UpdateReport] = {}
+    def scored(comparison: tuple[str, TableRow, TableRow]) -> RowScore | None:  # None: comparison failed
+        model_id, candidate_row, gold_row = comparison
+        try:
+            comparison = compare_rows(candidate_row, gold_row, model_id, gateway, language=gold.language)
+            return score_row(comparison)
+        except ComparisonFailed:
+            return None
+
+    scores = dict(zip(plan, gateway.map(scored, plan)))
     flagged: list[tuple[str, str]] = []
-    for model_id in evaluator_models:
-        compared: dict[tuple[TableRow, TableRow], RowScore | None] = {}  # None: comparison failed
 
-        def rows_scores(pairs: dict[str, str], candidate: InfoTable) -> dict[str, RowScore]:
-            scores: dict[str, RowScore] = {}
-            for gold_key, cand_key in sorted(pairs.items()):
-                rows = (candidate.row_for(cand_key), gold.row_for(gold_key))
-                if rows not in compared:
-                    try:
-                        comparison = compare_rows(*rows, model_id, gateway, language=gold.language)
-                        compared[rows] = score_row(comparison)
-                    except ComparisonFailed:
-                        compared[rows] = None
-                score = compared.get(rows)
-                if score is None:
-                    flagged.append((model_id, gold_key))
-                scores[gold_key] = ZERO_ROW if score is None else score
-            return scores
+    def side_scores(model_id: str, side) -> dict[str, RowScore]:
+        result: dict[str, RowScore] = {}
+        for gold_key, candidate_row, gold_row in side:
+            score = scores[model_id, candidate_row, gold_row]
+            if score is None:
+                flagged.append((model_id, gold_key))
+            result[gold_key] = ZERO_ROW if score is None else score
+        return result
 
-        report = build_report(partition, rows_scores(ig_pairs, source), rows_scores(og_pairs, output))
-        per_model[model_id] = report
-
+    per_model = {
+        model_id: build_report(partition, *(side_scores(model_id, side) for side in sides))
+        for model_id in evaluator_models
+    }
     reports = list(per_model.values())
     ensemble = ensemble_scores(reports) if reports else build_report(partition, {}, {})
     return InstanceEvaluation(partition, per_model, ensemble, tuple(flagged))

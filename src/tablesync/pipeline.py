@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from . import prompts
 from .alignment import Alignment, align_llm, alignment_from_doc, alignment_to_doc
@@ -182,23 +183,35 @@ class Pipeline:
     # strategies
 
     def run(self, instance, strategy: Strategy) -> SyncResult:
-        """Produce the output table for an instance; gold stays untouched."""
+        """Produce the output table for an instance; gold stays untouched.
+
+        Independent stages run at once through `Gateway.map`. Their traces
+        are kept in recipe order, and a failure is attributed to the first
+        failing stage in that order, with the traces of the stages before it.
+        """
         source, reference = instance.source, instance.reference
         traces: list[StageTrace] = []
 
-        def staged(result: tuple[object, StageTrace]):
+        def staged(result: tuple[object, StageTrace] | StageFailed):
+            if isinstance(result, StageFailed):
+                raise result
             value, trace = result
             traces.append(trace)
             return value
 
+        def together(*stages):
+            return [staged(result) for result in self.gateway.map(_settled, stages)]
+
         try:
             if strategy is Strategy.HIERARCHICAL:
-                source_pivot = staged(self.translate_table(source, self.pivot, stage="translate_source"))
-                reference_pivot = staged(
-                    self.translate_table(reference, self.pivot, stage="translate_reference")
+                source_pivot, reference_pivot = together(
+                    partial(self.translate_table, source, self.pivot, stage="translate_source"),
+                    partial(self.translate_table, reference, self.pivot, stage="translate_reference"),
                 )
-                kg_source = staged(self.table_to_kg(source_pivot, stage="table_to_kg_source"))
-                kg_reference = staged(self.table_to_kg(reference_pivot, stage="table_to_kg_reference"))
+                kg_source, kg_reference = together(
+                    partial(self.table_to_kg, source_pivot, stage="table_to_kg_source"),
+                    partial(self.table_to_kg, reference_pivot, stage="table_to_kg_reference"),
+                )
                 merged = staged(self.merge_kgs(kg_source, kg_reference))
                 table_pivot = staged(self.kg_to_table(merged, source_pivot, kg_source))
                 output = staged(self.translate_table(
@@ -224,6 +237,14 @@ class Pipeline:
         except StageFailed as exc:
             raise StageFailed(exc.stage, exc.cause, tuple(traces)) from exc
         return SyncResult(output, tuple(traces))
+
+
+def _settled(stage):
+    """The stage's result, or the StageFailed it raised."""
+    try:
+        return stage()
+    except StageFailed as exc:
+        return exc
 
 
 def artifact_jsonable(artifact: object) -> dict:

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import re
 import time
+import urllib.parse
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
 
 from .errors import NetworkError, NoInfobox, PageNotFound
 from .tables import InfoTable, TableRow
-
-if TYPE_CHECKING:  # imported where HTTP is used, so other commands start without it
-    import requests
 
 DEFAULT_API_TEMPLATE = "https://{lang}.wikipedia.org/w/api.php"
 USER_AGENT = "tablesync/0.1 (table synchronization research tooling)"
@@ -131,16 +129,10 @@ class MediaWikiClient:
 
     def __init__(
         self,
-        session: requests.Session | None = None,
         api_template: str = DEFAULT_API_TEMPLATE,
         min_interval_s: float = 1.0,
         timeout_s: float = 30.0,
     ) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
         self.api_template = api_template
         self.min_interval_s = min_interval_s
         self.timeout_s = timeout_s
@@ -174,20 +166,21 @@ class MediaWikiClient:
             "rvdir": "older",
             "rvstart": as_of,
         }
-        import requests
+        # Imported where HTTP is used, so other commands start without it.
+        import http.client
+        import urllib.request
 
+        base = self.api_template.format(lang=lang)
+        url = base + ("&" if "?" in base else "?") + urllib.parse.urlencode(params)
         self._throttle()
         try:
-            response = self.session.get(
-                self.api_template.format(lang=lang),
-                params=params,
-                headers={"User-Agent": USER_AGENT},
-                timeout=self.timeout_s,
-            )
-            response.raise_for_status()
-            data = response.json()
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                data = json.load(response)
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # HTTP, URL and JSON errors
             raise NetworkError(f"wiki API request failed: {exc}") from exc
+        if not isinstance(data, dict):
+            raise NetworkError(f"wiki API answered {type(data).__name__}, not an object")
 
         pages = data.get("query", {}).get("pages", [])
         if not pages or pages[0].get("missing"):

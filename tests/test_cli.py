@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tablesync import cli, gateway as gw
+from tablesync import cli, dataset, gateway as gw
 from tablesync.errors import BackendUnavailable, ConfigError
+from tablesync.pipeline import Pipeline, traces_jsonable
 from tablesync.stub import StubBackend
 from tablesync.tables import InfoTable, TableRow
 
@@ -126,6 +128,56 @@ class TestSync:
         assert peak == 2  # the instance pool overlaps calls, never beyond the bound
 
 
+def patch_stub(monkeypatch, around):
+    """Route every StubBackend completion through around(complete, request, attempt)."""
+    complete = StubBackend.complete
+    monkeypatch.setattr(StubBackend, "complete", lambda self, request, attempt: around(
+        lambda: complete(self, request, attempt), request
+    ))
+
+
+class TestOverlap:
+    """Independent completions of one instance overlap under the --concurrency bound."""
+
+    def test_concurrency_one_runs_every_call_on_one_thread(self, corpus, lexicons, tmp_path, monkeypatch):
+        callers, names = set(), set()
+
+        def recorded(complete, request):
+            callers.add(threading.get_ident())
+            names.update(thread.name for thread in threading.enumerate())
+            return complete()
+
+        patch_stub(monkeypatch, recorded)
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "o"),
+            "--lexicons", lexicons, "--concurrency", "1", "--instance", "City",
+        )
+        assert code == cli.EXIT_OK
+        assert len(callers) == 1
+        assert not [name for name in names if name.startswith("tablesync-gateway")]
+
+    def test_one_hierarchical_instance_takes_six_rounds(self, corpus, lexicons, tmp_path, monkeypatch):
+        def slow(complete, request):
+            time.sleep(0.05)
+            return complete()
+
+        patch_stub(monkeypatch, slow)
+        started = time.perf_counter()
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "o"), "--lexicons", lexicons,
+            "--strategy", "hierarchical", "--concurrency", "8", "--instance", "musterstadt",
+        )
+        elapsed = time.perf_counter() - started
+        assert code == cli.EXIT_OK
+        # Translation, the two graph extractions, merge, graph-to-table,
+        # back-translation, then every row comparison at once: 6 rounds of
+        # 50 ms. The 14 calls one after another take 0.7 s.
+        assert elapsed < 0.45
+        # No instance worker or gateway helper outlives the command.
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith(("ThreadPoolExecutor", "tablesync-gateway"))]
+
+
 class TestFailureIsolation:
     """A failing instance writes its own failure.json; the other nine complete."""
 
@@ -154,6 +206,64 @@ class TestFailureIsolation:
         assert (out / "City" / "musterstadt" / "output.de.table").is_file()
         assert (out / "City" / "musterstadt" / "traces.json").is_file()
         self.assert_nine_reported(out, capsys)
+
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    def test_evaluation_error_is_the_first_in_plan_order(
+        self, corpus, lexicons, tmp_path, monkeypatch, concurrency
+    ):
+        # Gold keys in plan order: Bürgermeister (source "Hans Alt") before
+        # Einwohner (source "210000"). The later comparison fails first.
+        def failing(complete, request):
+            if "Hans Alt" in request.prompt and request.tag == "evaluate":
+                time.sleep(0.1)
+                raise BackendUnavailable("HTTP 503")
+            if "210000" in request.prompt and request.tag == "evaluate":
+                raise BackendUnavailable("HTTP 502")
+            return complete()
+
+        patch_stub(monkeypatch, failing)
+        out = tmp_path / "out"
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons,
+            "--concurrency", concurrency, "--instance", "musterstadt",
+        )
+        assert code == cli.EXIT_PARTIAL
+        assert self.failure(out, "City/musterstadt") == {
+            "stage": "evaluate", "error": "stage 'evaluate' failed: HTTP 503"
+        }
+
+    @pytest.mark.parametrize("failing_stage", ["translate_source", "translate_reference"])
+    def test_failure_is_the_first_failing_stage_in_recipe_order(
+        self, corpus, lexicons, rules, tmp_path, monkeypatch, failing_stage
+    ):
+        # colegio-mayor translates both tables (es and fr, pivot en); the
+        # other translation finishes after the failure.
+        def failing(complete, request):
+            if request.tag == failing_stage:
+                raise BackendUnavailable("HTTP 503")
+            time.sleep(0.1)
+            return complete()
+
+        patch_stub(monkeypatch, failing)
+        out = tmp_path / "out"
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons,
+            "--concurrency", "4", "--instance", "colegio-mayor",
+        )
+        monkeypatch.undo()
+        assert code == cli.EXIT_PARTIAL
+        rel = "College/colegio-mayor"
+        assert self.failure(out, rel) == {
+            "stage": failing_stage, "error": f"stage '{failing_stage}' failed: HTTP 503"
+        }
+        # The traces of the stages before the failing one, as a serial run writes them.
+        expected = []
+        if failing_stage == "translate_reference":
+            source = dataset.load_instance(Path(corpus) / rel).source
+            pipeline = Pipeline(gw.Gateway(StubBackend(rules)), "stub-model")
+            expected.append(pipeline.translate_table(source, "en", stage="translate_source")[1])
+        cli._write_json(tmp_path / "expected.json", traces_jsonable(expected))
+        assert (out / rel / "traces.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
     @pytest.mark.parametrize(
         "name, content",
@@ -464,10 +574,64 @@ class TestInputErrors:
         assert not (tmp_path / "o").exists()
 
 
+def load_fake_llm():
+    """perfbench/fake_llm.py, the benchmark's fake chat-completion server."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fake_llm.py"
+    spec = importlib.util.spec_from_file_location("fake_llm", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def output_files(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestHttpEndToEnd:
+    def test_sync_over_http_with_faults(self, corpus, lexicons, tmp_path, no_proxy_env, capsys):
+        # Every merge answer for musterstadt is garbage; the first graph-to-table
+        # and row-comparison answers for estadio-central are garbage once.
+        fake_llm = load_fake_llm()
+        complete = fake_llm.stub_completer(lexicons)
+        fake = fake_llm.FakeLLM(complete, "Eva Neu", ("Estadio Central",), delay_s=0.0)
+        server = fake_llm.make_server(fake)
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+        thread.start()
+        outs = {}
+        try:
+            for concurrency in ("1", "4"):
+                outs[concurrency] = tmp_path / f"c{concurrency}"
+                endpoint = f"http://127.0.0.1:{server.server_address[1]}/c{concurrency}/chat/completions"
+                assert run_cli(
+                    "sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(outs[concurrency]),
+                    "--backend", "http", "--endpoint", endpoint, "--concurrency", concurrency,
+                ) == cli.EXIT_PARTIAL
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        stub_out = tmp_path / "stub"
+        assert run_cli("sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(stub_out)) == cli.EXIT_OK
+
+        poisoned = Path("City/musterstadt")
+        failure = json.loads((outs["1"] / poisoned / "failure.json").read_text())
+        assert failure["stage"] == "merge"
+        assert fake.stats["c1"] == fake.stats["c4"] and fake.stats["c1"]["faults_served"] == 4
+        serial, overlapped, stub = (output_files(out) for out in (outs["1"], outs["4"], stub_out))
+        for files in (serial, overlapped, stub):
+            del files[Path("config.snapshot")]  # names the backend and the concurrency
+        assert serial == overlapped
+        del serial[Path("report.json")], stub[Path("report.json")]  # the stub run also reports musterstadt
+        assert {rel: data for rel, data in serial.items() if poisoned not in rel.parents} == {
+            rel: data for rel, data in stub.items() if poisoned not in rel.parents
+        }
+
+
 class TestStartup:
     def test_cli_import_leaves_requests_unloaded(self):
+        # Nor the standard library's HTTP stack, which only the http backend and fetch load.
         src = str(Path(cli.__file__).resolve().parents[1])
-        check = "import sys, tablesync.cli; sys.exit('requests' in sys.modules)"
+        check = "import sys, tablesync.cli; sys.exit(bool({'requests', 'http.client', 'ssl'} & sys.modules.keys()))"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
@@ -513,6 +677,36 @@ class TestErrors:
         assert code == cli.EXIT_CONFIG
         assert "translate_reference" in capsys.readouterr().err
 
+
+    def test_config_file_settings_it_does_not_read_are_ignored(self, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
+        )
+        config = tmp_path / "shared.cfg"
+        config.write_text(f"concurrency = 0\nbackend = http\nrounds = many\nlexicons = {lexicons}\n")
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--config", str(config),
+        )
+        assert code == cli.EXIT_OK
+        assert "in_reference" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["concurency = 2\n", "pivot = xx\n"], ids=["unknown-key", "bad-pivot"])
+    def test_config_file_errors_it_reads(self, corpus, tmp_path, capsys, text):
+        config = tmp_path / "shared.cfg"
+        config.write_text(text)
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(tmp_path / "traces.json"),
+            "--config", str(config),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("flag", [["--concurrency", "2"], ["--backend", "http"]])
     def test_unread_run_flags_are_usage_errors(self, corpus, tmp_path, flag):

@@ -1,6 +1,8 @@
+import base64
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -15,7 +17,7 @@ from tablesync.gateway import (
 )
 from tablesync.errors import ConfigError
 from tablesync.stub import StubBackend, StubRuleSet
-from tablesync import prompts
+from tablesync import gateway as gateway_module, prompts
 
 
 def translation_request(table_text='[["Pays","France"]]'):
@@ -165,65 +167,131 @@ class TestRecordReplay:
             list(Transcript(tmp_path / "absent.jsonl").records())
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
+class CountingBackend:
+    """Echoes the prompt after a short wait, recording the peak of calls in flight."""
 
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = self.calls = 0
+
+    def complete(self, request, attempt):
+        with self.lock:
+            self.in_flight += 1
+            self.calls += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.001)
+        with self.lock:
+            self.in_flight -= 1
+        return request.prompt
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = 0
+class TestGatewayMap:
+    def test_results_in_item_order_under_the_bound(self):
+        backend = CountingBackend()
+        gateway = Gateway(backend, concurrency=4)
+        results = {}
 
-    def post(self, url, **kwargs):
-        self.calls += 1
-        return self.responses.pop(0)
+        def caller(name):
+            prompts_ = [f"{name}-{i}" for i in range(60)]
+            requests_ = [CompletionRequest(prompt=text, model_id="m") for text in prompts_]
+            results[name] = (gateway.map(gateway.complete, requests_), prompts_)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(f"c{n}",)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            gateway.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 6 and all(got == wanted for got, wanted in results.values())
+        assert backend.calls == 6 * 60 and 1 < backend.peak <= 4
+        assert not [t for t in threading.enumerate() if t.name.startswith("tablesync-gateway")]
+
+    def test_raises_the_first_failure_in_item_order(self):
+        def fn(item):
+            if item == 3:
+                time.sleep(0.05)
+                raise ValueError("item 3")
+            if item == 6:
+                raise ValueError("item 6")
+            return item
+
+        with Gateway(StubBackend(StubRuleSet()), concurrency=4) as gateway:
+            with pytest.raises(ValueError, match="item 3"):
+                gateway.map(fn, range(10))
+            assert gateway.map(fn, [0, 1, 2]) == [0, 1, 2]
+            assert gateway.map(fn, []) == []
+
+    def test_concurrency_one_runs_on_the_calling_thread(self):
+        gateway = Gateway(StubBackend(StubRuleSet()))
+        assert gateway.map(lambda _: threading.get_ident(), range(5)) == [threading.get_ident()] * 5
+        assert not [t for t in threading.enumerate() if t.name.startswith("tablesync-gateway")]
+        gateway.close()
+
+
+def completion_body(content) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+REQUEST = CompletionRequest(prompt="p", model_id="m")
 
 
 class TestHttpBackend:
-    def test_parses_chat_completion_shape(self):
-        payload = {"choices": [{"message": {"content": "hello"}}]}
-        backend = HttpBackend("http://api", session=FakeSession([FakeResponse(200, payload)]))
-        request = CompletionRequest(prompt="p", model_id="m")
-        assert backend.complete(request, 0) == "hello"
+    """HttpBackend against a loopback server (see conftest.ScriptedServer)."""
 
-    def test_retries_transient_500_then_succeeds(self):
-        payload = {"choices": [{"message": {"content": "ok"}}]}
-        session = FakeSession([FakeResponse(500), FakeResponse(200, payload)])
-        backend = HttpBackend("http://api", session=session, backoff_s=0.0)
-        assert backend.complete(CompletionRequest(prompt="p", model_id="m"), 0) == "ok"
-        assert session.calls == 2
+    @pytest.fixture()
+    def backend(self, http_server):
+        """Factory of backends on the loopback server, closed after the test."""
+        made = []
 
-    def test_rate_limited_after_attempts(self):
-        session = FakeSession([FakeResponse(429)] * 3)
-        backend = HttpBackend("http://api", session=session, attempts=3, backoff_s=0.0)
+        def make(**kwargs):
+            endpoint = f"{http_server.base}/v1/chat/completions"
+            made.append(HttpBackend(endpoint, **{"backoff_s": 0.0, **kwargs}))
+            return made[-1]
+
+        yield make
+        for backend in made:
+            backend.close()
+
+    def test_parses_chat_completion_shape(self, backend, http_server):
+        http_server.script = [(200, completion_body("hello"))]
+        assert backend(api_key="k3y").complete(REQUEST, 0) == "hello"
+        ((method, path, headers, body, _),) = http_server.seen
+        assert (method, path, headers["Authorization"]) == ("POST", "/v1/chat/completions", "Bearer k3y")
+        assert json.loads(body)["messages"] == [{"role": "user", "content": "p"}]
+
+    def test_retries_transient_500_then_succeeds(self, backend, http_server):
+        http_server.script = [(500, b"{}"), (200, completion_body("ok"))]
+        assert backend().complete(REQUEST, 0) == "ok"
+        assert len(http_server.seen) == 2
+
+    def test_rate_limited_after_attempts(self, backend, http_server):
+        http_server.script = [(429, b"{}")] * 3
         with pytest.raises(RateLimited):
-            backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)
+            backend(attempts=3).complete(REQUEST, 0)
+        assert len(http_server.seen) == 3
 
-    def test_unavailable_after_attempts(self):
-        session = FakeSession([FakeResponse(503)] * 3)
-        backend = HttpBackend("http://api", session=session, attempts=3, backoff_s=0.0)
+    def test_unavailable_after_attempts(self, backend, http_server):
+        http_server.script = [(503, b"{}")] * 3
         with pytest.raises(BackendUnavailable):
-            backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)
+            backend(attempts=3).complete(REQUEST, 0)
+        assert len(http_server.seen) == 3
 
-    def test_hard_client_error_not_retried(self):
-        session = FakeSession([FakeResponse(400, text="bad request")])
-        backend = HttpBackend("http://api", session=session, backoff_s=0.0)
-        with pytest.raises(BackendUnavailable):
-            backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)
-        assert session.calls == 1
+    def test_hard_client_error_not_retried(self, backend, http_server):
+        http_server.script = [(400, b"bad request")]
+        with pytest.raises(BackendUnavailable, match="HTTP 400: bad request"):
+            backend().complete(REQUEST, 0)
+        assert len(http_server.seen) == 1
 
     @pytest.mark.parametrize(
         "payload",
         [
-            json.JSONDecodeError("Expecting value", "<html>", 0),
+            bytearray(b"<html>"),  # not JSON; sent as is
             ["not", "an", "object"],
             {"choices": []},
             {"choices": [{"text": "legacy shape"}]},
@@ -231,9 +299,62 @@ class TestHttpBackend:
             {"choices": [{"message": {"content": ["a", "list"]}}]},
         ],
     )
-    def test_malformed_200_body_is_backend_unavailable(self, payload):
-        session = FakeSession([FakeResponse(200, payload)])
-        backend = HttpBackend("http://api", session=session, backoff_s=0.0)
+    def test_malformed_200_body_is_backend_unavailable(self, backend, http_server, payload):
+        body = bytes(payload) if isinstance(payload, bytearray) else json.dumps(payload).encode()
+        http_server.script = [(200, body)]
         with pytest.raises(BackendUnavailable):
-            backend.complete(CompletionRequest(prompt="p", model_id="m"), 0)
-        assert session.calls == 1
+            backend().complete(REQUEST, 0)
+        assert len(http_server.seen) == 1
+
+    def test_calls_from_one_thread_share_one_connection(self, backend, http_server):
+        http_server.script = [(200, completion_body(str(i))) for i in range(3)]
+        client = backend()
+        assert [client.complete(REQUEST, 0) for _ in range(3)] == ["0", "1", "2"]
+        assert len(http_server.seen) == 3 and len(http_server.clients()) == 1
+
+    def test_connection_closed_while_idle_is_reopened_without_sleep(self, backend, http_server, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        monkeypatch.setattr(gateway_module.time, "sleep", no_sleep)
+        http_server.script = [(200, completion_body("first"), "close"), (200, completion_body("second"))]
+        client = backend(backoff_s=1.0)
+        http_server.closed.clear()
+        assert client.complete(REQUEST, 0) == "first"
+        assert http_server.closed.wait(timeout=10)
+        assert client.complete(REQUEST, 0) == "second"
+        assert len(http_server.seen) == 2 and len(http_server.clients()) == 2
+
+    def test_http_proxy_from_environment(self, http_server, closed_port, monkeypatch):
+        monkeypatch.setenv("http_proxy", http_server.base)
+        endpoint = f"http://127.0.0.1:{closed_port}/v1/chat/completions"
+        http_server.script = [(200, completion_body("via proxy"))]
+        client = HttpBackend(endpoint)
+        assert client.complete(REQUEST, 0) == "via proxy"
+        client.close()
+        ((_, path, headers, _, _),) = http_server.seen
+        assert path == endpoint
+        assert headers["Host"] == f"127.0.0.1:{closed_port}"
+
+    def test_https_endpoint_tunnels_through_proxy_with_credentials(
+        self, http_server, closed_port, monkeypatch
+    ):
+        monkeypatch.setenv("https_proxy", http_server.base.replace("http://", "http://us%40r:pw@"))
+        http_server.script = [(407, b"")]
+        client = HttpBackend(f"https://127.0.0.1:{closed_port}/v1/chat/completions", attempts=1)
+        with pytest.raises(BackendUnavailable, match="407"):
+            client.complete(REQUEST, 0)
+        client.close()
+        ((method, path, headers, _, _),) = http_server.seen
+        assert (method, path) == ("CONNECT", f"127.0.0.1:{closed_port}")
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
+
+    def test_connection_refused_is_backend_unavailable(self, closed_port, no_proxy_env):
+        backend = HttpBackend(f"http://127.0.0.1:{closed_port}/", attempts=2, backoff_s=0.0)
+        with pytest.raises(BackendUnavailable, match="no response after 2 attempts"):
+            backend.complete(REQUEST, 0)
+
+    @pytest.mark.parametrize("endpoint", ["api.example/v1", "ftp://host/v1", "http:///v1"])
+    def test_endpoint_must_be_http_url(self, endpoint):
+        with pytest.raises(ConfigError, match="not an http or https URL"):
+            HttpBackend(endpoint)

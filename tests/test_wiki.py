@@ -1,7 +1,10 @@
+import json
+import urllib.parse
+
 import pytest
 
 from tablesync.errors import NetworkError, NoInfobox, PageNotFound
-from tablesync.wiki import MediaWikiClient, extract_infobox_rows
+from tablesync.wiki import USER_AGENT, MediaWikiClient, extract_infobox_rows
 
 WIKITEXT = """
 '''Musterstadt''' is a city.
@@ -46,27 +49,6 @@ class TestInfoboxExtraction:
         assert rows[0].as_pair() == ("name", "Ada")
 
 
-class FakeResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, payload):
-        self.payload = payload
-        self.params = None
-
-    def get(self, url, params=None, **kwargs):
-        self.params = params
-        return FakeResponse(self.payload)
-
-
 def page_payload(content, revid=123, timestamp="2018-06-01T00:00:00Z"):
     return {
         "query": {
@@ -87,46 +69,54 @@ def page_payload(content, revid=123, timestamp="2018-06-01T00:00:00Z"):
 
 
 class TestFetchRevision:
-    def client(self, payload):
-        return MediaWikiClient(session=FakeSession(payload), min_interval_s=0.0)
+    """MediaWikiClient against a loopback server (see conftest.ScriptedServer)."""
 
-    def test_recorded_response_to_rows(self):
-        client = self.client(page_payload(WIKITEXT))
-        table = client.fetch_revision("Musterstadt", "en", "2018-07-01T00:00:00Z", category="City")
+    def fetch(self, server, payload, status=200, title="Musterstadt", **kwargs):
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        server.script = [(status, body)]
+        client = MediaWikiClient(api_template=f"{server.base}/{{lang}}/api.php", min_interval_s=0.0)
+        return client.fetch_revision(title, "en", "2018-07-01T00:00:00Z", **kwargs)
+
+    def test_recorded_response_to_rows(self, http_server):
+        table = self.fetch(http_server, page_payload(WIKITEXT), category="City")
         assert table.language == "en"
         assert table.category == "City"
         assert table.revision_tag == "123@2018-06-01T00:00:00Z"
         assert dict(r.as_pair() for r in table.rows)["name"] == "Musterstadt"
 
-    def test_timestamp_params_sent(self):
-        session = FakeSession(page_payload(WIKITEXT))
-        client = MediaWikiClient(session=session, min_interval_s=0.0)
-        client.fetch_revision("Musterstadt", "en", "2018-07-01T00:00:00Z")
-        assert session.params["rvstart"] == "2018-07-01T00:00:00Z"
-        assert session.params["rvdir"] == "older"
+    def test_timestamp_params_sent(self, http_server):
+        self.fetch(http_server, page_payload(WIKITEXT))
+        ((method, path, headers, _, _),) = http_server.seen
+        url = urllib.parse.urlsplit(path)
+        params = dict(urllib.parse.parse_qsl(url.query))
+        assert (method, url.path) == ("GET", "/en/api.php")
+        assert params["rvstart"] == "2018-07-01T00:00:00Z"
+        assert params["rvdir"] == "older"
+        assert params["titles"] == "Musterstadt"
+        assert headers["User-Agent"] == USER_AGENT
 
-    def test_missing_page(self):
-        client = self.client({"query": {"pages": [{"title": "x", "missing": True}]}})
+    def test_missing_page(self, http_server):
         with pytest.raises(PageNotFound):
-            client.fetch_revision("x", "en", "2018-01-01T00:00:00Z")
+            self.fetch(http_server, {"query": {"pages": [{"title": "x", "missing": True}]}})
 
-    def test_no_revision_before_timestamp(self):
-        client = self.client({"query": {"pages": [{"title": "x", "revisions": []}]}})
+    def test_no_revision_before_timestamp(self, http_server):
         with pytest.raises(PageNotFound):
-            client.fetch_revision("x", "en", "2001-01-01T00:00:00Z")
+            self.fetch(http_server, {"query": {"pages": [{"title": "x", "revisions": []}]}})
 
-    def test_page_without_infobox(self):
-        client = self.client(page_payload("plain article text"))
+    def test_page_without_infobox(self, http_server):
         with pytest.raises(NoInfobox):
-            client.fetch_revision("x", "en", "2018-01-01T00:00:00Z")
+            self.fetch(http_server, page_payload("plain article text"))
 
-    def test_network_error_wrapped(self):
-        import requests
+    @pytest.mark.parametrize(
+        "status, payload",
+        [(503, {"error": "busy"}), (200, b"<html>not json"), (200, b"[1, 2]")],
+        ids=["http-error", "not-json", "not-an-object"],
+    )
+    def test_http_and_json_errors_are_network_errors(self, http_server, status, payload):
+        with pytest.raises(NetworkError):
+            self.fetch(http_server, payload, status=status)
 
-        class FailingSession:
-            def get(self, *args, **kwargs):
-                raise requests.ConnectionError("boom")
-
-        client = MediaWikiClient(session=FailingSession(), min_interval_s=0.0)
+    def test_network_error_wrapped(self, closed_port, no_proxy_env):
+        client = MediaWikiClient(api_template=f"http://127.0.0.1:{closed_port}/api.php", min_interval_s=0.0)
         with pytest.raises(NetworkError):
             client.fetch_revision("x", "en", "2018-01-01T00:00:00Z")
