@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from collections.abc import Collection
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -254,40 +253,36 @@ def _evaluate_and_write(
 
 
 def _run_instances(config: RunConfig, instance_dirs: list[Path], gateway: gw.Gateway, produce) -> int:
-    """Run each instance in a pool of `--concurrency` workers: load it, take
-    its output table from `produce(instance, rel)`, evaluate it.
+    """Run each instance through `gateway.map`: load it, take its output table
+    from `produce(instance, rel)`, evaluate it.
 
     A TableSyncError fails only its own instance. It writes that instance's
     failure.json, whose stage is the failed pipeline stage (partial traces go
-    to traces.json), "load" or "evaluate".
+    to traces.json), "load" or "evaluate". Each instance prints its `ok` or
+    `FAIL` line as it ends, in one write.
     """
     out_root = Path(config.out)
 
-    def run_one(directory: Path) -> UpdateReport | StageFailed:
+    def run_one(directory: Path) -> UpdateReport | None:
         rel = directory.relative_to(config.corpus)
         stage = "load"
         try:
             instance = dataset.load_instance(directory)
             output = produce(instance, rel)
             stage = "evaluate"
-            return _evaluate_and_write(out_root / rel, instance, output, config, gateway)
+            report = _evaluate_and_write(out_root / rel, instance, output, config, gateway)
+            sys.stdout.write(f"ok {rel}\n")
+            return report
         except StageFailed as exc:
             _write_json(out_root / rel / "traces.json", traces_jsonable(exc.traces))
             failure = exc
         except TableSyncError as exc:
             failure = StageFailed(stage, exc)
         _write_json(out_root / rel / "failure.json", {"stage": failure.stage, "error": str(failure)})
-        return failure
+        sys.stderr.write(f"FAIL {rel}: {failure}\n")
+        return None
 
-    reports = []
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        for directory, outcome in zip(instance_dirs, pool.map(run_one, instance_dirs)):
-            rel = directory.relative_to(config.corpus)
-            if isinstance(outcome, StageFailed):
-                print(f"FAIL {rel}: {outcome}", file=sys.stderr)
-            else:
-                reports.append(outcome)
-                print(f"ok {rel}")
+    reports = [report for report in gateway.map(run_one, instance_dirs) if report is not None]
     _write_json(out_root / "report.json", aggregate_reports(reports))
     _write_snapshot(out_root, config)
     return EXIT_OK if len(reports) == len(instance_dirs) else EXIT_PARTIAL
@@ -405,6 +400,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    _registered_language(args.lang, "lang")
+    if not args.category.strip():
+        raise ConfigError("category is empty")
     client = MediaWikiClient(api_template=args.api_template)
     table = client.fetch_revision(args.title, args.lang, args.as_of, category=args.category)
     text = serialize_table(table) + "\n"
@@ -453,7 +451,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-models", dest="eval_models", help="comma-separated evaluator model ids")
     parser.add_argument("--rounds", type=int, help="voting rounds per model")
     parser.add_argument(
-        "--concurrency", type=int, help="completions in flight and instances in progress (>= 1)"
+        "--concurrency", type=int,
+        help="completions in flight (>= 1); instances and their calls share 2N-1 threads",
     )
     parser.add_argument("--transcripts", help="transcript file for record/replay")
     parser.add_argument("--record", action="store_true", help="append completions to the --transcripts file")

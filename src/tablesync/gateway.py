@@ -326,13 +326,15 @@ class Transcript:
 
 
 class Gateway:
-    """Front door for completions.
+    """Front door for completions, and the one worker pool of a run.
 
     At most `concurrency` backend calls are in flight at once, whichever
     threads ask. `map` overlaps independent calls on the calling thread and
-    `concurrency - 1` helper threads. Each completion is appended to the
-    transcript when one is given. `close` (or leaving a `with` block) stops
-    the helpers and closes the transcript and the backend.
+    up to 2 * (concurrency - 1) helper threads; nested `map` calls share the
+    helpers. There are more threads than slots so that a slot does not sit
+    idle while its thread parses or writes between calls. Each completion is
+    appended to the transcript when one is given. `close` (or leaving a
+    `with` block) stops the helpers and closes the transcript and the backend.
     """
 
     def __init__(
@@ -343,10 +345,12 @@ class Gateway:
         self.backend = backend
         self.transcript = transcript
         self._slots = threading.Semaphore(concurrency)
-        self._helper_count = concurrency - 1
+        self._lock = threading.Lock()
+        self._open: list[_Batch] = []  # batches of the map calls running, oldest first
+        self._idle = 2 * (concurrency - 1)  # helpers not working on a batch
         self._helpers = None
-        if self._helper_count:
-            self._helpers = ThreadPoolExecutor(self._helper_count, "tablesync-gateway")
+        if self._idle:
+            self._helpers = ThreadPoolExecutor(self._idle, "tablesync-gateway")
 
     def __enter__(self) -> Gateway:
         return self
@@ -366,16 +370,36 @@ class Gateway:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """[fn(item) for item in items], with the calls overlapped.
 
-        The calling thread takes part, so with concurrency 1 every call runs
-        on it, in item order. Once a call raises, calls not yet started are
-        skipped; when the started ones have finished, the exception of the
-        first failing item in item order is raised.
+        The calling thread takes part, with helpers as they come free, so
+        with concurrency 1 every call runs on it, in item order. Once a call
+        raises, calls not yet started are skipped; when the started ones have
+        finished, the exception of the first failing item in item order is
+        raised.
         """
         batch = _Batch(fn, list(items))
-        for _ in range(min(self._helper_count, len(batch.items) - 1)):
-            self._helpers.submit(batch.run)  # never raises: run() keeps every outcome
+        with self._lock:
+            self._open.append(batch)
+            woken = max(0, min(self._idle, len(batch.items) - 1))
+            self._idle -= woken
+        for _ in range(woken):
+            self._helpers.submit(self._help)
         batch.run()
+        with self._lock:
+            self._open.remove(batch)
         return batch.results()
+
+    def _help(self) -> None:
+        """Work on the oldest open batch with an item left, then the next,
+        until none has one; then go idle. A busy helper thus joins batches
+        opened while it worked, and no task waits in the pool's queue for a
+        busy helper."""
+        while True:
+            with self._lock:
+                batch = next((b for b in self._open if b.unclaimed()), None)
+                if batch is None:
+                    self._idle += 1
+                    return
+            batch.run()  # never raises: run() keeps every outcome
 
     def complete(self, request: CompletionRequest, attempt: int = 0) -> str:
         with self._slots:
@@ -404,7 +428,7 @@ class Gateway:
 
 class _Batch:
     """The items of one `Gateway.map` call, claimed in order by the caller and
-    by the helpers it was handed to."""
+    by the helpers that join it."""
 
     def __init__(self, fn: Callable, items: list) -> None:
         self.fn = fn
@@ -417,6 +441,10 @@ class _Batch:
         self._done = threading.Event()
         if not items:
             self._done.set()
+
+    def unclaimed(self) -> bool:
+        with self._lock:
+            return not self._failed and self._next < len(self.items)
 
     def _claim(self) -> int | None:
         with self._lock:

@@ -179,17 +179,19 @@ class MediaWikiClient:
                 data = json.load(response)
         except (OSError, ValueError, http.client.HTTPException) as exc:  # HTTP, URL and JSON errors
             raise NetworkError(f"wiki API request failed: {exc}") from exc
-        if not isinstance(data, dict):
-            raise NetworkError(f"wiki API answered {type(data).__name__}, not an object")
-
-        pages = data.get("query", {}).get("pages", [])
-        if not pages or pages[0].get("missing"):
-            raise PageNotFound(f"{title!r} does not exist on {lang}.wikipedia")
-        revisions = pages[0].get("revisions") or []
-        if not revisions:
-            raise PageNotFound(f"{title!r} has no revision at or before {as_of}")
-        revision = revisions[0]
-        content = revision.get("slots", {}).get("main", {}).get("content", "")
+        try:
+            pages = data.get("query", {}).get("pages", [])
+            if not pages or pages[0].get("missing"):
+                raise PageNotFound(f"{title!r} does not exist on {lang}.wikipedia")
+            revisions = pages[0].get("revisions") or []
+            if not revisions:
+                raise PageNotFound(f"{title!r} has no revision at or before {as_of}")
+            revision = revisions[0]
+            content = revision.get("slots", {}).get("main", {}).get("content", "")
+            tag = f"{revision.get('revid')}@{revision.get('timestamp')}"
+        except (AttributeError, LookupError, TypeError) as exc:  # JSON of another shape
+            raise NetworkError(f"wiki API answer has an unexpected shape: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise NetworkError(f"revision content is {type(content).__name__}, not text")
         rows, _ = extract_infobox_rows(content)
-        tag = f"{revision.get('revid')}@{revision.get('timestamp')}"
         return InfoTable(title, lang, category, rows, revision_tag=tag)

@@ -105,6 +105,7 @@ class TestSync:
     def test_concurrency_bounds_calls_in_flight(self, corpus, lexicons, tmp_path, monkeypatch):
         lock = threading.Lock()
         in_flight = peak = 0
+        callers = set()
         complete = StubBackend.complete
 
         def counted(self, request, attempt):
@@ -112,6 +113,7 @@ class TestSync:
             with lock:
                 in_flight += 1
                 peak = max(peak, in_flight)
+                callers.add(threading.current_thread().name)
             try:
                 time.sleep(0.002)
                 return complete(self, request, attempt)
@@ -125,7 +127,10 @@ class TestSync:
             "--lexicons", lexicons, "--concurrency", "2",
         )
         assert code == cli.EXIT_OK
-        assert peak == 2  # the instance pool overlaps calls, never beyond the bound
+        assert peak == 2  # the gateway overlaps calls, never beyond the bound
+        # Every call runs on the calling thread or a gateway helper: one pool.
+        main = threading.main_thread().name
+        assert callers and all(name == main or name.startswith("tablesync-gateway") for name in callers)
 
 
 def patch_stub(monkeypatch, around):
@@ -143,7 +148,7 @@ class TestOverlap:
         callers, names = set(), set()
 
         def recorded(complete, request):
-            callers.add(threading.get_ident())
+            callers.add(threading.current_thread())
             names.update(thread.name for thread in threading.enumerate())
             return complete()
 
@@ -153,7 +158,7 @@ class TestOverlap:
             "--lexicons", lexicons, "--concurrency", "1", "--instance", "City",
         )
         assert code == cli.EXIT_OK
-        assert len(callers) == 1
+        assert callers == {threading.main_thread()}
         assert not [name for name in names if name.startswith("tablesync-gateway")]
 
     def test_one_hierarchical_instance_takes_six_rounds(self, corpus, lexicons, tmp_path, monkeypatch):
@@ -413,6 +418,7 @@ class TestRecordReplay:
         request = gw.CompletionRequest(prompt="p", model_id="m")
         transcript.append(request, 0, "FIRST", 1)
         transcript.append(request, 0, "SECOND", 1)
+        transcript.close()
         digest = gw.request_digest(request)
         assert transcript.responses() == {digest: "SECOND"}
         assert run_cli("transcripts", str(transcript.path), "--digest", digest[:12]) == cli.EXIT_OK
@@ -425,6 +431,7 @@ class TestRecordReplay:
             request = gw.CompletionRequest(prompt=prompt, model_id="m")
             transcript.append(request, 0, prompt, 1)
             digests.append(gw.request_digest(request))
+        transcript.close()
         prefix = max("0123456789abcdef", key=lambda c: sum(d.startswith(c) for d in digests))
         count = sum(d.startswith(prefix) for d in digests)
         assert count > 1
@@ -783,3 +790,17 @@ class TestFetch:
         )
         assert code == cli.EXIT_OK
         assert '["name","Ada"]' in out.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--lang", "xx"), "'xx' is not a registered language"), (("--lang", "en", "--category", " "), "category")],
+        ids=["unregistered-lang", "blank-category"],
+    )
+    def test_bad_arguments_rejected_before_any_request(self, http_server, capsys, flags, message):
+        code = run_cli(
+            "fetch", "--title", "Ada", "--as-of", "2018-01-01T00:00:00Z",
+            "--api-template", f"{http_server.base}/{{lang}}/api.php", *flags,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert http_server.seen == []

@@ -85,9 +85,9 @@ class TestRecordReplay:
     def test_replay_returns_recorded_bytes(self, tmp_path):
         transcript = Transcript(tmp_path / "transcript.jsonl")
         rules = StubRuleSet(lexicons={("fr", "en"): (("Pays", "Country"),)})
-        recording = Gateway(StubBackend(rules), transcript=transcript)
         request = translation_request()
-        recorded = [recording.complete(request, attempt=i) for i in range(3)]
+        with Gateway(StubBackend(rules), transcript=transcript) as recording:
+            recorded = [recording.complete(request, attempt=i) for i in range(3)]
         assert len(transcript.responses()) == 3  # attempts keep digests distinct
 
         replay = Gateway(ReplayBackend(transcript))
@@ -95,7 +95,8 @@ class TestRecordReplay:
 
     def test_replay_miss(self, tmp_path):
         transcript = Transcript(tmp_path / "transcript.jsonl")
-        Gateway(StubBackend(StubRuleSet()), transcript=transcript).complete(translation_request())
+        with Gateway(StubBackend(StubRuleSet()), transcript=transcript) as recording:
+            recording.complete(translation_request())
         replay = Gateway(ReplayBackend(transcript))
         with pytest.raises(ReplayMiss):
             replay.complete(CompletionRequest(prompt="never recorded", model_id="m"))
@@ -111,9 +112,9 @@ class TestRecordReplay:
 
     def test_transcript_records_shape(self, tmp_path):
         transcript = Transcript(tmp_path / "t.jsonl")
-        gateway = Gateway(StubBackend(StubRuleSet()), transcript=transcript)
         request = translation_request()
-        gateway.complete(request)
+        with Gateway(StubBackend(StubRuleSet()), transcript=transcript) as gateway:
+            gateway.complete(request)
         (record,) = list(transcript.records())
         assert record["digest"] == request_digest(request, 0)
         assert record["request"]["tag"] == "translate"
@@ -123,6 +124,7 @@ class TestRecordReplay:
         transcript = Transcript(tmp_path / "t.jsonl")
         request = CompletionRequest(prompt="p", model_id="m")
         transcript.append(request, 0, "a\u2028b\x85c\u2029d", latency_ms=0)
+        transcript.close()
         assert Gateway(ReplayBackend(transcript)).complete(request) == "a\u2028b\x85c\u2029d"
 
     def test_concurrent_appends_write_whole_lines(self, tmp_path):
@@ -143,6 +145,7 @@ class TestRecordReplay:
                 thread.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
+            transcript.close()
         assert not any(thread.is_alive() for thread in threads)
         assert len(transcript.responses()) == 8 * 40
 
@@ -226,6 +229,57 @@ class TestGatewayMap:
                 gateway.map(fn, range(10))
             assert gateway.map(fn, [0, 1, 2]) == [0, 1, 2]
             assert gateway.map(fn, []) == []
+
+    def test_nested_maps_leave_no_task_waiting(self):
+        # Each outer item runs an inner map, as an instance does. Every helper
+        # is busy in the outer map, so a task handed to the pool for an inner
+        # map would wait in its queue, holding that batch, until one frees.
+        with Gateway(StubBackend(StubRuleSet()), concurrency=2) as gateway:
+            lock = threading.Lock()
+            waiting = peak = 0
+            submit = gateway._helpers.submit
+
+            def counted_submit(fn):
+                nonlocal waiting, peak
+
+                def started():
+                    nonlocal waiting
+                    with lock:
+                        waiting -= 1
+                    fn()
+
+                with lock:
+                    waiting += 1
+                    peak = max(peak, waiting)
+                return submit(started)
+
+            def inner(item):
+                time.sleep(0.001)
+                return item
+
+            gateway._helpers.submit = counted_submit
+            assert gateway.map(lambda n: sum(gateway.map(inner, range(n))), range(8)) == [
+                n * (n - 1) // 2 for n in range(8)
+            ]
+        assert peak <= 2
+
+    def test_free_helper_joins_an_open_batch(self):
+        # Item 2's inner map opens while both helpers are busy; the one that
+        # frees first joins it.
+        threads = set()
+
+        def inner(_):
+            threads.add(threading.current_thread().name)
+            time.sleep(0.03)
+
+        def outer(item):
+            if item == 2:
+                return gateway.map(inner, range(6))
+            time.sleep(0.02)
+
+        with Gateway(StubBackend(StubRuleSet()), concurrency=2) as gateway:
+            gateway.map(outer, range(3))
+        assert len(threads) > 1
 
     def test_concurrency_one_runs_on_the_calling_thread(self):
         gateway = Gateway(StubBackend(StubRuleSet()))

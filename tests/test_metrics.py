@@ -304,8 +304,8 @@ class TestRowPairsComparedOnce:
     def test_record_then_replay_scores_alike(self, unchanged, tmp_path):
         source, output, gold = unchanged
         transcript = Transcript(tmp_path / "t.jsonl")
-        recording = Gateway(CountingEvaluator(StubRuleSet(), spoil_first=True), transcript=transcript)
-        recorded = evaluate_instance(source, output, gold, gateway=recording, evaluator_models=["m"])
+        with Gateway(CountingEvaluator(StubRuleSet(), spoil_first=True), transcript=transcript) as recording:
+            recorded = evaluate_instance(source, output, gold, gateway=recording, evaluator_models=["m"])
         replaying = Gateway(ReplayBackend(transcript))
         replayed = evaluate_instance(source, output, gold, gateway=replaying, evaluator_models=["m"])
         assert replayed.per_model == recorded.per_model

@@ -216,9 +216,8 @@ class TestRun:
         gateway = Gateway(StubBackend(StubRuleSet(
             canned_responses=(("provide only the translated table", "chatter with no table"),)
         )), transcript=transcript)
-        pipe = Pipeline(gateway, "stub-model")
-        with pytest.raises(StageFailed):
-            pipe.run(de_instance, Strategy.HIERARCHICAL)
+        with gateway, pytest.raises(StageFailed):
+            Pipeline(gateway, "stub-model").run(de_instance, Strategy.HIERARCHICAL)
         assert len(transcript.responses()) == 2  # original attempt plus one reprompt
 
 

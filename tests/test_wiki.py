@@ -109,8 +109,19 @@ class TestFetchRevision:
 
     @pytest.mark.parametrize(
         "status, payload",
-        [(503, {"error": "busy"}), (200, b"<html>not json"), (200, b"[1, 2]")],
-        ids=["http-error", "not-json", "not-an-object"],
+        [
+            (503, {"error": "busy"}),
+            (200, b"<html>not json"),
+            (200, b"[1, 2]"),
+            (200, {"query": []}),
+            (200, {"query": {"pages": ["x"]}}),
+            (200, {"query": {"pages": [{"revisions": ["r"]}]}}),
+            (200, page_payload(5)),
+        ],
+        ids=[
+            "http-error", "not-json", "not-an-object", "query-a-list", "page-a-string",
+            "revision-a-string", "content-a-number",
+        ],
     )
     def test_http_and_json_errors_are_network_errors(self, http_server, status, payload):
         with pytest.raises(NetworkError):
