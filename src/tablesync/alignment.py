@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import prompts
@@ -13,6 +14,8 @@ from .tables import InfoTable, language_name, normalize_key, parse_table, serial
 
 SIMILARITY_THRESHOLD = 0.5
 REANCHOR_MAX_DISTANCE = 0.2
+# Distinct keys whose matching features are kept for the life of the process.
+KEY_FEATURES_CACHED = 2048
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,18 @@ class AlignmentScore:
     f1: float
 
 
+@lru_cache(maxsize=KEY_FEATURES_CACHED)
+def _key_features(key: str) -> tuple[str, frozenset[str], frozenset[str]]:
+    """A key's normalized form, token set and trigram set."""
+    norm = normalize_key(key)
+    return norm, frozenset(norm.split()), trigrams(norm)
+
+
 def _keys_by_norm(keys: Iterable[str]) -> dict[str, list[str]]:
     """Distinct original spellings grouped under their normalized form."""
     groups: dict[str, list[str]] = {}
     for key in dict.fromkeys(keys):
-        groups.setdefault(normalize_key(key), []).append(key)
+        groups.setdefault(_key_features(key)[0], []).append(key)
     return groups
 
 
@@ -158,8 +168,8 @@ def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> l
     token_index: dict[str, list[str]] = {}
     gram_index: dict[str, list[str]] = {}
     sizes: dict[str, tuple[int, int]] = {}
-    for norm in right:
-        tokens, grams = frozenset(norm.split()), trigrams(norm)
+    for norm, spellings in right.items():
+        _, tokens, grams = _key_features(spellings[0])
         sizes[norm] = (len(tokens), len(grams))
         for token in tokens:
             token_index.setdefault(token, []).append(norm)
@@ -168,7 +178,7 @@ def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> l
 
     scored = []
     for norm, lefts in _keys_by_norm(left_keys).items():
-        tokens, grams = frozenset(norm.split()), trigrams(norm)
+        _, tokens, grams = _key_features(lefts[0])
         # Equal normalized forms have equal token sets: their Dice is exactly 1.0.
         scores = {
             other: 2.0 * n / (len(tokens) + sizes[other][0])
@@ -196,7 +206,7 @@ def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> l
 def align_deterministic(a: InfoTable, b: InfoTable) -> Alignment:
     """String-similarity alignment of two same-language tables."""
     matches = greedy_key_matches(a.keys(), b.keys())
-    edges = [(normalize_key(l), normalize_key(r)) for l, r in matches]
+    edges = [(_key_features(l)[0], _key_features(r)[0]) for l, r in matches]
     return Alignment.build(a.normalized_keys(), b.normalized_keys(), edges)
 
 

@@ -165,6 +165,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown backend {config.backend!r}")
     if config.record and not config.transcripts:
         raise ConfigError("--record requires --transcripts")
+    if config.record:
+        gw.Transcript(config.transcripts).check_appendable()
     if config.backend == "replay":
         if config.record:
             raise ConfigError("--record cannot be combined with the replay backend")
@@ -403,6 +405,10 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     _registered_language(args.lang, "lang")
     if not args.category.strip():
         raise ConfigError("category is empty")
+    try:
+        args.api_template.format(lang=args.lang)
+    except (LookupError, ValueError, AttributeError) as exc:  # another placeholder, or a stray brace
+        raise ConfigError(f"--api-template {args.api_template!r} is not a template over {{lang}}: {exc!r}") from None
     client = MediaWikiClient(api_template=args.api_template)
     table = client.fetch_revision(args.title, args.lang, args.as_of, category=args.category)
     text = serialize_table(table) + "\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 import urllib.parse
@@ -290,6 +291,21 @@ class Transcript:
                     yield record
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read transcript {self.path}: {exc}") from exc
+
+    def check_appendable(self) -> None:
+        """ConfigError when the file does not end in a newline: a record
+        appended to its cut-off last line could never be read back."""
+        try:
+            with open(self.path, "rb") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                handle.seek(max(size - 1, 0))
+                last = handle.read(1)
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise ConfigError(f"cannot read transcript {self.path}: {exc}") from exc
+        if last not in (b"", b"\n"):
+            raise ConfigError(f"{self.path}: last line is cut off; records appended after it could never be replayed")
 
     def responses(self) -> dict[str, str]:
         """Digest -> response map; last write wins."""

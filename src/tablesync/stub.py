@@ -294,4 +294,5 @@ class StubBackend:
         doc = dict(
             zip(COMPARISON_KEYS, (comparison.sct, comparison.scd, comparison.t1u, comparison.t2u))
         )
-        return json.dumps({k: list(v) for k, v in doc.items()}, ensure_ascii=False, indent=2)
+        # No indent: with one, json.dumps falls back to its pure-Python encoder.
+        return json.dumps({k: list(v) for k, v in doc.items()}, ensure_ascii=False)

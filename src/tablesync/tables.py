@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -323,17 +324,65 @@ def _mark_dead(text: str, trail: list, dead: set) -> None:
             dead.update(~p if is_map else p for p in range(start + 1, match.end(3)) if text[p] not in not_bare)
 
 
+def _json_map(pairs: list) -> dict:
+    """A decoded JSON map. A repeated key is refused: the value it replaces
+    could nest deeper than the grammar reads, and would not be seen."""
+    value = dict(pairs)
+    if len(value) != len(pairs):
+        raise ValueError("repeated key")
+    return value
+
+
+# The plain-JSON fast path (_json_candidate), and the escapes that JSON decodes
+# but the grammar keeps verbatim.
+_JSON = json.JSONDecoder(object_pairs_hook=_json_map)
+_JSON_ONLY_ESCAPE = re.compile(r"\\[/bfu]")
+
+
+def _reads_alike(value, depth: int = 1) -> bool:
+    """Whether a decoded JSON container holds only text scalars and nests at
+    most MAX_NESTING deep, so the wire grammar reads it as the same value."""
+    if depth > MAX_NESTING:
+        return False
+    for item in value.values() if isinstance(value, dict) else value:
+        if type(item) is not str and not (type(item) in (list, dict) and _reads_alike(item, depth + 1)):
+            return False
+    return True
+
+
+def _json_candidate(text: str, i: int):
+    """The JSON value that opens at text[i] when the grammar reads the same
+    value there, else None. A value holding an escape that JSON decodes and
+    the grammar keeps verbatim (a backslash before / b f or u) is refused."""
+    try:
+        value, end = _JSON.raw_decode(text, i)
+    except (ValueError, RecursionError):
+        return None
+    if _JSON_ONLY_ESCAPE.search(text, i, end) or not _reads_alike(value):
+        return None
+    return value
+
+
 def extract_candidates(text: str, opener: str):
     """Yield every balanced value parsed from each occurrence of opener, left to right.
 
-    The item positions of a failed candidate are remembered for the rest of
-    the call, so a later candidate that reaches one stops there: rejecting
-    unbalanced text is linear in its length. A failure at the nesting cap is
-    not remembered, as it depends on the depth where the candidate began, so
-    text nested deeper than MAX_NESTING costs O(len(text) * MAX_NESTING).
+    The first candidate is decoded once as JSON, in C, and kept when the
+    grammar reads the same value; otherwise, and for every later candidate,
+    the grammar parses it. The item positions of a failed candidate are
+    remembered for the rest of the call, so a later candidate that reaches
+    one stops there: rejecting unbalanced text is linear in its length. A
+    failure at the nesting cap is not remembered, as it depends on the depth
+    where the candidate began, so text nested deeper than MAX_NESTING costs
+    O(len(text) * MAX_NESTING).
     """
     dead: set = set()
     i = text.find(opener)
+    if i >= 0:
+        value = _json_candidate(text, i)
+        if value is not None:
+            # A parsed candidate marks nothing dead, so the scan goes on as after a grammar parse.
+            yield value
+            i = text.find(opener, i + 1)
     while i >= 0:
         trail: list = []
         try:

@@ -456,6 +456,25 @@ class TestRecordReplay:
         assert run_cli("transcripts", str(transcript)) == cli.EXIT_CONFIG
         assert f"t.jsonl:{len(lines)}: malformed transcript record" in capsys.readouterr().err
 
+    def test_record_onto_torn_transcript_is_refused(self, corpus, lexicons, tmp_path, capsys, monkeypatch):
+        transcript = tmp_path / "t.jsonl"
+        record = (
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "rec"), "--lexicons", lexicons,
+            "--transcripts", str(transcript), "--record", "--instance", "musterstadt",
+        )
+        transcript.write_bytes(b"")
+        assert run_cli(*record) == cli.EXIT_OK
+        torn = transcript.read_bytes()[:-10]
+        transcript.write_bytes(torn)
+        calls = []
+        monkeypatch.setattr(StubBackend, "complete", lambda self, request, attempt: calls.append(request))
+        capsys.readouterr()
+
+        assert run_cli(*record) == cli.EXIT_CONFIG
+        assert "t.jsonl: last line is cut off" in capsys.readouterr().err
+        assert calls == []
+        assert transcript.read_bytes() == torn
+
 
 class TestEval:
     def test_eval_previous_outputs(self, corpus, lexicons, tmp_path, capsys):
@@ -793,8 +812,13 @@ class TestFetch:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(("--lang", "xx"), "'xx' is not a registered language"), (("--lang", "en", "--category", " "), "category")],
-        ids=["unregistered-lang", "blank-category"],
+        [
+            (("--lang", "xx"), "'xx' is not a registered language"),
+            (("--lang", "en", "--category", " "), "category"),
+            (("--lang", "en", "--api-template", "http://127.0.0.1:9/{foo}"), "KeyError('foo')"),
+            (("--lang", "en", "--api-template", "http://127.0.0.1:9/x{"), "Single '{'"),
+        ],
+        ids=["unregistered-lang", "blank-category", "unknown-placeholder", "stray-brace"],
     )
     def test_bad_arguments_rejected_before_any_request(self, http_server, capsys, flags, message):
         code = run_cli(

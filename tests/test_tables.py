@@ -1,3 +1,4 @@
+import json
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from tablesync.errors import (
     NoTableFound,
     TableSyncError,
 )
+from tablesync import tables
 from tablesync.tables import (
     MAX_NESTING,
     KnowledgeGraph,
@@ -82,6 +84,44 @@ truncated_tokens = st.builds(
     st.sampled_from(["", "]", "}", ":v}", '"', "a"]),
 )
 model_text = st.one_of(st.text(max_size=200), wire_punctuation, deep_openers, wire_pieces, truncated_tokens)
+
+# JSON as a model may write it, for the plain-JSON fast path: strings with
+# escapes JSON decodes (\u00e9, \/, \b) or refuses (\q), raw control
+# characters, numbers and literals among the scalars, duplicate map keys, and
+# nesting around the cap.
+json_string = st.lists(
+    st.sampled_from(
+        ["a", "é", "/", "'", "[", "{", "]", "}", ":", ",", " ", '\\"', "\\\\", "\\/", "\\u00e9",
+         "\\n", "\\t", "\\b", "\\f", "\\q", "\x01", "\n", "\t"]
+    ),
+    max_size=6,
+).map(lambda parts: '"' + "".join(parts) + '"')
+json_scalar = st.one_of(
+    json_string,
+    st.text(max_size=6).map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.text(max_size=6).map(json.dumps),
+    st.one_of(st.integers(), st.floats(), st.booleans(), st.none()).map(json.dumps),
+)
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(st.sampled_from(['"k"', '"v"', '"é"', '"\\u00e9"']), inner), max_size=4).map(
+            lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+        ),
+    ),
+    max_leaves=12,
+)
+json_nested = st.builds(
+    lambda shape, depth, inner: shape[0] * depth + inner + shape[1] * depth,
+    st.sampled_from([("[", "]"), ('{"a": ', "}")]),
+    st.integers(min_value=MAX_NESTING - 3, max_value=MAX_NESTING + 1),
+    json_value,
+)
+chatter = st.one_of(st.sampled_from(["", "Here it is:\n", "x [ y ", "Sure {", "]"]), st.text(max_size=8))
+# One payload in four nests around the cap; the reference parses such text slowly.
+json_first = st.integers(0, 3).flatmap(lambda n: json_nested if n == 0 else json_value)
+json_text = st.builds(lambda *parts: "".join(parts), chatter, json_first, chatter, json_value, chatter)
 
 
 # The recursive-descent parser that extract_candidates replaced, kept verbatim
@@ -384,6 +424,43 @@ class TestExtractCandidates:
     def test_equals_reference_parser(self, text):
         assert_same_candidates(text)
 
+    @given(json_text)
+    @settings(max_examples=200, deadline=None)
+    def test_plain_json_equals_reference_parser(self, text):
+        assert_same_candidates(text)
+
+    @pytest.mark.parametrize("text", [
+        '[["k","v"],["a","b"]]',
+        'Sure: {"k": ["v", {"w": "x"}]} and [["k","v"]] {"z": "y"}',
+        '[["k", 1]] [["k","v"]]',
+        '{"a": "\\u00e9"} {"b": "c"}',
+        "[" * 2000,
+        "[" + "a[" * 2000 + "]",
+        '{"a":' * 2000,
+    ], ids=["table", "chatter", "number", "escape", "openers", "tokens", "keys"])
+    def test_json_decoder_runs_at_most_once_per_call(self, monkeypatch, text):
+        decoded = []
+        decoder = tables._JSON
+
+        class Counting:
+            def raw_decode(self, text, i):
+                decoded.append(i)
+                return decoder.raw_decode(text, i)
+
+        monkeypatch.setattr(tables, "_JSON", Counting())
+        for opener in "[{":
+            decoded.clear()
+            list(extract_candidates(text, opener))
+            assert len(decoded) <= 1
+
+    def test_plain_json_skips_the_grammar(self, monkeypatch):
+        def grammar(*args):
+            raise AssertionError("the grammar parsed a plain JSON payload")
+
+        monkeypatch.setattr(tables, "_container", grammar)
+        text = 'Answer: [["name", "Ada"], ["born", "1815, London"]] done'
+        assert next(extract_candidates(text, "[")) == [["name", "Ada"], ["born", "1815, London"]]
+
     @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
     def test_equals_reference_parser_around_the_cap(self, depth):
         for text in [
@@ -397,6 +474,8 @@ class TestExtractCandidates:
             "[" * depth,
             '{"a":' * depth,
             "[" * depth + "]" * (depth - 1),
+            # a repeated key replaces a value nested one level deeper than the map
+            "[" * (depth - 1) + '{"k": [], "k": "v"}' + "]" * (depth - 1),
         ]:
             assert_same_candidates(text)
 
