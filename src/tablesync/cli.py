@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Collection
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -34,12 +33,8 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-# Environment variables consulted for a setting when its flag is absent.
-_ENV_VARS = {"model": gw.ENV_MODEL, "endpoint": gw.ENV_ENDPOINT, "api_key": gw.ENV_API_KEY}
-# Settings taken only from flags, never from the environment or a config file.
+# Settings taken only from flags, never from a config file.
 _FLAG_ONLY = ("record",)
-# The settings `errors` reads; it ignores the others a shared config file holds.
-_RULE_SETTINGS = ("pivot", "lexicons")
 
 
 @dataclass
@@ -124,11 +119,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merged_config(args: argparse.Namespace, names: Collection[str]) -> RunConfig:
-    """Merge flags, SYNC_LLM_* environment, and the optional config file for
-    the settings in names; the others keep their defaults. Any config-file key
-    that is not a setting is an error."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The settings the command reads, merged and checked.
+
+    A command reads the RunConfig fields its parser declares as flags; the
+    others keep their defaults, which pass every check. A flag left out falls
+    back to its SYNC_LLM_* environment variable (its default), then to the
+    optional config file. A config-file key that is not a setting is an error;
+    one the command does not read is ignored.
+    """
+    file_values = _read_config_file(args.config) if args.config else {}
     settable = {f.name for f in fields(RunConfig)} - set(_FLAG_ONLY)
     for key in file_values:
         if key not in settable:
@@ -136,24 +136,17 @@ def _merged_config(args: argparse.Namespace, names: Collection[str]) -> RunConfi
 
     values: dict[str, object] = {}
     for f in fields(RunConfig):
-        if f.name not in names:
+        if not hasattr(args, f.name):
             continue
-        flag = getattr(args, f.name, None)
-        env_var = _ENV_VARS.get(f.name)
+        flag = getattr(args, f.name)
         if f.name in _FLAG_ONLY:
             values[f.name] = bool(flag)
         elif flag not in (None, ""):
             values[f.name] = _parse(f.name, str(flag), f.default)
-        elif env_var and os.environ.get(env_var):
-            values[f.name] = _parse(f.name, os.environ[env_var], f.default)
         elif f.name in file_values:
             values[f.name] = _parse(f.name, file_values[f.name], f.default)
-    return RunConfig(**values)
+    config = RunConfig(**values)
 
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Every setting, merged and checked."""
-    config = _merged_config(args, {f.name for f in fields(RunConfig)})
     if not config.eval_models:
         config.eval_models = (config.model,)
     if config.rounds < 1:
@@ -165,6 +158,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown backend {config.backend!r}")
     if config.record and not config.transcripts:
         raise ConfigError("--record requires --transcripts")
+    if config.transcripts and not config.record and config.backend != "replay":
+        raise ConfigError(f"transcripts {config.transcripts!r} is read only by --record or the replay backend")
     if config.record:
         gw.Transcript(config.transcripts).check_appendable()
     if config.backend == "replay":
@@ -175,7 +170,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not Path(config.transcripts).is_file():
             raise ConfigError(f"transcript file not found: {config.transcripts}")
     if config.backend == "http" and not config.endpoint:
-        raise ConfigError(f"http backend requires --endpoint or {gw.ENV_ENDPOINT}")
+        raise ConfigError("http backend requires --endpoint or SYNC_LLM_ENDPOINT")
     return config
 
 
@@ -354,8 +349,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     else:
         alignment = align_deterministic(left, right)
     doc = alignment_to_doc(alignment)
-    if args.out:
-        _write_json(Path(args.out), doc)
+    if args.out_file:
+        _write_json(Path(args.out_file), doc)
     else:
         print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
     if gold is not None:
@@ -365,8 +360,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_errors(args: argparse.Namespace) -> int:
-    config = _merged_config(args, _RULE_SETTINGS)
-    _registered_language(config.pivot, "pivot")
+    config = resolve_config(args)
     if not (Path(args.instance_dir) / dataset.MANIFEST_NAME).is_file():
         raise ConfigError(f"not an instance directory (no {dataset.MANIFEST_NAME}): {args.instance_dir}")
     instance = dataset.load_instance(args.instance_dir)
@@ -377,8 +371,8 @@ def cmd_errors(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{args.traces}: {exc}") from exc
     print(render_ledger(ledger))
-    if args.out:
-        _write_json(Path(args.out), ledger_jsonable(ledger))
+    if args.out_file:
+        _write_json(Path(args.out_file), ledger_jsonable(ledger))
     return EXIT_OK
 
 
@@ -441,29 +435,30 @@ def cmd_transcripts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of every command that resolves a RunConfig; `errors` reads only
-    these (_RULE_SETTINGS, plus the config file)."""
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--pivot", help="pivot language code (default en)")
-    parser.add_argument("--lexicons", help="stub lexicon directory")
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    _add_rule_flags(parser)
-    parser.add_argument("--backend", choices=["stub", "http", "replay"])
-    parser.add_argument("--model", help="pipeline model id")
-    parser.add_argument("--models", help="comma-separated alignment voter model ids")
-    parser.add_argument("--eval-models", dest="eval_models", help="comma-separated evaluator model ids")
-    parser.add_argument("--rounds", type=int, help="voting rounds per model")
-    parser.add_argument(
-        "--concurrency", type=int,
-        help="completions in flight (>= 1); instances and their calls share 2N-1 threads",
-    )
-    parser.add_argument("--transcripts", help="transcript file for record/replay")
-    parser.add_argument("--record", action="store_true", help="append completions to the --transcripts file")
-    parser.add_argument("--endpoint", help="http backend endpoint URL")
-    parser.add_argument("--api-key", dest="api_key", help="http backend API key")
+def _add_setting_flags(
+    parser: argparse.ArgumentParser, *, backend=False, models=False, pivot=False, votes=False
+) -> None:
+    """Declare the flags of the settings parser's command reads: resolve_config
+    reads exactly the RunConfig fields these flags set. A flag's default is
+    its environment variable, if it has one."""
+    add = parser.add_argument
+    add("--config", help="flat key=value config file")
+    add("--lexicons", help="stub lexicon directory")
+    if backend:
+        add("--backend", choices=["stub", "http", "replay"])
+        add("--concurrency", type=int, help="completions in flight (>= 1); instances and calls share 2N-1 threads")
+        add("--transcripts", help="transcript file for --record or the replay backend")
+        add("--record", action="store_true", help="append completions to the --transcripts file")
+        add("--endpoint", default=os.environ.get("SYNC_LLM_ENDPOINT"), help="http backend endpoint URL")
+        add("--api-key", default=os.environ.get("SYNC_LLM_API_KEY"), help="http backend API key")
+    if models:
+        add("--model", default=os.environ.get("SYNC_LLM_MODEL"), help="pipeline model id")
+        add("--eval-models", help="comma-separated evaluator model ids")
+    if pivot:
+        add("--pivot", help="pivot language code (default en)")
+    if votes:
+        add("--models", help="comma-separated alignment voter model ids")
+        add("--rounds", type=int, help="voting rounds per model")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sync.add_argument("--out", help="output directory for tables, traces, reports")
     p_sync.add_argument("--strategy", choices=[s.value for s in Strategy])
     p_sync.add_argument("--instance", help="substring selector over instance paths")
-    _add_config_flags(p_sync)
+    _add_setting_flags(p_sync, backend=True, models=True, pivot=True)
     p_sync.set_defaults(func=cmd_sync)
 
     p_eval = sub.add_parser("eval", help="evaluate existing output tables against gold")
@@ -483,23 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--outputs", help="directory holding output tables from sync")
     p_eval.add_argument("--out", help="report output directory")
     p_eval.add_argument("--instance", help="substring selector over instance paths")
-    _add_config_flags(p_eval)
+    _add_setting_flags(p_eval, backend=True, models=True)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_align = sub.add_parser("align", help="align two table files")
+    # No abbreviations, so that `--model` is not taken for `--models`.
+    p_align = sub.add_parser("align", help="align two table files", allow_abbrev=False)
     p_align.add_argument("--left", required=True)
     p_align.add_argument("--right", required=True)
     p_align.add_argument("--language", default=DEFAULT_PIVOT)
-    p_align.add_argument("--out", help="write the alignment document here")
+    p_align.add_argument("--out", dest="out_file", help="write the alignment document here")
     p_align.add_argument("--gold-alignment", dest="gold_alignment", help="score against this alignment doc")
-    _add_config_flags(p_align)
+    _add_setting_flags(p_align, backend=True, votes=True)
     p_align.set_defaults(func=cmd_align)
 
     p_errors = sub.add_parser("errors", help="stage-wise error ledger from run traces")
     p_errors.add_argument("--instance-dir", dest="instance_dir", required=True)
     p_errors.add_argument("--traces", required=True)
-    p_errors.add_argument("--out", help="write the ledger JSON here")
-    _add_rule_flags(p_errors)
+    p_errors.add_argument("--out", dest="out_file", help="write the ledger JSON here")
+    _add_setting_flags(p_errors, pivot=True)
     p_errors.set_defaults(func=cmd_errors)
 
     p_stats = sub.add_parser("stats", help="corpus statistics")

@@ -60,10 +60,6 @@ class ComparisonFailed(TableSyncError):
     """Atomic comparison output could not be parsed after a retry."""
 
 
-class StructuralMismatch(TableSyncError):
-    """Structural counts disagree across evaluator models."""
-
-
 # synchronization pipeline
 
 

@@ -21,10 +21,6 @@ R = TypeVar("R")
 
 log = logging.getLogger(__name__)
 
-ENV_ENDPOINT = "SYNC_LLM_ENDPOINT"
-ENV_API_KEY = "SYNC_LLM_API_KEY"
-ENV_MODEL = "SYNC_LLM_MODEL"
-
 DEFAULT_PIPELINE_TEMPERATURE = 0.0
 DEFAULT_EVAL_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 2048

@@ -6,13 +6,13 @@ metric identities with zero tolerance; render as float only at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import prompts
 from .alignment import Alignment, align_deterministic
-from .errors import ComparisonFailed, StructuralMismatch, TableSyncError, UniverseMismatch
+from .errors import ComparisonFailed, TableSyncError, UniverseMismatch
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
 from .tables import InfoTable, TableRow, language_name, parse_kg, serialize_table
 
@@ -294,46 +294,6 @@ def build_report(
     )
 
 
-_STRUCTURAL_FIELDS = (
-    "added_rows",
-    "missed_gold",
-    "deleted_input",
-    "gold_len",
-    "input_len",
-    "output_len",
-    "un_input",
-    "un_output",
-)
-
-
-def ensemble_scores(per_model_reports: Sequence[UpdateReport]) -> UpdateReport:
-    """Field-wise mean of the semantic scores across evaluator models.
-
-    Structural counts derive from the shared alignment, not the model; any
-    disagreement is a hard error surfacing an alignment bug.
-    """
-    if not per_model_reports:
-        raise ValueError("ensemble needs at least one report")
-    first = per_model_reports[0]
-    for report in per_model_reports[1:]:
-        for name in _STRUCTURAL_FIELDS:
-            if getattr(report, name) != getattr(first, name):
-                raise StructuralMismatch(f"evaluator reports disagree on {name}")
-    n = len(per_model_reports)
-    return UpdateReport(
-        updated=sum((r.updated for r in per_model_reports), Fraction(0)) / n,
-        added_pct=sum((r.added_pct for r in per_model_reports), Fraction(0)) / n,
-        added_rows=first.added_rows,
-        missed_gold=first.missed_gold,
-        deleted_input=first.deleted_input,
-        gold_len=first.gold_len,
-        input_len=first.input_len,
-        output_len=first.output_len,
-        un_input=first.un_input,
-        un_output=first.un_output,
-    )
-
-
 @dataclass(frozen=True)
 class InstanceEvaluation:
     partition: AlignmentPartition
@@ -407,7 +367,15 @@ def evaluate_instance(
         for model_id in evaluator_models
     }
     reports = list(per_model.values())
-    ensemble = ensemble_scores(reports) if reports else build_report(partition, {}, {})
+    if reports:  # every report reads the one partition, so only the scores differ
+        n = len(reports)
+        ensemble = replace(
+            reports[0],
+            updated=sum((r.updated for r in reports), Fraction(0)) / n,
+            added_pct=sum((r.added_pct for r in reports), Fraction(0)) / n,
+        )
+    else:
+        ensemble = build_report(partition, {}, {})
     return InstanceEvaluation(partition, per_model, ensemble, tuple(flagged))
 
 

@@ -16,7 +16,7 @@ from .errors import (
     NoTableFound,
 )
 
-# ISO-639-1-style registry; extensible via register_language().
+# ISO-639-1-style registry.
 LANGUAGE_NAMES: dict[str, str] = {
     "af": "Afrikaans",
     "ar": "Arabic",
@@ -38,13 +38,6 @@ DEFAULT_PIVOT = "en"
 
 _TERMINAL_PUNCT = ".,:;!?。、：؛؟"
 _WS_RUN = re.compile(r"\s+")
-
-
-def register_language(code: str, name: str) -> None:
-    """Add a language to the registry. Codes must be nonempty lowercase."""
-    if not code or code != code.lower() or not code.strip():
-        raise ValueError(f"bad language code: {code!r}")
-    LANGUAGE_NAMES[code] = name
 
 
 def language_name(code: str) -> str:

@@ -31,65 +31,31 @@ def _strip_markup(value: str) -> str:
     return re.sub(r"\s+", " ", value).strip()
 
 
-def _template_region(text: str, start: int) -> str:
-    """Body between the opening and matching closing braces of a template."""
-    depth = 0
-    i = start
-    n = len(text)
-    while i < n - 1:
-        pair = text[i : i + 2]
-        if pair == "{{":
-            depth += 1
-            i += 2
-            continue
-        if pair == "}}":
-            depth -= 1
-            if depth == 0:
-                return text[start + 2 : i]
-            i += 2
-            continue
-        i += 1
-    raise NoInfobox("unbalanced infobox template")
+# Two-character tokens that open or close a nesting level: (braces, links).
+_NESTING = {"{{": (1, 0), "}}": (-1, 0), "[[": (0, 1), "]]": (0, -1)}
 
 
-def _split_params(body: str) -> list[str]:
-    """Split template body on pipes at top nesting level of {{ }} and [[ ]]."""
+def _template_params(text: str, start: int) -> list[str]:
+    """Parameters of the template whose "{{" is at start: its body up to the
+    matching "}}", split on pipes outside nested {{ }} and [[ ]]."""
     parts: list[str] = []
-    depth_braces = depth_links = 0
-    current: list[str] = []
-    i = 0
-    n = len(body)
-    while i < n:
-        pair = body[i : i + 2]
-        if pair == "{{":
-            depth_braces += 1
-            current.append(pair)
-            i += 2
+    braces, links = 1, 0
+    mark = i = start + 2
+    while i < len(text):
+        step = _NESTING.get(text[i : i + 2])
+        if step is None:
+            if text[i] == "|" and braces == 1 and links == 0:
+                parts.append(text[mark:i])
+                mark = i + 1
+            i += 1
             continue
-        if pair == "}}":
-            depth_braces -= 1
-            current.append(pair)
-            i += 2
-            continue
-        if pair == "[[":
-            depth_links += 1
-            current.append(pair)
-            i += 2
-            continue
-        if pair == "]]":
-            depth_links -= 1
-            current.append(pair)
-            i += 2
-            continue
-        ch = body[i]
-        if ch == "|" and depth_braces == 0 and depth_links == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return parts
+        braces += step[0]
+        links += step[1]
+        if braces == 0:
+            parts.append(text[mark:i])
+            return parts
+        i += 2
+    raise NoInfobox("unbalanced infobox template")
 
 
 def extract_infobox_rows(wikitext: str) -> tuple[tuple[TableRow, ...], tuple[str, ...]]:
@@ -105,11 +71,9 @@ def extract_infobox_rows(wikitext: str) -> tuple[tuple[TableRow, ...], tuple[str
         if _INFOBOX_NAME.match(wikitext, start + 2):
             break
         search = start + 2
-    body = _template_region(wikitext, start)
-
     rows: list[TableRow] = []
     lints: list[str] = []
-    for param in _split_params(body)[1:]:  # part 0 is the template name
+    for param in _template_params(wikitext, start)[1:]:  # part 0 is the template name
         name, sep, raw = param.partition("=")
         name = name.strip()
         if not sep or not name:

@@ -299,8 +299,10 @@ class TestFailureIsolation:
 
 
 class TestConfig:
-    def resolve(self, *argv):
-        return cli.resolve_config(cli.build_parser().parse_args(["sync", *argv]))
+    ALIGN_COMMAND = ("align", "--left", "l.table", "--right", "r.table")  # files resolve_config does not read
+
+    def resolve(self, *argv, command=("sync",)):
+        return cli.resolve_config(cli.build_parser().parse_args([*command, *argv]))
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_concurrency_below_one_rejected(self, value):
@@ -332,17 +334,24 @@ class TestConfig:
         config = tmp_path / "run.conf"
         config.write_text("rounds = three\n")
         with pytest.raises(ConfigError, match="rounds"):
-            self.resolve("--config", str(config))
+            self.resolve("--config", str(config), command=self.ALIGN_COMMAND)
 
     def test_config_file_env_and_flag_precedence(self, tmp_path, monkeypatch):
         config = tmp_path / "run.conf"
         config.write_text("model = from-file\nmodels = a, b\nconcurrency = 3\nendpoint = file-url\n")
         monkeypatch.setenv("SYNC_LLM_MODEL", "from-env")
         monkeypatch.delenv("SYNC_LLM_ENDPOINT", raising=False)
-        resolved = self.resolve("--config", str(config), "--rounds", "2")
-        assert (resolved.model, resolved.models, resolved.eval_models) == ("from-env", ("a", "b"), ("from-env",))
-        assert (resolved.concurrency, resolved.rounds, resolved.endpoint) == (3, 2, "file-url")
+        synced = self.resolve("--config", str(config))
+        aligned = self.resolve("--config", str(config), "--rounds", "2", command=self.ALIGN_COMMAND)
+        assert (synced.model, aligned.models, synced.eval_models) == ("from-env", ("a", "b"), ("from-env",))
+        assert (aligned.concurrency, aligned.rounds, aligned.endpoint) == (3, 2, "file-url")
         assert self.resolve("--config", str(config), "--model", "flag").model == "flag"
+
+    def test_config_file_settings_the_command_does_not_read_are_ignored(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("pivot = xx\nmodels = a, b\nrounds = 0\nstrategy = bogus\n")
+        resolved = self.resolve("--config", str(config), command=("eval",))
+        assert (resolved.pivot, resolved.models, resolved.rounds, resolved.strategy) == ("en", (), 1, "hierarchical")
 
     def test_snapshot_lines(self):
         config = cli.RunConfig(models=("a", "b"), api_key="secret", record=True)
@@ -538,9 +547,6 @@ ALIGN = ["align", "--left", "{tmp}/ok.table", "--right", "{tmp}/ok.table"]
 # "{tmp}" and "{corpus}" are filled in.
 INPUT_ERRORS = {
     "sync-pivot": ({}, ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--pivot", "xx"], "'xx'"),
-    "eval-pivot": (
-        {}, ["eval", "--corpus", "{corpus}", "--outputs", "{tmp}", "--out", "{tmp}/o", "--pivot", "xx"], "'xx'"
-    ),
     "errors-pivot": (
         {"traces.json": "[]"},
         ["errors", "--instance-dir", "{corpus}/City/musterstadt", "--traces", "{tmp}/traces.json", "--pivot", "xx"],
@@ -564,6 +570,23 @@ INPUT_ERRORS = {
         {"lex/de-en.tsv": "# de to en\nLand Country\n"},
         ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--lexicons", "{tmp}/lex"],
         "{tmp}/lex/de-en.tsv:2",
+    ),
+    "transcripts-unread-stub": (
+        {}, ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--transcripts", "{tmp}/t.jsonl"],
+        "transcripts '{tmp}/t.jsonl' is read only by --record or the replay backend",
+    ),
+    "transcripts-unread-http": (
+        {},
+        [
+            "sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--backend", "http",
+            "--endpoint", "http://127.0.0.1:9", "--transcripts", "{tmp}/t.jsonl",
+        ],
+        "transcripts '{tmp}/t.jsonl' is read only by --record or the replay backend",
+    ),
+    "transcripts-unread-config-file": (
+        {"run.conf": "transcripts = t.jsonl\n"},
+        ["eval", "--corpus", "{corpus}", "--outputs", "{tmp}", "--out", "{tmp}/o", "--config", "{tmp}/run.conf"],
+        "transcripts 't.jsonl' is read only by --record or the replay backend",
     ),
     "stats-missing-corpus": (
         {},
@@ -597,6 +620,36 @@ class TestInputErrors:
         assert run_cli(*map(fill, argv)) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and fill(needle) in err
+        assert not (tmp_path / "o").exists()
+
+
+# A flag per setting the command does not read; each was accepted and ignored.
+UNREAD_FLAGS = [
+    ("sync", "--models", "a,b"),
+    ("sync", "--rounds", "7"),
+    ("eval", "--pivot", "de"),
+    ("eval", "--models", "a,b"),
+    ("eval", "--rounds", "7"),
+    ("align", "--pivot", "de"),
+    ("align", "--model", "m"),
+    ("align", "--eval-models", "a,b"),
+]
+COMMAND_ARGV = {
+    "sync": ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o"],
+    "eval": ["eval", "--corpus", "{corpus}", "--outputs", "{tmp}", "--out", "{tmp}/o"],
+    "align": [*ALIGN, "--out", "{tmp}/o"],
+}
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS, ids=[c + f for c, f, _ in UNREAD_FLAGS])
+    def test_usage_error(self, corpus, tmp_path, capsys, command, flag, value):
+        (tmp_path / "ok.table").write_text(TABLE, "utf-8")
+        argv = [arg.format(tmp=tmp_path, corpus=corpus) for arg in COMMAND_ARGV[command]]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv, flag, value)
+        assert excinfo.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,13 @@ from hypothesis import strategies as st
 
 from tablesync.alignment import Alignment
 from tablesync import metrics
-from tablesync.errors import ComparisonFailed, ReplayMiss, StructuralMismatch, UniverseMismatch
+from tablesync.errors import ComparisonFailed, ReplayMiss, UniverseMismatch
 from tablesync.gateway import Gateway, ReplayBackend, Transcript
 from tablesync.metrics import (
     AtomicComparison,
     PERFECT_ROW,
     build_report,
     compare_rows,
-    ensemble_scores,
     evaluate_instance,
     partition_alignments,
     score_row,
@@ -231,27 +231,40 @@ class TestBuildReport:
         assert report.updated == Fraction(100, 2)
 
 
+class ModelSpoiledEvaluator(StubBackend):
+    """Stub whose evaluate answers from model "spoiled" call every row pair
+    contradictory, so its report's scores differ from the other models'."""
+
+    def complete(self, request, attempt):
+        if request.tag == "evaluate" and request.model_id == "spoiled":
+            return '{"similar_contradictory": ["spoiled"]}'
+        return super().complete(request, attempt)
+
+
 class TestEnsemble:
-    def test_single_report_identity(self, worked_example):
-        partition = partition_alignments(*worked_example)
-        report = build_report(partition, {}, {})
-        assert ensemble_scores([report]) == report
+    @pytest.fixture()
+    def tables(self, mk_table):
+        source = mk_table([("Name", "X"), ("Population", "1")], lang="en")
+        gold = mk_table([("Name", "X"), ("Population", "2"), ("Area", "3")], lang="en")
+        return source, gold, gold  # source, output, gold
 
-    def test_mean_of_two(self, worked_example):
-        partition = partition_alignments(*worked_example)
-        a = build_report(partition, {}, {g: PERFECT_ROW for g, _ in partition.bi_gold_output})
-        b = build_report(partition, {}, {})
-        merged = ensemble_scores([a, b])
+    def evaluate(self, tables, models):
+        gateway = Gateway(ModelSpoiledEvaluator(StubRuleSet()))
+        return evaluate_instance(*tables, gateway=gateway, evaluator_models=models)
+
+    def test_single_report_identity(self, tables):
+        evaluation = self.evaluate(tables, ["m"])
+        assert evaluation.ensemble == evaluation.per_model["m"]
+
+    def test_mean_of_two(self, tables):
+        evaluation = self.evaluate(tables, ["m", "spoiled"])
+        a, b = evaluation.per_model["m"], evaluation.per_model["spoiled"]
+        assert (a.updated, a.added_pct) == (Fraction(100, 3), Fraction(100, 3))
+        assert (b.updated, b.added_pct) == (0, 0)
+        merged = evaluation.ensemble
+        assert merged.updated == (a.updated + b.updated) / 2
         assert merged.added_pct == (a.added_pct + b.added_pct) / 2
-
-    def test_structural_disagreement_is_hard_error(self, worked_example):
-        partition = partition_alignments(*worked_example)
-        report = build_report(partition, {}, {})
-        ig = Alignment.build(("x",), ("y",), [])
-        og = Alignment.build(("z",), ("y",), [])
-        other = build_report(partition_alignments(ig, og), {}, {})
-        with pytest.raises(StructuralMismatch):
-            ensemble_scores([report, other])
+        assert merged == replace(a, updated=merged.updated, added_pct=merged.added_pct)
 
 
 class TestEvaluateInstance:
