@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import prompts
@@ -19,39 +19,18 @@ KEY_FEATURES_CACHED = 2048
 
 
 @dataclass(frozen=True)
-class AlignmentPair:
-    """One correspondence; either side may hold several keys (multi-alignment)."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.left or not self.right:
-            raise ValueError("alignment pair sides must be nonempty")
-        object.__setattr__(self, "left", tuple(sorted(self.left)))
-        object.__setattr__(self, "right", tuple(sorted(self.right)))
-
-    def edges(self) -> Iterable[tuple[str, str]]:
-        for l in self.left:
-            for r in self.right:
-                yield (l, r)
-
-
-@dataclass(frozen=True)
 class Alignment:
-    """Partition of two key universes into correspondences and unaligned leftovers.
+    """Two key universes and the atomic edges asserted between them.
 
-    Keys are stored normalized; pairs are kept in canonical sorted order so
-    structurally equal alignments compare equal. The pairs are the maximal
-    multi-alignment groups; edge_set holds the atomic edges actually asserted,
-    which may be a strict subset of a group's cartesian product (majority
-    voting must not invent correspondences).
+    Keys are normalized, and alignments with equal universes and edges are
+    equal. The edges may be a strict subset of a multi-alignment group's
+    cartesian product (majority voting must not invent correspondences); the
+    groups and the unaligned leftovers are derived from them.
     """
 
-    pairs: tuple[AlignmentPair, ...]
-    unaligned_left: frozenset[str]
-    unaligned_right: frozenset[str]
-    edge_set: frozenset[tuple[str, str]]
+    left_universe: frozenset[str]
+    right_universe: frozenset[str]
+    edges: frozenset[tuple[str, str]]
 
     @staticmethod
     def build(
@@ -59,19 +38,25 @@ class Alignment:
         right_universe: Iterable[str],
         edges: Iterable[tuple[str, str]],
     ) -> Alignment:
-        """Canonical alignment from atomic edges.
-
-        Edges are regrouped into maximal multi-alignments (connected components
-        of the bipartite edge graph); unaligned sets are the leftovers.
-        """
-        left_all = frozenset(left_universe)
-        right_all = frozenset(right_universe)
-        edge_set = frozenset(edges)
-        for l, r in edge_set:
-            if l not in left_all or r not in right_all:
+        """Alignment of frozen copies of its inputs; each edge joins a key of each universe."""
+        alignment = Alignment(frozenset(left_universe), frozenset(right_universe), frozenset(edges))
+        for l, r in alignment.edges:
+            if l not in alignment.left_universe or r not in alignment.right_universe:
                 raise UniverseMismatch(f"edge ({l!r}, {r!r}) outside the key universes")
+        return alignment
 
-        # Union-find over left/right nodes to regroup multi-alignments.
+    @property
+    def unaligned_left(self) -> frozenset[str]:
+        return self.left_universe - {l for l, _ in self.edges}
+
+    @property
+    def unaligned_right(self) -> frozenset[str]:
+        return self.right_universe - {r for _, r in self.edges}
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+        """The maximal multi-alignments, (sorted left keys, sorted right keys)
+        in sorted order: the connected components of the bipartite edge graph."""
         parent: dict[tuple[str, str], tuple[str, str]] = {}
 
         def find(node: tuple[str, str]) -> tuple[str, str]:
@@ -81,45 +66,15 @@ class Alignment:
                 node = parent[node]
             return node
 
-        def union(a: tuple[str, str], b: tuple[str, str]) -> None:
-            parent[find(a)] = find(b)
-
-        for l, r in edge_set:
-            union(("L", l), ("R", r))
+        for l, r in self.edges:
+            parent[find(("L", l))] = find(("R", r))
 
         groups: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
-        for l, r in edge_set:
-            root = find(("L", l))
-            left_keys, right_keys = groups.setdefault(root, (set(), set()))
+        for l, r in self.edges:
+            left_keys, right_keys = groups.setdefault(find(("L", l)), (set(), set()))
             left_keys.add(l)
             right_keys.add(r)
-
-        pairs = tuple(
-            sorted(
-                (AlignmentPair(tuple(ls), tuple(rs)) for ls, rs in groups.values()),
-                key=lambda p: (p.left, p.right),
-            )
-        )
-        used_left = {l for l, _ in edge_set}
-        used_right = {r for _, r in edge_set}
-        return Alignment(pairs, left_all - used_left, right_all - used_right, edge_set)
-
-    def edges(self) -> frozenset[tuple[str, str]]:
-        return self.edge_set
-
-    @property
-    def left_universe(self) -> frozenset[str]:
-        keys = set(self.unaligned_left)
-        for pair in self.pairs:
-            keys.update(pair.left)
-        return frozenset(keys)
-
-    @property
-    def right_universe(self) -> frozenset[str]:
-        keys = set(self.unaligned_right)
-        for pair in self.pairs:
-            keys.update(pair.right)
-        return frozenset(keys)
+        return tuple(sorted((tuple(sorted(ls)), tuple(sorted(rs))) for ls, rs in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -277,7 +232,7 @@ def majority_vote(votes: Sequence[Alignment]) -> Alignment:
             raise UniverseMismatch("votes cover different key universes")
     counts: dict[tuple[str, str], int] = {}
     for vote in votes:
-        for edge in vote.edges():
+        for edge in vote.edges:
             counts[edge] = counts.get(edge, 0) + 1
     majority = [edge for edge, n in counts.items() if 2 * n > len(votes)]
     return Alignment.build(left, right, majority)
@@ -306,8 +261,8 @@ def multi_vote_align(
 
 def score_alignment(pred: Alignment, gold: Alignment) -> AlignmentScore:
     """Edge-level precision/recall/F1; an empty denominator scores 1 by convention."""
-    pred_edges = pred.edges()
-    gold_edges = gold.edges()
+    pred_edges = pred.edges
+    gold_edges = gold.edges
     hits = len(pred_edges & gold_edges)
     precision = hits / len(pred_edges) if pred_edges else 1.0
     recall = hits / len(gold_edges) if gold_edges else 1.0
@@ -319,8 +274,8 @@ def alignment_to_doc(alignment: Alignment) -> dict:
     """JSON-able document: pair list per the alignment output schema, explicit
     unaligned sections, and the atomic edges backing the groups."""
     return {
-        "pairs": [[list(p.left), list(p.right)] for p in alignment.pairs],
-        "edges": sorted(list(edge) for edge in alignment.edge_set),
+        "pairs": [[list(left), list(right)] for left, right in alignment.pairs],
+        "edges": sorted(list(edge) for edge in alignment.edges),
         "unaligned_left": sorted(alignment.unaligned_left),
         "unaligned_right": sorted(alignment.unaligned_right),
     }

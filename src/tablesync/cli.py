@@ -10,8 +10,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from . import dataset, gateway as gw
 from .alignment import (
@@ -22,11 +23,11 @@ from .alignment import (
     score_alignment,
 )
 from .error_analysis import ErrorAnalyzer, ledger_jsonable, render_ledger
-from .errors import ConfigError, ParseError, StageFailed, TableSyncError
+from .errors import ConfigError, StageFailed, TableSyncError
 from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
 from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
 from .stub import StubBackend, StubRuleSet
-from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, parse_table, serialize_table
+from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, serialize_table
 from .wiki import MediaWikiClient
 
 EXIT_OK = 0
@@ -57,9 +58,10 @@ class RunConfig:
     endpoint: str = ""
     api_key: str = ""
 
-    def snapshot_lines(self) -> list[str]:
-        values = {f.name: _render(getattr(self, f.name)) for f in fields(self)}
-        if self.api_key:
+    def snapshot_lines(self, names: Iterable[str]) -> list[str]:
+        """`name = value` for the named settings, sorted, the API key masked."""
+        values = {name: _render(getattr(self, name)) for name in names}
+        if self.api_key and "api_key" in values:
             values["api_key"] = "***"
         return [f"{key} = {values[key]}" for key in sorted(values)]
 
@@ -119,6 +121,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def settings_read(args: argparse.Namespace) -> list[Field]:
+    """The settings a command reads: the RunConfig fields its parser declares."""
+    return [f for f in fields(RunConfig) if hasattr(args, f.name)]
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The settings the command reads, merged and checked.
 
@@ -135,9 +142,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
 
     values: dict[str, object] = {}
-    for f in fields(RunConfig):
-        if not hasattr(args, f.name):
-            continue
+    for f in settings_read(args):
         flag = getattr(args, f.name)
         if f.name in _FLAG_ONLY:
             values[f.name] = bool(flag)
@@ -200,11 +205,6 @@ def _write_json(path: Path, payload: object) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n", "utf-8")
 
 
-def _write_snapshot(out_dir: Path, config: RunConfig) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.snapshot").write_text("\n".join(config.snapshot_lines()) + "\n", "utf-8")
-
-
 def _require_corpus(corpus: str) -> None:
     if not corpus or not Path(corpus).is_dir():
         raise ConfigError(f"corpus directory not found: {corpus!r}")
@@ -249,7 +249,9 @@ def _evaluate_and_write(
     return evaluation.ensemble
 
 
-def _run_instances(config: RunConfig, instance_dirs: list[Path], gateway: gw.Gateway, produce) -> int:
+def _run_instances(
+    args: argparse.Namespace, config: RunConfig, instance_dirs: list[Path], gateway: gw.Gateway, produce
+) -> int:
     """Run each instance through `gateway.map`: load it, take its output table
     from `produce(instance, rel)`, evaluate it.
 
@@ -281,7 +283,8 @@ def _run_instances(config: RunConfig, instance_dirs: list[Path], gateway: gw.Gat
 
     reports = [report for report in gateway.map(run_one, instance_dirs) if report is not None]
     _write_json(out_root / "report.json", aggregate_reports(reports))
-    _write_snapshot(out_root, config)
+    snapshot = config.snapshot_lines(f.name for f in settings_read(args))
+    (out_root / "config.snapshot").write_text("\n".join(snapshot) + "\n", "utf-8")
     return EXIT_OK if len(reports) == len(instance_dirs) else EXIT_PARTIAL
 
 
@@ -306,7 +309,7 @@ def cmd_sync(args: argparse.Namespace) -> int:
             )
             return result.output
 
-        return _run_instances(config, instance_dirs, gateway, synced)
+        return _run_instances(args, config, instance_dirs, gateway, synced)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -319,21 +322,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     def stored(instance, rel: Path) -> InfoTable:
         table_path = Path(args.outputs) / rel / f"output.{instance.source.language}.table"
-        try:
-            rows = parse_table(table_path.read_text("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"cannot read output table {table_path}: {exc}") from exc
-        return instance.source.with_rows(rows)
+        return instance.source.with_rows(dataset.read_table(table_path))
 
     with build_gateway(config) as gateway:
-        return _run_instances(config, instance_dirs, gateway, stored)
+        return _run_instances(args, config, instance_dirs, gateway, stored)
 
 
 def _table_from_file(path: str, language: str, name: str) -> InfoTable:
     try:
-        rows = parse_table(Path(path).read_text("utf-8"))
-    except (OSError, ValueError, TableSyncError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
+        rows = dataset.read_table(Path(path))
+    except TableSyncError as exc:
+        raise ConfigError(str(exc)) from exc
     return InfoTable(name, language, "Uncategorized", rows)
 
 

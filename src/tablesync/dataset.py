@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     TableSyncError,
 )
-from .tables import InfoTable, SyncInstance, parse_table, serialize_table
+from .tables import InfoTable, SyncInstance, TableRow, parse_table, serialize_table
 
 MANIFEST_NAME = "manifest"
 _REQUIRED_MANIFEST_KEYS = ("entity", "category", "source_lang", "reference_lang")
@@ -75,17 +75,22 @@ def read_manifest(directory: str | Path) -> InstanceManifest:
     )
 
 
+def read_table(path: Path) -> tuple[TableRow, ...]:
+    """The rows of a `.table` file: MissingFile when it is absent, ParseError
+    naming it when it cannot be read, decoded or parsed."""
+    if not path.is_file():
+        raise MissingFile(f"missing table file {path}")
+    try:
+        return parse_table(path.read_text("utf-8"))
+    except (OSError, ValueError, TableSyncError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"cannot read table {path}: {exc}") from exc
+
+
 def _load_table(
     manifest: InstanceManifest, role: str, lang: str, revision: str | None
 ) -> InfoTable:
-    path = manifest.root / f"{role}.{lang}.table"
-    if not path.is_file():
-        raise MissingFile(f"missing {path.name} in {manifest.root}")
-    try:
-        rows = parse_table(path.read_text("utf-8"))
-        return InfoTable(manifest.entity, lang, manifest.category, rows, revision)
-    except (TableSyncError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    rows = read_table(manifest.root / f"{role}.{lang}.table")
+    return InfoTable(manifest.entity, lang, manifest.category, rows, revision)
 
 
 def load_instance(directory: str | Path) -> SyncInstance:
@@ -95,10 +100,10 @@ def load_instance(directory: str | Path) -> SyncInstance:
         raise LanguageConstraintViolation(
             f"{manifest.root}: source and reference share language {manifest.source_lang!r}"
         )
-    source = _load_table(manifest, "source", manifest.source_lang, manifest.source_revision)
-    reference = _load_table(manifest, "reference", manifest.reference_lang, manifest.reference_revision)
-    gold = _load_table(manifest, "gold", manifest.source_lang, manifest.gold_revision)
-    try:
+    try:  # an unregistered language fails InfoTable, a mismatched one SyncInstance
+        source = _load_table(manifest, "source", manifest.source_lang, manifest.source_revision)
+        reference = _load_table(manifest, "reference", manifest.reference_lang, manifest.reference_revision)
+        gold = _load_table(manifest, "gold", manifest.source_lang, manifest.gold_revision)
         return SyncInstance(source, reference, gold)
     except ValueError as exc:
         raise LanguageConstraintViolation(f"{manifest.root}: {exc}") from exc

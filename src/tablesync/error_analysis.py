@@ -92,7 +92,7 @@ def classify_errors(
     overlap an earlier row on the same gold key count as redundant.
     """
     by_gold: dict[str, list[str]] = {}
-    for cand_key, gold_key in alignment.edges():
+    for cand_key, gold_key in alignment.edges:
         by_gold.setdefault(gold_key, []).append(cand_key)
 
     missing = outdated_full = outdated_partial = redundant = 0
@@ -136,7 +136,7 @@ class ErrorAnalyzer:
         """Align candidate to gold, compare each aligned pair, classify."""
         alignment = align_deterministic(candidate, gold)
         comparisons: dict[tuple[str, str], AtomicComparison] = {}
-        for cand_key, gold_key in alignment.edges():
+        for cand_key, gold_key in alignment.edges:
             comparisons[(cand_key, gold_key)] = token_compare(
                 candidate.row_for(cand_key), gold.row_for(gold_key)
             )

@@ -179,10 +179,10 @@ def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
         raise UniverseMismatch("alignments do not share the gold key universe")
 
     input_by_gold: dict[str, list[str]] = {}
-    for src, gold in ig.edges():
+    for src, gold in ig.edges:
         input_by_gold.setdefault(gold, []).append(src)
     output_by_gold: dict[str, list[str]] = {}
-    for out, gold in og.edges():
+    for out, gold in og.edges:
         output_by_gold.setdefault(gold, []).append(out)
 
     tri: set[tuple[str, str, str]] = set()
@@ -296,7 +296,6 @@ def build_report(
 
 @dataclass(frozen=True)
 class InstanceEvaluation:
-    partition: AlignmentPartition
     per_model: dict[str, UpdateReport]
     ensemble: UpdateReport
     flagged: tuple[tuple[str, str], ...]  # (model_id, gold_key) pairs scored 0 on failure
@@ -376,7 +375,7 @@ def evaluate_instance(
         )
     else:
         ensemble = build_report(partition, {}, {})
-    return InstanceEvaluation(partition, per_model, ensemble, tuple(flagged))
+    return InstanceEvaluation(per_model, ensemble, tuple(flagged))
 
 
 REPORT_COLUMNS = ("updated", "added_pct", "added_rows", "missed_gold", "deleted_input")

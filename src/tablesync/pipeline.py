@@ -321,9 +321,9 @@ def format_alignment_slot(alignment: Alignment, left: InfoTable, right: InfoTabl
         return [row.key if (row := table.row_for(k)) else k for k in norm_keys]
 
     lines: list[str] = []
-    for pair in alignment.pairs:
-        left_keys = ",".join(f"'{escape_text(k)}'" for k in originals(left, pair.left))
-        right_keys = ",".join(f"'{escape_text(k)}'" for k in originals(right, pair.right))
+    for left_group, right_group in alignment.pairs:
+        left_keys = ",".join(f"'{escape_text(k)}'" for k in originals(left, left_group))
+        right_keys = ",".join(f"'{escape_text(k)}'" for k in originals(right, right_group))
         lines.append(f"    [{left_keys}],[{right_keys}],")
     if not lines:
         return "[]"

@@ -225,8 +225,8 @@ def test_criterion_4_majority_vote_properties():
             shuffled = list(votes)
             rng.shuffle(shuffled)
             assert majority_vote(shuffled) == result  # permutation-invariance
-            union = set().union(*(v.edges() for v in votes))
-            assert result.edges() <= union  # no invented correspondences
+            union = set().union(*(v.edges for v in votes))
+            assert result.edges <= union  # no invented correspondences
 
 
 # 5. Offline end-to-end ------------------------------------------------------

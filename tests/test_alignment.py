@@ -1,4 +1,8 @@
+from __future__ import annotations
+
 import time
+from dataclasses import dataclass
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,6 @@ from hypothesis import strategies as st
 from tablesync.alignment import (
     SIMILARITY_THRESHOLD,
     Alignment,
-    AlignmentPair,
     align_deterministic,
     align_llm,
     greedy_key_matches,
@@ -41,7 +44,7 @@ class TestBuild:
 
     def test_regroups_multi_alignments(self):
         alignment = mk_alignment([("k1", "r1"), ("k2", "r1")])
-        assert alignment.pairs == (AlignmentPair(("k1", "k2"), ("r1",)),)
+        assert alignment.pairs == ((("k1", "k2"), ("r1",)),)
 
     def test_edge_outside_universe(self):
         with pytest.raises(UniverseMismatch):
@@ -57,11 +60,138 @@ class TestBuild:
         assert alignment_from_doc(alignment_to_doc(alignment)) == alignment
 
 
+# The alignment that stored its groups, leftovers and edges side by side,
+# kept verbatim (class renamed) as the reference the derived ones must equal.
+@dataclass(frozen=True)
+class AlignmentPair:
+    """One correspondence; either side may hold several keys (multi-alignment)."""
+
+    left: tuple[str, ...]
+    right: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.left or not self.right:
+            raise ValueError("alignment pair sides must be nonempty")
+        object.__setattr__(self, "left", tuple(sorted(self.left)))
+        object.__setattr__(self, "right", tuple(sorted(self.right)))
+
+    def edges(self) -> Iterable[tuple[str, str]]:
+        for l in self.left:
+            for r in self.right:
+                yield (l, r)
+
+
+@dataclass(frozen=True)
+class ReferenceAlignment:
+    pairs: tuple[AlignmentPair, ...]
+    unaligned_left: frozenset[str]
+    unaligned_right: frozenset[str]
+    edge_set: frozenset[tuple[str, str]]
+
+    @staticmethod
+    def build(
+        left_universe: Iterable[str],
+        right_universe: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+    ) -> ReferenceAlignment:
+        """Canonical alignment from atomic edges.
+
+        Edges are regrouped into maximal multi-alignments (connected components
+        of the bipartite edge graph); unaligned sets are the leftovers.
+        """
+        left_all = frozenset(left_universe)
+        right_all = frozenset(right_universe)
+        edge_set = frozenset(edges)
+        for l, r in edge_set:
+            if l not in left_all or r not in right_all:
+                raise UniverseMismatch(f"edge ({l!r}, {r!r}) outside the key universes")
+
+        # Union-find over left/right nodes to regroup multi-alignments.
+        parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+        def find(node: tuple[str, str]) -> tuple[str, str]:
+            parent.setdefault(node, node)
+            while parent[node] != node:
+                parent[node] = parent[parent[node]]
+                node = parent[node]
+            return node
+
+        def union(a: tuple[str, str], b: tuple[str, str]) -> None:
+            parent[find(a)] = find(b)
+
+        for l, r in edge_set:
+            union(("L", l), ("R", r))
+
+        groups: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
+        for l, r in edge_set:
+            root = find(("L", l))
+            left_keys, right_keys = groups.setdefault(root, (set(), set()))
+            left_keys.add(l)
+            right_keys.add(r)
+
+        pairs = tuple(
+            sorted(
+                (AlignmentPair(tuple(ls), tuple(rs)) for ls, rs in groups.values()),
+                key=lambda p: (p.left, p.right),
+            )
+        )
+        used_left = {l for l, _ in edge_set}
+        used_right = {r for _, r in edge_set}
+        return ReferenceAlignment(pairs, left_all - used_left, right_all - used_right, edge_set)
+
+
+def reference_alignment_to_doc(alignment: ReferenceAlignment) -> dict:
+    return {
+        "pairs": [[list(p.left), list(p.right)] for p in alignment.pairs],
+        "edges": sorted(list(edge) for edge in alignment.edge_set),
+        "unaligned_left": sorted(alignment.unaligned_left),
+        "unaligned_right": sorted(alignment.unaligned_right),
+    }
+
+
+# Both sides draw from one small alphabet, so a key can lie in both universes
+# and reading the wrong end of an edge still gives a different answer.
+universe_keys = st.sets(st.sampled_from("abcde"), max_size=5)
+
+
+@st.composite
+def universes_and_edges(draw):
+    left = sorted(draw(universe_keys))
+    right = sorted(draw(universe_keys))
+    candidates = [(l, r) for l in left for r in right]
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True) if candidates else st.just([]))
+    return left, right, edges
+
+
+class TestAgainstStoredReference:
+    @given(universes_and_edges(), universes_and_edges(), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_derived_fields_equal_the_stored_ones(self, drawn, other, rng):
+        left, right, edges = drawn
+        alignment = Alignment.build(left, right, edges)
+        reference = ReferenceAlignment.build(left, right, edges)
+        assert alignment.pairs == tuple((p.left, p.right) for p in reference.pairs)
+        assert alignment.unaligned_left == reference.unaligned_left
+        assert alignment.unaligned_right == reference.unaligned_right
+        doc = alignment_to_doc(alignment)
+        assert doc == reference_alignment_to_doc(reference)
+        assert alignment_from_doc(doc) == alignment
+        assert alignment_from_doc({key: doc[key] for key in doc if key != "edges"}) == Alignment.build(
+            left, right, [edge for pair in reference.pairs for edge in pair.edges()]
+        )
+
+        shuffled = list(edges)
+        rng.shuffle(shuffled)
+        assert Alignment.build(reversed(left), reversed(right), shuffled) == alignment
+        other_alignment = Alignment.build(*other)
+        assert (other_alignment == alignment) == (ReferenceAlignment.build(*other) == reference)
+
+
 class TestDeterministic:
     def test_identical_tables_fully_aligned(self, mk_table):
         table = mk_table([("Name", "x"), ("Country", "y")])
         alignment = align_deterministic(table, table)
-        assert alignment.edges() == {("name", "name"), ("country", "country")}
+        assert alignment.edges == {("name", "name"), ("country", "country")}
         assert not alignment.unaligned_left and not alignment.unaligned_right
 
     def test_token_overlap_alignment(self, mk_table):
@@ -69,7 +199,7 @@ class TestDeterministic:
         a = mk_table([("Birth date", "x")])
         b = mk_table([("Date of birth", "x")])
         alignment = align_deterministic(a, b)
-        assert alignment.edges() == {("birth date", "date of birth")}
+        assert alignment.edges == {("birth date", "date of birth")}
 
     def test_disjoint_keys_unaligned(self, mk_table):
         a = mk_table([("aaa", "1"), ("bbb", "2")])
@@ -83,7 +213,7 @@ class TestDeterministic:
         b = mk_table([("Population", "9")])
         assert align_deterministic(a, b) == align_deterministic(a, b)
         # greedy best-match gives the exact key the single slot
-        assert align_deterministic(a, b).edges() == {("population", "population")}
+        assert align_deterministic(a, b).edges == {("population", "population")}
 
 
 def pairwise_reference(left_keys, right_keys):
@@ -153,7 +283,7 @@ class TestLlmAlign:
         a = mk_table([("Name", "x"), ("Country", "y"), ("Extra", "z")])
         b = mk_table([("Name", "x"), ("Country", "y")])
         alignment = align_llm(a, b, "stub-model", stub_gateway)
-        assert alignment.edges() == {("name", "name"), ("country", "country")}
+        assert alignment.edges == {("name", "name"), ("country", "country")}
         assert alignment.unaligned_left == {"extra"}
 
     def test_reanchoring_of_slightly_off_echo(self, mk_table):
@@ -166,7 +296,7 @@ class TestLlmAlign:
         b = mk_table([("Birth date", "y")])
         diagnostics = []
         alignment = align_llm(a, b, "m", gateway, diagnostics=diagnostics)
-        assert alignment.edges() == {("birth date", "birth date")}
+        assert alignment.edges == {("birth date", "birth date")}
 
     def test_reanchoring_tie_picks_smaller_key(self, mk_table):
         # The echo is one edit from both real keys (distance 0.1 each).
@@ -178,7 +308,7 @@ class TestLlmAlign:
         b = mk_table([("Name", "z")])
         diagnostics = []
         alignment = align_llm(a, b, "m", gateway, diagnostics=diagnostics)
-        assert alignment.edges() == {("abcdefghiy", "name")}
+        assert alignment.edges == {("abcdefghiy", "name")}
         assert diagnostics == ["re-anchored 'abcdefghij' -> 'abcdefghiy'"]
 
     def test_unanchorable_key_dropped_with_diagnostic(self, mk_table):
@@ -254,8 +384,8 @@ class TestVotingProperties:
     @given(votes_strategy)
     @settings(max_examples=200)
     def test_no_invented_edges(self, votes):
-        union = set().union(*(v.edges() for v in votes))
-        assert majority_vote(votes).edges() <= union
+        union = set().union(*(v.edges for v in votes))
+        assert majority_vote(votes).edges <= union
 
 
 class TestMultiVote:
@@ -280,7 +410,7 @@ class TestMultiVote:
         # 1 deterministic vs 1 empty model vote: 1 of 2 is not a majority
         assert not result.pairs
         three = multi_vote_align(a, b, ["m2", "m2b"], 1, Gateway(StubBackend(StubRuleSet())))
-        assert three.edges() == {("name", "name")}
+        assert three.edges == {("name", "name")}
 
     def test_rounds_must_be_positive(self, mk_table):
         with pytest.raises(ValueError):

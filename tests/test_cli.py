@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,22 @@ class TestFailureIsolation:
         assert failure["stage"] == "load" and name in failure["error"]
         self.assert_nine_reported(out, capsys)
 
+    def test_unreadable_table(self, corpus, lexicons, tmp_path, monkeypatch, capsys):
+        read_text = Path.read_text
+        unreadable = Path(corpus) / "City" / "musterstadt" / "source.de.table"
+
+        def denied(self, *args, **kwargs):
+            if self == unreadable:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "out"
+        assert run_cli("sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons) == cli.EXIT_PARTIAL
+        failure = self.failure(out, "City/musterstadt")
+        assert failure["stage"] == "load" and "source.de.table" in failure["error"]
+        self.assert_nine_reported(out, capsys)
+
     def test_eval_unparseable_output(self, corpus, lexicons, tmp_path, capsys):
         synced = tmp_path / "sync"
         assert run_cli("sync", "--corpus", corpus, "--out", str(synced), "--lexicons", lexicons) == cli.EXIT_OK
@@ -355,7 +372,7 @@ class TestConfig:
 
     def test_snapshot_lines(self):
         config = cli.RunConfig(models=("a", "b"), api_key="secret", record=True)
-        assert config.snapshot_lines() == [
+        assert config.snapshot_lines(f.name for f in fields(cli.RunConfig)) == [
             "api_key = ***",
             "backend = stub",
             "concurrency = 4",
@@ -372,6 +389,19 @@ class TestConfig:
             "strategy = hierarchical",
             "transcripts = ",
         ]
+
+    def test_snapshot_lists_only_the_settings_read(self, corpus, lexicons, tmp_path):
+        synced = tmp_path / "sync"
+        common = ("--corpus", corpus, "--lexicons", lexicons, "--instance", "musterstadt")
+        assert run_cli("sync", *common, "--out", str(synced)) == cli.EXIT_OK
+        assert run_cli("eval", *common, "--outputs", str(synced), "--out", str(tmp_path / "eval")) == cli.EXIT_OK
+
+        def names(out: Path) -> set[str]:
+            return {line.split(" = ")[0] for line in (out / "config.snapshot").read_text().splitlines()}
+
+        assert {"strategy", "pivot", "model"} <= names(synced)
+        assert not {"models", "rounds"} & names(synced)
+        assert not {"strategy", "pivot", "models", "rounds"} & names(tmp_path / "eval")
 
 class TestRecordReplay:
     def test_replayed_reports_byte_identical(self, corpus, lexicons, tmp_path):

@@ -62,6 +62,13 @@ class TestLoadInstance:
         with pytest.raises(LanguageConstraintViolation):
             load_instance(directory)
 
+    def test_unregistered_language(self, tmp_path):
+        manifest = dict(GOOD_MANIFEST, reference_lang="xx")
+        tables = dict(GOOD_TABLES, **{"reference.xx.table": GOOD_TABLES["reference.en.table"]})
+        directory = write_fixture(tmp_path, manifest, tables)
+        with pytest.raises(LanguageConstraintViolation, match="'xx'"):
+            load_instance(directory)
+
     def test_unparseable_table(self, tmp_path):
         tables = dict(GOOD_TABLES, **{"source.de.table": "not a table"})
         directory = write_fixture(tmp_path, GOOD_MANIFEST, tables)
