@@ -201,8 +201,23 @@ def build_gateway(config: RunConfig) -> gw.Gateway:
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    """Write payload as JSON, making parent directories; a path that cannot
+    be written is a ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _make_out_dir(out: str) -> Path:
+    """Create the --out directory; a path that cannot be a directory is a
+    ConfigError naming it."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return Path(out)
 
 
 def _require_corpus(corpus: str) -> None:
@@ -258,9 +273,10 @@ def _run_instances(
     A TableSyncError fails only its own instance. It writes that instance's
     failure.json, whose stage is the failed pipeline stage (partial traces go
     to traces.json), "load" or "evaluate". Each instance prints its `ok` or
-    `FAIL` line as it ends, in one write.
+    `FAIL` line as it ends, in one write. The output directory is made
+    before any instance runs.
     """
-    out_root = Path(config.out)
+    out_root = _make_out_dir(config.out)
 
     def run_one(directory: Path) -> UpdateReport | None:
         rel = directory.relative_to(config.corpus)

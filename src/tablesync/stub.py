@@ -10,7 +10,6 @@ names stay and no slot value contains the literal that follows it.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -52,6 +51,14 @@ class StubRuleSet:
             for src, tgt in entries:
                 if not src or not tgt:
                     raise ValueError(f"empty lexicon entry in {pair}: {(src, tgt)!r}")
+        # Sorted once, longest source first; the sort is stable, so a repeated
+        # source keeps its listed targets in file order.
+        object.__setattr__(
+            self,
+            "lexicons",
+            {pair: tuple(sorted(entries, key=lambda e: (-len(e[0]), e[0])))
+             for pair, entries in self.lexicons.items()},
+        )
         object.__setattr__(
             self,
             "merge_drop_keys",
@@ -77,7 +84,8 @@ class StubRuleSet:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                left, _, right = (part.strip() for part in line.partition("\t"))
+                left, _, right = line.partition("\t")
+                left, right = left.rstrip(), right.lstrip()
                 if not left or not right:
                     raise ConfigError(f"{file}:{number}: expected 'source<TAB>target', got {line!r}")
                 entries.append((left, right))
@@ -86,39 +94,67 @@ class StubRuleSet:
 
     def lexicon(self, src: str, tgt: str) -> LexiconPairs:
         """Longest-source-first entries; empty when the pair is unknown."""
-        entries = self.lexicons.get((src, tgt), ())
-        return tuple(sorted(entries, key=lambda e: (-len(e[0]), e[0])))
+        return self.lexicons.get((src, tgt), ())
+
+
+def _is_word(ch: str) -> bool:
+    """A Unicode letter, digit or underscore: exactly `re`'s \\w for str."""
+    return ch.isalnum() or ch == "_"
 
 
 @lru_cache(maxsize=64)
-def _lexicon_matcher(pairs: LexiconPairs) -> tuple[re.Pattern[str], dict[str, str]]:
-    """One compiled alternation of all sources, in the given order, and the
-    first target listed for each source."""
+def _lexicon_matcher(pairs: LexiconPairs) -> tuple[dict[str, tuple[int, ...]], dict[str, str]]:
+    """Each source's first character mapped to the distinct source lengths
+    starting with it, longest first, and the first target listed for each
+    source. Built in one pass over the pairs."""
     targets: dict[str, str] = {}
+    lengths: dict[str, set[int]] = {}
     for src, tgt in pairs:
-        targets.setdefault(src, tgt)
-    alternation = "|".join(map(re.escape, targets))
-    return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)"), targets
+        if src not in targets:
+            targets[src] = tgt
+            lengths.setdefault(src[0], set()).add(len(src))
+    return {ch: tuple(sorted(sizes, reverse=True)) for ch, sizes in lengths.items()}, targets
+
+
+def _swap(text: str, lengths: dict[str, tuple[int, ...]], targets: dict[str, str]) -> str:
+    pieces: list[str] = []
+    copied = i = 0  # text[:copied] is in pieces; i is the scan position
+    n = len(text)
+    boundary = True  # no word character precedes position i
+    while i < n:
+        ch = text[i]
+        if boundary:
+            for size in lengths.get(ch, ()):
+                end = i + size
+                if end <= n and text[i:end] in targets and (end == n or not _is_word(text[end])):
+                    pieces += (text[copied:i], targets[text[i:end]])
+                    # Resume after the phrase, reading the boundary from its
+                    # last original character: replaced text is never rescanned.
+                    copied, i = end, end - 1
+                    ch = text[i]
+                    break
+        boundary = not _is_word(ch)
+        i += 1
+    if not pieces:
+        return text
+    pieces.append(text[copied:])
+    return "".join(pieces)
 
 
 def translate_cells(rows, pairs: LexiconPairs) -> tuple[TableRow, ...]:
     """Phrase substitution over keys and values in one left-to-right pass.
 
-    At each position the longest source phrase that matches at word
-    boundaries wins (pairs come longest source first, as from
-    StubRuleSet.lexicon), and is replaced by the first target listed for it.
-    Replaced text is never rescanned, so there is no chained substitution
-    (A->B, B->C turns A into B). A phrase embedded in a longer word (Ville in
-    Villeneuve) is left alone.
+    At each position not preceded by a word character, the longest source
+    phrase there that is not followed by a word character wins, and is
+    replaced by the first target listed for it. Replaced text is never
+    rescanned, so there is no chained substitution (A->B, B->C turns A into
+    B). A phrase embedded in a longer word (Ville in Villeneuve) is left
+    alone. A word character is a Unicode letter, digit or underscore.
     """
     if not pairs:
         return tuple(rows)
-    pattern, targets = _lexicon_matcher(pairs)
-
-    def swap(text: str) -> str:
-        return pattern.sub(lambda match: targets[match.group()], text)
-
-    return tuple(TableRow(swap(r.key), swap(r.value)) for r in rows)
+    lengths, targets = _lexicon_matcher(pairs)
+    return tuple(TableRow(_swap(r.key, lengths, targets), _swap(r.value, lengths, targets)) for r in rows)
 
 
 def merge_graphs(

@@ -591,6 +591,9 @@ INPUT_ERRORS = {
         [*ALIGN, "--gold-alignment", "{tmp}/gold.json"],
         "{tmp}/gold.json",
     ),
+    "align-out-under-a-file": (
+        {"ok.table": TABLE, "f": "a regular file"}, [*ALIGN, "--out", "{tmp}/f/a.json"], "{tmp}/f/a.json"
+    ),
     "unparseable-table": (
         {"ok.table": TABLE, "bad.table": "no table here"},
         ["align", "--left", "{tmp}/bad.table", "--right", "{tmp}/ok.table"],
@@ -858,6 +861,40 @@ class TestErrors:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(traces) in err
+
+
+class TestUnwritableOut:
+    """An output path that cannot be written is a config error naming it."""
+
+    @pytest.fixture()
+    def blocker(self, tmp_path) -> Path:
+        path = tmp_path / "f"
+        path.write_text("a regular file", "utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["sync", "eval"])
+    def test_out_checked_before_any_instance(self, command, corpus, blocker, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.dataset, "load_instance", lambda d: pytest.fail(f"instance {d} ran"))
+        outputs = ["--outputs", str(tmp_path)] if command == "eval" else []
+        assert run_cli(command, "--corpus", corpus, *outputs, "--out", str(blocker)) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and str(blocker) in captured.err
+        assert captured.out == ""
+
+    def test_errors_out_under_a_file(self, corpus, lexicons, blocker, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt")
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--lexicons", lexicons,
+            "--out", str(blocker / "x.json"),
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(blocker / "x.json") in err
 
 
 class TestStats:

@@ -1,4 +1,6 @@
 import re
+import sys
+from functools import lru_cache
 from importlib import resources
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from tablesync import prompts
 from tablesync.errors import NoTableFound
 from tablesync.gateway import CompletionRequest
-from tablesync.stub import StubBackend, StubRuleSet, translate_cells
+from tablesync.stub import LexiconPairs, StubBackend, StubRuleSet, _is_word, translate_cells
 from tablesync.tables import TableRow, serialize_table
 
 TEMPLATES = sorted(
@@ -26,6 +28,30 @@ def per_entry_reference(rows, pairs):
         for src, tgt in pairs:
             text = re.sub(rf"(?<!\w){re.escape(src)}(?!\w)", lambda _: tgt, text)
         return text
+
+    return tuple(TableRow(swap(r.key), swap(r.value)) for r in rows)
+
+
+@lru_cache(maxsize=64)
+def _lexicon_matcher(pairs: LexiconPairs) -> tuple[re.Pattern[str], dict[str, str]]:
+    """One compiled alternation of all sources, in the given order, and the
+    first target listed for each source."""
+    targets: dict[str, str] = {}
+    for src, tgt in pairs:
+        targets.setdefault(src, tgt)
+    alternation = "|".join(map(re.escape, targets))
+    return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)"), targets
+
+
+def regex_reference(rows, pairs):
+    """translate_cells through one compiled `re` alternation per lexicon:
+    the regex matcher, kept as the reference for the first-character scan."""
+    if not pairs:
+        return tuple(rows)
+    pattern, targets = _lexicon_matcher(pairs)
+
+    def swap(text: str) -> str:
+        return pattern.sub(lambda match: targets[match.group()], text)
 
     return tuple(TableRow(swap(r.key), swap(r.value)) for r in rows)
 
@@ -84,6 +110,41 @@ class TestTranslateCells:
         rows = data.draw(st.lists(st.tuples(cell.filter(str.strip), cell), max_size=5))
         rows = tuple(TableRow(k, v) for k, v in rows)
         assert translate_cells(rows, pairs) == per_entry_reference(rows, pairs)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_equals_regex_alternation(self, data):
+        # Letters (two non-ASCII), digits (one Arabic-Indic), underscore, space, punctuation.
+        text = st.text("aZéß1٣_ -.,", min_size=1, max_size=4)
+        sources = data.draw(st.lists(text, min_size=1, max_size=6))
+        # Prefixes of drawn sources, then drawn sources again with another target.
+        for src in data.draw(st.lists(st.sampled_from(sources), max_size=3)):
+            sources.append(src[: data.draw(st.integers(1, len(src)))])
+        sources += data.draw(st.lists(st.sampled_from(sources), max_size=3))
+        # A target may be another source; none is blank, so keys stay nonempty.
+        target = st.one_of(text, st.sampled_from(sources)).filter(str.strip)
+        pairs = lexicon((src, data.draw(target)) for src in sources)
+        cell = st.lists(st.one_of(st.sampled_from(sources), text), max_size=6).map("".join)
+        rows = data.draw(st.lists(st.tuples(cell.filter(str.strip), cell), max_size=4))
+        rows = tuple(TableRow(k, v) for k, v in rows)
+        assert translate_cells(rows, pairs) == regex_reference(rows, pairs)
+
+    def test_word_character_is_re_word(self):
+        word = re.compile(r"\w")
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [ch for ch in chars if _is_word(ch) != (word.match(ch) is not None)] == []
+
+    def test_large_lexicon_compiles_no_regex(self, monkeypatch):
+        pairs = lexicon((f"w{i}", f"v{i}") for i in range(20_000))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("regex compiled on the lexicon path")
+
+        # re.sub and the other module-level functions compile through re._compile.
+        monkeypatch.setattr(re, "compile", refuse)
+        monkeypatch.setattr(re, "_compile", refuse)
+        rows = translate_cells((TableRow("w7", "w19999, w0 w12x (w3)"),), pairs)
+        assert rows == (TableRow("v7", "v19999, v0 w12x (v3)"),)
 
 
 def pieces(name: str) -> tuple[list[str], list[str]]:
