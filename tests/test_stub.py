@@ -141,9 +141,12 @@ class TestTranslateCells:
             raise AssertionError("regex compiled on the lexicon path")
 
         # re.sub and the other module-level functions compile through re._compile.
-        monkeypatch.setattr(re, "compile", refuse)
-        monkeypatch.setattr(re, "_compile", refuse)
-        rows = translate_cells((TableRow("w7", "w19999, w0 w12x (w3)"),), pairs)
+        # The patch is undone before the test returns: pytest's own reporting
+        # (junitxml, for one) calls re.sub after the test body.
+        with monkeypatch.context() as patched:
+            patched.setattr(re, "compile", refuse)
+            patched.setattr(re, "_compile", refuse)
+            rows = translate_cells((TableRow("w7", "w19999, w0 w12x (w3)"),), pairs)
         assert rows == (TableRow("v7", "v19999, v0 w12x (v3)"),)
 
 
