@@ -243,17 +243,15 @@ def multi_vote_align(
     b: InfoTable,
     models: Sequence[str],
     rounds: int,
-    gateway: Gateway | None = None,
+    gateway: Gateway,
 ) -> Alignment:
     """Per-model majority over repeated runs, then a final majority that also
     includes the deterministic aligner's vote. The models x rounds runs are
     independent and overlap through `gateway.map`."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if models and gateway is None:
-        raise ValueError("model votes require a gateway")
     jobs = [(model_id, r) for model_id in models for r in range(rounds)]
-    runs = gateway.map(lambda job: align_llm(a, b, job[0], gateway, attempt=job[1]), jobs) if jobs else []
+    runs = gateway.map(lambda job: align_llm(a, b, job[0], gateway, attempt=job[1]), jobs)
     votes = [align_deterministic(a, b)]
     votes += [majority_vote(runs[i : i + rounds]) for i in range(0, len(runs), rounds)]
     return majority_vote(votes)

@@ -15,13 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import dataset, gateway as gw
-from .alignment import (
-    align_deterministic,
-    alignment_from_doc,
-    alignment_to_doc,
-    multi_vote_align,
-    score_alignment,
-)
+from .alignment import alignment_from_doc, alignment_to_doc, multi_vote_align, score_alignment
 from .error_analysis import ErrorAnalyzer, ledger_jsonable, render_ledger
 from .errors import ConfigError, StageFailed, TableSyncError
 from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
@@ -200,12 +194,17 @@ def build_gateway(config: RunConfig) -> gw.Gateway:
     )
 
 
-def _write_json(path: Path, payload: object) -> None:
-    """Write payload as JSON, making parent directories; a path that cannot
-    be written is a ConfigError naming it."""
+def _json(payload: object) -> str:
+    """The text of every JSON document the CLI writes or prints."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _write(path: Path, text: str) -> None:
+    """The one way the CLI writes a file: make its parent directories, then
+    write text as UTF-8. A path that cannot be written is a ConfigError naming it."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n", "utf-8")
+        path.write_text(text, "utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -260,7 +259,7 @@ def _evaluate_and_write(
         "per_model": {m: report_jsonable(r) for m, r in evaluation.per_model.items()},
         "flagged_rows": [list(item) for item in evaluation.flagged],
     }
-    _write_json(out_dir / "report.json", payload)
+    _write(out_dir / "report.json", _json(payload))
     return evaluation.ensemble
 
 
@@ -272,9 +271,10 @@ def _run_instances(
 
     A TableSyncError fails only its own instance. It writes that instance's
     failure.json, whose stage is the failed pipeline stage (partial traces go
-    to traces.json), "load" or "evaluate". Each instance prints its `ok` or
-    `FAIL` line as it ends, in one write. The output directory is made
-    before any instance runs.
+    to traces.json), "load" or "evaluate". A ConfigError, a file that cannot
+    be written, ends the run. Each instance prints its `ok` or `FAIL` line as
+    it ends, in one write. The output directory is made before any instance
+    runs.
     """
     out_root = _make_out_dir(config.out)
 
@@ -288,19 +288,21 @@ def _run_instances(
             report = _evaluate_and_write(out_root / rel, instance, output, config, gateway)
             sys.stdout.write(f"ok {rel}\n")
             return report
+        except ConfigError:
+            raise
         except StageFailed as exc:
-            _write_json(out_root / rel / "traces.json", traces_jsonable(exc.traces))
+            _write(out_root / rel / "traces.json", _json(traces_jsonable(exc.traces)))
             failure = exc
         except TableSyncError as exc:
             failure = StageFailed(stage, exc)
-        _write_json(out_root / rel / "failure.json", {"stage": failure.stage, "error": str(failure)})
+        _write(out_root / rel / "failure.json", _json({"stage": failure.stage, "error": str(failure)}))
         sys.stderr.write(f"FAIL {rel}: {failure}\n")
         return None
 
     reports = [report for report in gateway.map(run_one, instance_dirs) if report is not None]
-    _write_json(out_root / "report.json", aggregate_reports(reports))
+    _write(out_root / "report.json", _json(aggregate_reports(reports)))
     snapshot = config.snapshot_lines(f.name for f in settings_read(args))
-    (out_root / "config.snapshot").write_text("\n".join(snapshot) + "\n", "utf-8")
+    _write(out_root / "config.snapshot", "\n".join(snapshot) + "\n")
     return EXIT_OK if len(reports) == len(instance_dirs) else EXIT_PARTIAL
 
 
@@ -319,10 +321,8 @@ def cmd_sync(args: argparse.Namespace) -> int:
         def synced(instance, rel: Path) -> InfoTable:
             result = pipeline.run(instance, strategy)
             out_dir = Path(config.out) / rel
-            _write_json(out_dir / "traces.json", traces_jsonable(result.traces))
-            (out_dir / f"output.{result.output.language}.table").write_text(
-                serialize_table(result.output) + "\n", "utf-8"
-            )
+            _write(out_dir / "traces.json", _json(traces_jsonable(result.traces)))
+            _write(out_dir / f"output.{result.output.language}.table", serialize_table(result.output) + "\n")
             return result.output
 
         return _run_instances(args, config, instance_dirs, gateway, synced)
@@ -358,16 +358,13 @@ def cmd_align(args: argparse.Namespace) -> int:
     left = _table_from_file(args.left, language, "left")
     right = _table_from_file(args.right, language, "right")
     gold = _read_json(args.gold_alignment, "gold alignment", alignment_from_doc) if args.gold_alignment else None
-    if config.models:
-        with build_gateway(config) as gateway:
-            alignment = multi_vote_align(left, right, config.models, config.rounds, gateway)
-    else:
-        alignment = align_deterministic(left, right)
-    doc = alignment_to_doc(alignment)
+    with build_gateway(config) as gateway:
+        alignment = multi_vote_align(left, right, config.models, config.rounds, gateway)
+    doc = _json(alignment_to_doc(alignment))
     if args.out_file:
-        _write_json(Path(args.out_file), doc)
+        _write(Path(args.out_file), doc)
     else:
-        print(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
+        sys.stdout.write(doc)
     if gold is not None:
         score = score_alignment(alignment, gold)
         print(f"precision={score.precision:.4f} recall={score.recall:.4f} f1={score.f1:.4f}")
@@ -387,7 +384,7 @@ def cmd_errors(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.traces}: {exc}") from exc
     print(render_ledger(ledger))
     if args.out_file:
-        _write_json(Path(args.out_file), ledger_jsonable(ledger))
+        _write(Path(args.out_file), _json(ledger_jsonable(ledger)))
     return EXIT_OK
 
 
@@ -400,7 +397,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "by_category": dict(sorted(stats.tables_by_category.items())),
     }
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False))
+        sys.stdout.write(_json(payload))
     else:
         print(f"instances: {stats.instance_count}")
         for name, counts in (("language", payload["by_language"]), ("category", payload["by_category"])):
@@ -422,8 +419,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     table = client.fetch_revision(args.title, args.lang, args.as_of, category=args.category)
     text = serialize_table(table) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, "utf-8")
+        _write(Path(args.out), text)
         print(f"wrote {len(table.rows)} rows ({table.revision_tag}) to {args.out}")
     else:
         print(text, end="")

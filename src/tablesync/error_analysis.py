@@ -122,8 +122,8 @@ class ErrorAnalyzer:
     the rule-set lexicons, never via a model.
     """
 
-    def __init__(self, rules: StubRuleSet | None = None, *, pivot: str = DEFAULT_PIVOT) -> None:
-        self.rules = rules or StubRuleSet()
+    def __init__(self, rules: StubRuleSet, *, pivot: str = DEFAULT_PIVOT) -> None:
+        self.rules = rules
         self.pivot = pivot
 
     def _to_pivot(self, table: InfoTable) -> InfoTable:

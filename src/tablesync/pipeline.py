@@ -21,7 +21,6 @@ from .tables import (
     parse_table,
     serialize_kg,
     serialize_table,
-    table_to_flat_kg,
 )
 
 
@@ -135,10 +134,8 @@ class Pipeline:
         self,
         kg: KnowledgeGraph,
         exemplar: InfoTable,
-        exemplar_kg: KnowledgeGraph | None = None,
+        exemplar_kg: KnowledgeGraph,
     ) -> tuple[InfoTable, StageTrace]:
-        if exemplar_kg is None:
-            exemplar_kg = table_to_flat_kg(exemplar)
         prompt = prompts.fill(
             prompts.KG_TO_TABLE,
             example_graph=serialize_kg(exemplar_kg),

@@ -51,14 +51,6 @@ class StubRuleSet:
             for src, tgt in entries:
                 if not src or not tgt:
                     raise ValueError(f"empty lexicon entry in {pair}: {(src, tgt)!r}")
-        # Sorted once, longest source first; the sort is stable, so a repeated
-        # source keeps its listed targets in file order.
-        object.__setattr__(
-            self,
-            "lexicons",
-            {pair: tuple(sorted(entries, key=lambda e: (-len(e[0]), e[0])))
-             for pair, entries in self.lexicons.items()},
-        )
         object.__setattr__(
             self,
             "merge_drop_keys",
@@ -66,7 +58,7 @@ class StubRuleSet:
         )
 
     @staticmethod
-    def from_dir(path: str | Path, **kwargs) -> StubRuleSet:
+    def from_dir(path: str | Path) -> StubRuleSet:
         """Load `<src>-<tgt>.tsv` lexicon files (tab-separated phrase pairs).
 
         An unreadable file, or a line that is not two nonempty phrases
@@ -90,10 +82,10 @@ class StubRuleSet:
                     raise ConfigError(f"{file}:{number}: expected 'source<TAB>target', got {line!r}")
                 entries.append((left, right))
             lexicons[(src, tgt)] = tuple(entries)
-        return StubRuleSet(lexicons=lexicons, **kwargs)
+        return StubRuleSet(lexicons=lexicons)
 
     def lexicon(self, src: str, tgt: str) -> LexiconPairs:
-        """Longest-source-first entries; empty when the pair is unknown."""
+        """Entries in the order given; empty when the pair is unknown."""
         return self.lexicons.get((src, tgt), ())
 
 

@@ -160,10 +160,6 @@ class KnowledgeGraph:
             raise InvalidValue("graph root must be a map")
         _check_kg_value(self.root, "$")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.root
-
     def leaves(self) -> tuple[str, ...]:
         """All text leaves in depth-first order."""
         out: list[str] = []
@@ -502,8 +498,6 @@ def flatten_kg(kg: KnowledgeGraph) -> tuple[TableRow, ...]:
 
 def table_to_flat_kg(rows) -> KnowledgeGraph:
     """Lossless flat graph of a row list; duplicate keys become list leaves."""
-    if isinstance(rows, InfoTable):
-        rows = rows.rows
     root: dict = {}
     for row in rows:
         if row.key in root:

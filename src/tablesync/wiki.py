@@ -6,7 +6,6 @@ import json
 import re
 import time
 import urllib.parse
-from datetime import datetime, timezone
 
 from .errors import NetworkError, NoInfobox, PageNotFound
 from .tables import InfoTable, TableRow
@@ -58,10 +57,10 @@ def _template_params(text: str, start: int) -> list[str]:
     raise NoInfobox("unbalanced infobox template")
 
 
-def extract_infobox_rows(wikitext: str) -> tuple[tuple[TableRow, ...], tuple[str, ...]]:
+def extract_infobox_rows(wikitext: str) -> tuple[TableRow, ...]:
     """Rows from the first infobox template's top-level named parameters.
 
-    Values holding nested templates stay raw and are reported in the lint list.
+    Values holding nested templates stay raw.
     """
     search = 0
     while True:
@@ -72,7 +71,6 @@ def extract_infobox_rows(wikitext: str) -> tuple[tuple[TableRow, ...], tuple[str
             break
         search = start + 2
     rows: list[TableRow] = []
-    lints: list[str] = []
     for param in _template_params(wikitext, start)[1:]:  # part 0 is the template name
         name, sep, raw = param.partition("=")
         name = name.strip()
@@ -80,12 +78,11 @@ def extract_infobox_rows(wikitext: str) -> tuple[tuple[TableRow, ...], tuple[str
             continue
         raw = raw.strip()
         if "{{" in raw:
-            lints.append(f"nested template kept raw in {name!r}")
             value = re.sub(r"\s+", " ", _COMMENT.sub("", raw)).strip()
         else:
             value = _strip_markup(raw)
         rows.append(TableRow(name, value))
-    return tuple(rows), tuple(lints)
+    return tuple(rows)
 
 
 class MediaWikiClient:
@@ -112,12 +109,10 @@ class MediaWikiClient:
         self,
         title: str,
         lang: str,
-        as_of: str | datetime,
+        as_of: str,
         category: str = "Uncategorized",
     ) -> InfoTable:
         """Infobox of the latest revision at or before as_of, as an InfoTable."""
-        if isinstance(as_of, datetime):
-            as_of = as_of.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         params = {
             "action": "query",
             "format": "json",
@@ -157,5 +152,4 @@ class MediaWikiClient:
             raise NetworkError(f"wiki API answer has an unexpected shape: {exc!r}") from exc
         if not isinstance(content, str):
             raise NetworkError(f"revision content is {type(content).__name__}, not text")
-        rows, _ = extract_infobox_rows(content)
-        return InfoTable(title, lang, category, rows, revision_tag=tag)
+        return InfoTable(title, lang, category, extract_infobox_rows(content), revision_tag=tag)

@@ -389,10 +389,10 @@ class TestVotingProperties:
 
 
 class TestMultiVote:
-    def test_degenerate_is_deterministic_result(self, mk_table):
+    def test_degenerate_is_deterministic_result(self, mk_table, stub_gateway):
         a = mk_table([("Name", "x")])
         b = mk_table([("Name", "y")])
-        assert multi_vote_align(a, b, [], 1) == align_deterministic(a, b)
+        assert multi_vote_align(a, b, [], 1, stub_gateway) == align_deterministic(a, b)
 
     def test_all_stub_voters_agree(self, mk_table, stub_gateway):
         a = mk_table([("Name", "x"), ("Country", "y")])
@@ -412,9 +412,9 @@ class TestMultiVote:
         three = multi_vote_align(a, b, ["m2", "m2b"], 1, Gateway(StubBackend(StubRuleSet())))
         assert three.edges == {("name", "name")}
 
-    def test_rounds_must_be_positive(self, mk_table):
+    def test_rounds_must_be_positive(self, mk_table, stub_gateway):
         with pytest.raises(ValueError):
-            multi_vote_align(mk_table([]), mk_table([]), [], 0)
+            multi_vote_align(mk_table([]), mk_table([]), [], 0, stub_gateway)
 
 
 class TestScoreAlignment:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from tablesync import cli, dataset, gateway as gw
+from tablesync.alignment import align_deterministic, alignment_to_doc
 from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.pipeline import Pipeline, traces_jsonable
 from tablesync.stub import StubBackend
@@ -268,8 +269,7 @@ class TestFailureIsolation:
             source = dataset.load_instance(Path(corpus) / rel).source
             pipeline = Pipeline(gw.Gateway(StubBackend(rules)), "stub-model")
             expected.append(pipeline.translate_table(source, "en", stage="translate_source")[1])
-        cli._write_json(tmp_path / "expected.json", traces_jsonable(expected))
-        assert (out / rel / "traces.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert (out / rel / "traces.json").read_bytes() == cli._json(traces_jsonable(expected)).encode("utf-8")
 
     @pytest.mark.parametrize(
         "name, content",
@@ -570,6 +570,24 @@ class TestAlign:
         ) == 0
         assert "f1=1.0000" in capsys.readouterr().out
 
+    def test_without_models_the_document_is_the_deterministic_alignment(self, corpus_dir, tmp_path, capsys):
+        # Source against gold of every fixture instance, to stdout and to --out.
+        for directory in dataset.iter_instance_dirs(corpus_dir):
+            (left,), (right,) = directory.glob("source.*.table"), directory.glob("gold.*.table")
+            language = left.suffixes[0].lstrip(".")
+            tables = [InfoTable(name, language, "Uncategorized", dataset.read_table(path))
+                      for name, path in (("left", left), ("right", right))]
+            expected = json.dumps(
+                alignment_to_doc(align_deterministic(*tables)), sort_keys=True, indent=2, ensure_ascii=False
+            ) + "\n"
+            argv = ["align", "--left", str(left), "--right", str(right), "--language", language]
+            capsys.readouterr()
+            assert run_cli(*argv) == cli.EXIT_OK
+            assert capsys.readouterr().out == expected
+            out = tmp_path / f"{directory.name}.json"
+            assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
+            assert out.read_bytes() == expected.encode("utf-8")
+
 
 TABLE = '[["Name","x"]]'
 ALIGN = ["align", "--left", "{tmp}/ok.table", "--right", "{tmp}/ok.table"]
@@ -593,6 +611,12 @@ INPUT_ERRORS = {
     ),
     "align-out-under-a-file": (
         {"ok.table": TABLE, "f": "a regular file"}, [*ALIGN, "--out", "{tmp}/f/a.json"], "{tmp}/f/a.json"
+    ),
+    "align-lexicons-missing": (
+        {"ok.table": TABLE}, [*ALIGN, "--lexicons", "{tmp}/nonexistent"], "{tmp}/nonexistent"
+    ),
+    "align-endpoint-not-http": (
+        {"ok.table": TABLE}, [*ALIGN, "--backend", "http", "--endpoint", "ftp://x"], "'ftp://x'"
     ),
     "unparseable-table": (
         {"ok.table": TABLE, "bad.table": "no table here"},
@@ -895,6 +919,78 @@ class TestUnwritableOut:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(blocker / "x.json") in err
+
+    @pytest.mark.parametrize(
+        "name", ["City/musterstadt/output.de.table", "City/musterstadt/traces.json", "config.snapshot"]
+    )
+    def test_output_file_is_a_directory(self, name, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out / name}:")
+        assert not list(out.rglob("failure.json"))
+
+    def test_fetch_out_under_a_file(self, blocker, http_server, capsys):
+        http_server.script = [(200, json.dumps(WIKI_PAGE).encode())]
+        code = run_cli(
+            "fetch", "--title", "Ada", "--lang", "en", "--as-of", "2018-01-01T00:00:00Z",
+            "--api-template", f"{http_server.base}/{{lang}}/api.php", "--out", str(blocker / "x.table"),
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {blocker / 'x.table'}:")
+
+    @pytest.mark.parametrize("command", ["sync", "eval", "align", "errors", "fetch"])
+    def test_every_written_file_is_checked(
+        self, command, corpus, lexicons, tmp_path, http_server, monkeypatch, capsys
+    ):
+        instance_dir = Path(corpus) / "City" / "musterstadt"
+        synced, denied = tmp_path / "synced", tmp_path / "denied"
+        selected = ["--lexicons", lexicons, "--instance", "musterstadt"]
+        assert run_cli("sync", "--corpus", corpus, "--out", str(synced), *selected) == cli.EXIT_OK
+        http_server.script = [(200, json.dumps(WIKI_PAGE).encode())]
+        table = str(instance_dir / "source.de.table")
+        traces = str(synced / "City" / "musterstadt" / "traces.json")
+        argv = {
+            "sync": ["sync", "--corpus", corpus, *selected, "--out", str(denied)],
+            "eval": ["eval", "--corpus", corpus, "--outputs", str(synced), *selected, "--out", str(denied)],
+            "align": [
+                "align", "--left", table, "--right", table, "--language", "de", "--out", str(denied / "a.json"),
+            ],
+            "errors": [
+                "errors", "--instance-dir", str(instance_dir), "--traces", traces,
+                "--lexicons", lexicons, "--out", str(denied / "ledger.json"),
+            ],
+            "fetch": [
+                "fetch", "--title", "Ada", "--lang", "en", "--as-of", "2018-01-01T00:00:00Z",
+                "--api-template", f"{http_server.base}/{{lang}}/api.php", "--out", str(denied / "ada.table"),
+            ],
+        }[command]
+        write_text = Path.write_text
+
+        def refuse(self, *args, **kwargs):
+            if self.is_relative_to(denied):
+                raise PermissionError(13, "Permission denied", str(self))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        capsys.readouterr()
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {denied}") and "Traceback" not in err
+
+
+WIKI_PAGE = {
+    "query": {
+        "pages": [{
+            "title": "Ada",
+            "revisions": [{"revid": 1, "timestamp": "2017-01-01T00:00:00Z",
+                           "slots": {"main": {"content": "{{Infobox person|name=Ada}}"}}}],
+        }]
+    }
+}
 
 
 class TestStats:

@@ -30,24 +30,24 @@ class TestErrorCounts:
 class TestClassify:
     def test_identical_tables_no_errors(self, mk_table):
         table = mk_table([("a", "1"), ("b", "2")])
-        counts = ErrorAnalyzer().classify(table, table)
+        counts = ErrorAnalyzer(StubRuleSet()).classify(table, table)
         assert counts == ErrorCounts()
 
     def test_extra_gold_row_is_missing(self, mk_table):
         candidate = mk_table([("a", "1")])
         gold = mk_table([("a", "1"), ("b", "2")])
-        assert ErrorAnalyzer().classify(candidate, gold) == ErrorCounts(missing=1)
+        assert ErrorAnalyzer(StubRuleSet()).classify(candidate, gold) == ErrorCounts(missing=1)
 
     def test_stale_value_token_is_partial(self, mk_table):
         candidate = mk_table([("a", "x, old")])
         gold = mk_table([("a", "x, new")])
-        counts = ErrorAnalyzer().classify(candidate, gold)
+        counts = ErrorAnalyzer(StubRuleSet()).classify(candidate, gold)
         assert counts == ErrorCounts(outdated_partial=1)
 
     def test_fully_contradicting_value_is_full(self, mk_table):
         candidate = mk_table([("a", "old")])
         gold = mk_table([("a", "new")])
-        assert ErrorAnalyzer().classify(candidate, gold) == ErrorCounts(outdated_full=1)
+        assert ErrorAnalyzer(StubRuleSet()).classify(candidate, gold) == ErrorCounts(outdated_full=1)
 
     def test_redundant_rows_with_overlapping_facts(self, mk_table):
         # two candidate rows carry the same fact for one gold key

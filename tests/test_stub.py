@@ -60,6 +60,12 @@ def lexicon(entries):
     return StubRuleSet(lexicons={("xx", "yy"): tuple(entries)}).lexicon("xx", "yy")
 
 
+def longest_first(pairs):
+    """The order both references assume; the sort is stable, so a repeated
+    source keeps its listed targets in order."""
+    return tuple(sorted(pairs, key=lambda e: (-len(e[0]), e[0])))
+
+
 def swap_one(text: str, entries) -> str:
     return translate_cells((TableRow("k", text),), lexicon(entries))[0].value
 
@@ -109,7 +115,7 @@ class TestTranslateCells:
         )
         rows = data.draw(st.lists(st.tuples(cell.filter(str.strip), cell), max_size=5))
         rows = tuple(TableRow(k, v) for k, v in rows)
-        assert translate_cells(rows, pairs) == per_entry_reference(rows, pairs)
+        assert translate_cells(rows, pairs) == per_entry_reference(rows, longest_first(pairs))
 
     @given(st.data())
     @settings(max_examples=300)
@@ -127,7 +133,27 @@ class TestTranslateCells:
         cell = st.lists(st.one_of(st.sampled_from(sources), text), max_size=6).map("".join)
         rows = data.draw(st.lists(st.tuples(cell.filter(str.strip), cell), max_size=4))
         rows = tuple(TableRow(k, v) for k, v in rows)
-        assert translate_cells(rows, pairs) == regex_reference(rows, pairs)
+        assert translate_cells(rows, pairs) == regex_reference(rows, longest_first(pairs))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_entry_order_does_not_matter(self, data):
+        text = st.text("aZé1_ -.", min_size=1, max_size=4)
+        sources = data.draw(st.lists(text, min_size=1, max_size=6))
+        for src in data.draw(st.lists(st.sampled_from(sources), max_size=3)):
+            sources.append(src[: data.draw(st.integers(1, len(src)))])
+        sources += data.draw(st.lists(st.sampled_from(sources), max_size=3))
+        pairs = lexicon((src, data.draw(text.filter(str.strip))) for src in sources)
+        # Shuffle the entries, but entries that share a source keep their listed order.
+        listed: dict[str, list[tuple[str, str]]] = {}
+        for entry in pairs:
+            listed.setdefault(entry[0], []).append(entry)
+        shuffled = tuple(listed[src].pop(0) for src, _ in data.draw(st.permutations(pairs)))
+        cell = st.lists(st.one_of(st.sampled_from(sources), text), max_size=6).map("".join)
+        rows = data.draw(st.lists(st.tuples(cell.filter(str.strip), cell), max_size=4))
+        rows = tuple(TableRow(k, v) for k, v in rows)
+        expected = regex_reference(rows, longest_first(pairs))
+        assert translate_cells(rows, shuffled) == translate_cells(rows, pairs) == expected
 
     def test_word_character_is_re_word(self):
         word = re.compile(r"\w")

@@ -339,7 +339,7 @@ class TestParseKg:
         assert kg.root["Occupation"]["Additional"] == ["Songwriter", "Actress"]
 
     def test_empty_map(self):
-        assert parse_kg("{}").is_empty
+        assert parse_kg("{}").root == {}
 
     def test_bare_tokens_kept_as_text(self):
         kg = parse_kg('{"age": 24, "active": true}')
