@@ -10,12 +10,10 @@ from . import prompts
 from .errors import EmptyVoteSet, UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
 from .similarity import normalized_edit_distance, trigrams
-from .tables import InfoTable, language_name, normalize_key, parse_table, serialize_table
+from .tables import KEY_FEATURES_CACHED, InfoTable, language_name, normalize_key, parse_table, serialize_table
 
 SIMILARITY_THRESHOLD = 0.5
 REANCHOR_MAX_DISTANCE = 0.2
-# Distinct keys whose matching features are kept for the life of the process.
-KEY_FEATURES_CACHED = 2048
 
 
 @dataclass(frozen=True)
@@ -108,53 +106,84 @@ def _overlaps(features: Iterable[str], index: dict[str, list[str]]) -> dict[str,
     return counts
 
 
-def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> list[tuple[str, str]]:
-    """Greedy one-to-one best matches over original key spellings.
-
-    A pair scores 1.0 when the normalized keys are equal; otherwise the Dice
-    coefficient of their token sets, or of their character trigrams when
-    they share no token. A pair sharing neither scores 0, so the right keys
-    are indexed by normalized form, token and trigram, and each left key is
-    scored from overlap counts against only the keys its postings reach.
-    Candidates below the similarity threshold stay unmatched. Ties break on
-    score, then lexicographic key order, so the result is deterministic.
-    """
-    right = _keys_by_norm(right_keys)
-    token_index: dict[str, list[str]] = {}
-    gram_index: dict[str, list[str]] = {}
-    sizes: dict[str, tuple[int, int]] = {}
-    for norm, spellings in right.items():
-        _, tokens, grams = _key_features(spellings[0])
-        sizes[norm] = (len(tokens), len(grams))
-        for token in tokens:
-            token_index.setdefault(token, []).append(norm)
-        for gram in grams:
-            gram_index.setdefault(gram, []).append(norm)
-
-    scored = []
-    for norm, lefts in _keys_by_norm(left_keys).items():
-        _, tokens, grams = _key_features(lefts[0])
-        # Equal normalized forms have equal token sets: their Dice is exactly 1.0.
-        scores = {
-            other: 2.0 * n / (len(tokens) + sizes[other][0])
-            for other, n in _overlaps(tokens, token_index).items()
-        }
-        for other, n in _overlaps(grams, gram_index).items():
-            if other not in scores:
-                scores[other] = 2.0 * n / (len(grams) + sizes[other][1])
-        for other, score in scores.items():
-            if score >= SIMILARITY_THRESHOLD:
-                scored.extend((-score, l, r) for l in lefts for r in right[other])
-    scored.sort()
-    taken_left: set[str] = set()
-    taken_right: set[str] = set()
-    matches: list[tuple[str, str]] = []
-    for _, l, r in scored:
+def _take_free(
+    scored: list[tuple[float, str, str]],
+    taken_left: set[str],
+    taken_right: set[str],
+    matches: list[tuple[str, str]],
+) -> None:
+    """Greedy pass: in sorted (-score, left, right) order, match each pair
+    whose two keys are still free."""
+    for _, l, r in sorted(scored):
         if l in taken_left or r in taken_right:
             continue
         taken_left.add(l)
         taken_right.add(r)
         matches.append((l, r))
+
+
+def greedy_key_matches(left_keys: Sequence[str], right_keys: Sequence[str]) -> list[tuple[str, str]]:
+    """Greedy one-to-one best matches over original key spellings.
+
+    A pair scores the Dice coefficient of its normalized keys' token sets,
+    or of their character trigrams when they share no token; candidates
+    below the similarity threshold stay unmatched. Ties break on score, then
+    lexicographic key order, so the result is deterministic.
+
+    A pair scores exactly 1.0 only when its token sets are equal, or when it
+    shares no token and its trigram sets are equal. Those pairs sort first,
+    so they are found by lookup on the frozen sets and matched before any
+    pair is scored. A remaining pair scores 0 unless it shares a token or a
+    trigram, so the right keys still free are indexed by token and trigram,
+    and each left key still free is scored from overlap counts against only
+    the keys its postings reach.
+    """
+    left, right = _keys_by_norm(left_keys), _keys_by_norm(right_keys)
+    features = {norm: _key_features(keys[0])[1:] for side in (left, right) for norm, keys in side.items()}
+
+    by_tokens: dict[frozenset[str], list[str]] = {}
+    by_grams: dict[frozenset[str], list[str]] = {}
+    for norm in right:
+        tokens, grams = features[norm]
+        by_tokens.setdefault(tokens, []).append(norm)
+        by_grams.setdefault(grams, []).append(norm)
+    exact = []
+    for norm, lefts in left.items():
+        tokens, grams = features[norm]
+        partners = by_tokens.get(tokens, []) + [
+            other for other in by_grams.get(grams, ()) if tokens.isdisjoint(features[other][0])
+        ]
+        exact.extend((-1.0, l, r) for other in partners for l in lefts for r in right[other])
+    taken_left: set[str] = set()
+    taken_right: set[str] = set()
+    matches: list[tuple[str, str]] = []
+    _take_free(exact, taken_left, taken_right, matches)
+
+    token_index: dict[str, list[str]] = {}
+    gram_index: dict[str, list[str]] = {}
+    for norm, rights in right.items():
+        if not taken_right.issuperset(rights):
+            tokens, grams = features[norm]
+            for token in tokens:
+                token_index.setdefault(token, []).append(norm)
+            for gram in grams:
+                gram_index.setdefault(gram, []).append(norm)
+    scored = []
+    for norm, lefts in left.items():
+        if taken_left.issuperset(lefts):
+            continue
+        tokens, grams = features[norm]
+        scores = {
+            other: 2.0 * n / (len(tokens) + len(features[other][0]))
+            for other, n in _overlaps(tokens, token_index).items()
+        }
+        for other, n in _overlaps(grams, gram_index).items():
+            if other not in scores:
+                scores[other] = 2.0 * n / (len(grams) + len(features[other][1]))
+        for other, score in scores.items():
+            if score >= SIMILARITY_THRESHOLD:
+                scored.extend((-score, l, r) for l in lefts for r in right[other])
+    _take_free(scored, taken_left, taken_right, matches)
     return matches
 
 

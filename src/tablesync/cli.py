@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import Field, dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable
 
@@ -195,8 +196,34 @@ def build_gateway(config: RunConfig) -> gw.Gateway:
 
 
 def _json(payload: object) -> str:
-    """The text of every JSON document the CLI writes or prints."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The text of every JSON document the CLI writes or prints: the text of
+    `json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)` and a
+    newline, built without the pure-Python encoder that json uses to indent."""
+    chunks: list[str] = []
+    _encode(payload, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(value: object, newline: str, chunks: list[str]) -> None:
+    """Append the indented JSON text of value; `newline` is a line break and
+    the indent of the line that value starts on. Dict keys are text."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        for i, key in enumerate(sorted(value)):
+            chunks += ("," if i else "{", inner, encode_basestring(key), ": ")
+            _encode(value[key], inner, chunks)
+        chunks.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        for i, item in enumerate(value):
+            chunks += ("," if i else "[", inner)
+            _encode(item, inner, chunks)
+        chunks.append(newline + "]" if value else "[]")
+    else:
+        chunks.append(json.dumps(value))
 
 
 def _write(path: Path, text: str) -> None:
@@ -205,6 +232,15 @@ def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, "utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _remove(path: Path) -> None:
+    """Delete a file that an earlier run left, if there is one. A path that
+    cannot be deleted is a ConfigError naming it, as in `_write`."""
+    try:
+        path.unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -264,7 +300,12 @@ def _evaluate_and_write(
 
 
 def _run_instances(
-    args: argparse.Namespace, config: RunConfig, instance_dirs: list[Path], gateway: gw.Gateway, produce
+    args: argparse.Namespace,
+    config: RunConfig,
+    instance_dirs: list[Path],
+    gateway: gw.Gateway,
+    produce,
+    produced: tuple[str, ...] = (),
 ) -> int:
     """Run each instance through `gateway.map`: load it, take its output table
     from `produce(instance, rel)`, evaluate it.
@@ -274,12 +315,17 @@ def _run_instances(
     to traces.json), "load" or "evaluate". A ConfigError, a file that cannot
     be written, ends the run. Each instance prints its `ok` or `FAIL` line as
     it ends, in one write. The output directory is made before any instance
-    runs.
+    runs. Before an instance runs, the files an earlier run may have left in
+    its directory are deleted: report.json, failure.json and those matching
+    the `produced` patterns, the files `produce` writes there.
     """
     out_root = _make_out_dir(config.out)
 
     def run_one(directory: Path) -> UpdateReport | None:
         rel = directory.relative_to(config.corpus)
+        for pattern in ("report.json", "failure.json", *produced):
+            for stale in (out_root / rel).glob(pattern):
+                _remove(stale)
         stage = "load"
         try:
             instance = dataset.load_instance(directory)
@@ -325,7 +371,9 @@ def cmd_sync(args: argparse.Namespace) -> int:
             _write(out_dir / f"output.{result.output.language}.table", serialize_table(result.output) + "\n")
             return result.output
 
-        return _run_instances(args, config, instance_dirs, gateway, synced)
+        return _run_instances(
+            args, config, instance_dirs, gateway, synced, produced=("traces.json", "output.*.table")
+        )
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

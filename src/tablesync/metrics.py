@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import prompts
@@ -48,7 +49,11 @@ def score_row(c: AtomicComparison) -> RowScore:
     A ratio with zero denominator counts as 1 (vacuously correct); the F1 of
     (0, 0) is 0.
     """
-    sct, scd, t1u, t2u = len(c.sct), len(c.scd), len(c.t1u), len(c.t2u)
+    return _score_counts(len(c.sct), len(c.scd), len(c.t1u), len(c.t2u))
+
+
+@lru_cache
+def _score_counts(sct: int, scd: int, t1u: int, t2u: int) -> RowScore:
     precision = Fraction(sct, sct + scd + t1u) if sct + scd + t1u else Fraction(1)
     recall = Fraction(sct, sct + scd + t2u) if sct + scd + t2u else Fraction(1)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else Fraction(0)

@@ -6,7 +6,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     EmptyKey,
@@ -36,6 +36,9 @@ LANGUAGE_NAMES: dict[str, str] = {
 
 DEFAULT_PIVOT = "en"
 
+# Distinct keys whose normalized form (and, in alignment, whose matching
+# features) are kept for the life of the process.
+KEY_FEATURES_CACHED = 2048
 _TERMINAL_PUNCT = ".,:;!?。、：؛؟"
 _WS_RUN = re.compile(r"\s+")
 
@@ -55,6 +58,7 @@ def language_code(name: str) -> str:
     raise ValueError(f"unknown language name: {name!r}")
 
 
+@lru_cache(maxsize=KEY_FEATURES_CACHED)
 def normalize_key(text: str) -> str:
     """Canonical key form: NFC, trimmed, whitespace collapsed, lowercased,
     terminal punctuation stripped. Idempotent.

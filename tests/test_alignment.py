@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablesync.alignment import (
@@ -259,6 +259,17 @@ match_keys = st.lists(
 class TestGreedyKeyMatches:
     @given(match_keys, match_keys)
     @settings(max_examples=200)
+    # Exact pairs: equal token sets in another order.
+    @example(left=["birth date", "place"], right=["Date Birth", "birth place"])
+    # Exact pairs: equal trigram sets and no shared token, sorting ahead of
+    # an equal normalized form.
+    @example(left=["aaaa"], right=["aaaa", "aaa"])
+    # Equal trigram sets and a shared token: 2/3, not exact, so 4/5 wins.
+    @example(left=["aaa aaa", "aaaa aaa b"], right=["aaa aaaa"])
+    # Two left spellings, of one and of two normalized forms, compete for one exact partner.
+    @example(left=["date of birth", "Birth of date", "of birth date:"], right=["birth date of"])
+    # A left key whose exact partner is taken falls back to its next best score.
+    @example(left=["birth date", "date birth"], right=["Birth Date", "birth date place"])
     def test_equals_pairwise_key_similarity(self, left, right):
         assert greedy_key_matches(left, right) == pairwise_reference(left, right)
 
@@ -267,6 +278,17 @@ class TestGreedyKeyMatches:
         for a in tables:
             for b in tables:
                 assert greedy_key_matches(a.keys(), b.keys()) == pairwise_reference(a.keys(), b.keys())
+
+    def test_alike_keys_are_matched_without_scoring(self, monkeypatch):
+        # Every left key has a right key with an equal token set, so all
+        # 3000 are matched by lookup and no pair's overlap is counted.
+        def overlaps(*_):
+            raise AssertionError("a pair was scored")
+
+        monkeypatch.setattr("tablesync.alignment._overlaps", overlaps)
+        left = [f"key {i}" for i in range(3000)]
+        right = [f"{i} KEY" for i in range(3000)]
+        assert greedy_key_matches(left, right) == sorted(zip(left, right))
 
     def test_keys_sharing_nothing_are_never_scored(self):
         # 3000 x 3000 distinct CJK characters, no token or trigram shared

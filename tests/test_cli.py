@@ -10,6 +10,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tablesync import cli, dataset, gateway as gw
 from tablesync.alignment import align_deterministic, alignment_to_doc
@@ -301,6 +303,52 @@ class TestFailureIsolation:
         failure = self.failure(out, "City/musterstadt")
         assert failure["stage"] == "load" and "source.de.table" in failure["error"]
         self.assert_nine_reported(out, capsys)
+
+    def test_completed_rerun_deletes_the_stale_failure(self, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        stale = out / "City" / "musterstadt" / "failure.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text('{"stage": "merge", "error": "from an earlier run"}\n', "utf-8")
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
+        )
+        assert code == cli.EXIT_OK
+        assert not stale.exists()
+        assert (stale.parent / "report.json").is_file()
+
+    @pytest.mark.parametrize("failing_stage", ["load", "translate_source"])
+    def test_failed_rerun_deletes_the_stale_outputs(
+        self, corpus_dir, lexicons, tmp_path, monkeypatch, capsys, failing_stage
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        if failing_stage == "load":
+            (corpus / "City" / "musterstadt" / "source.de.table").write_text('[["Name", ', "utf-8")
+        else:
+            def failing(complete, request):
+                if request.tag == failing_stage:
+                    raise BackendUnavailable("HTTP 503")
+                return complete()
+
+            patch_stub(monkeypatch, failing)
+        out = tmp_path / "out"
+        instance_out = out / "City" / "musterstadt"
+        instance_out.mkdir(parents=True)
+        for name in ("report.json", "output.de.table", "traces.json"):
+            (instance_out / name).write_text("from an earlier run\n", "utf-8")
+        code = run_cli(
+            "sync", "--corpus", str(corpus), "--out", str(out), "--lexicons", lexicons,
+            "--instance", "musterstadt",
+        )
+        assert code == cli.EXIT_PARTIAL
+        assert self.failure(out, "City/musterstadt")["stage"] == failing_stage
+        assert not (instance_out / "report.json").exists()
+        assert not (instance_out / "output.de.table").exists()
+        # A failed pipeline stage writes the traces of the stages before it.
+        traces = instance_out / "traces.json"
+        assert traces.exists() == (failing_stage != "load")
+        if traces.exists():
+            assert json.loads(traces.read_text()) == []
 
     def test_eval_unparseable_output(self, corpus, lexicons, tmp_path, capsys):
         synced = tmp_path / "sync"
@@ -991,6 +1039,22 @@ WIKI_PAGE = {
         }]
     }
 }
+
+
+json_scalars = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children)
+    ),
+)
+
+
+class TestJsonWriter:
+    @given(json_documents)
+    @example({"b": [float("nan"), float("-inf"), 1e16], "a": {"\x00\u2028é": [[], {}, True, None, -0.0]}})
+    def test_equals_json_dumps(self, document):
+        assert cli._json(document) == json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestStats:
