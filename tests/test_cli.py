@@ -1047,6 +1047,7 @@ json_documents = st.recursive(
     lambda children: st.one_of(
         st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children)
     ),
+    max_leaves=20,
 )
 
 
