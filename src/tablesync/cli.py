@@ -13,7 +13,7 @@ import sys
 from dataclasses import Field, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 from . import dataset, gateway as gw
 from .alignment import alignment_from_doc, alignment_to_doc, multi_vote_align, score_alignment
@@ -28,6 +28,7 @@ from .wiki import MediaWikiClient
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 # Settings taken only from flags, never from a config file.
 _FLAG_ONLY = ("record",)
@@ -174,11 +175,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def load_rules(config: RunConfig) -> StubRuleSet:
+def load_rules(config: RunConfig, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:
+    """The stub's rules: the --lexicons files, or only those of the (source,
+    target) language pairs given; no lexicon without --lexicons."""
     if config.lexicons:
         if not Path(config.lexicons).is_dir():
             raise ConfigError(f"lexicon directory not found: {config.lexicons}")
-        return StubRuleSet.from_dir(config.lexicons)
+        return StubRuleSet.from_dir(config.lexicons, pairs)
     return StubRuleSet()
 
 
@@ -317,9 +320,13 @@ def _run_instances(
     it ends, in one write. The output directory is made before any instance
     runs. Before an instance runs, the files an earlier run may have left in
     its directory are deleted: report.json, failure.json and those matching
-    the `produced` patterns, the files `produce` writes there.
+    the `produced` patterns, the files `produce` writes there. The run's own
+    report.json and config.snapshot are deleted before the first instance
+    runs and written after the last, so that an interrupted run leaves none.
     """
     out_root = _make_out_dir(config.out)
+    for stale in ("report.json", "config.snapshot"):
+        _remove(out_root / stale)
 
     def run_one(directory: Path) -> UpdateReport | None:
         rel = directory.relative_to(config.corpus)
@@ -425,7 +432,9 @@ def cmd_errors(args: argparse.Namespace) -> int:
         raise ConfigError(f"not an instance directory (no {dataset.MANIFEST_NAME}): {args.instance_dir}")
     instance = dataset.load_instance(args.instance_dir)
     traces = _read_json(args.traces, "traces", traces_from_jsonable)
-    analyzer = ErrorAnalyzer(load_rules(config), pivot=config.pivot)
+    # The ledger translates the reference and the gold table into the pivot, nothing else.
+    pairs = {(instance.reference.language, config.pivot), (instance.gold.language, config.pivot)}
+    analyzer = ErrorAnalyzer(load_rules(config, pairs), pivot=config.pivot)
     try:
         ledger = analyzer.stagewise_ledger(instance, traces)
     except ConfigError as exc:
@@ -520,69 +529,96 @@ def _add_setting_flags(
         add("--rounds", type=int, help="voting rounds per model")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command, in the order usage and help list them.
+COMMANDS = ("sync", "eval", "align", "errors", "stats", "fetch", "transcripts")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when it names none.
+
+    A command's parsing, errors and help are the same either way, and so is
+    the top-level usage line, which lists every command.
+    """
+    wanted = (command,) if command in COMMANDS else COMMANDS
+    # With one command built, the metavar keeps every command in the usage
+    # line; with all built it stays unset, so errors name the argument "command".
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
     parser = argparse.ArgumentParser(prog="tablesync", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p_sync = sub.add_parser("sync", help="run a synchronization strategy over a corpus")
-    p_sync.add_argument("--corpus", help="corpus root directory")
-    p_sync.add_argument("--out", help="output directory for tables, traces, reports")
-    p_sync.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p_sync.add_argument("--instance", help="substring selector over instance paths")
-    _add_setting_flags(p_sync, backend=True, models=True, pivot=True)
-    p_sync.set_defaults(func=cmd_sync)
+    if "sync" in wanted:
+        p_sync = sub.add_parser("sync", help="run a synchronization strategy over a corpus")
+        p_sync.add_argument("--corpus", help="corpus root directory")
+        p_sync.add_argument("--out", help="output directory for tables, traces, reports")
+        p_sync.add_argument("--strategy", choices=[s.value for s in Strategy])
+        p_sync.add_argument("--instance", help="substring selector over instance paths")
+        _add_setting_flags(p_sync, backend=True, models=True, pivot=True)
+        p_sync.set_defaults(func=cmd_sync)
 
-    p_eval = sub.add_parser("eval", help="evaluate existing output tables against gold")
-    p_eval.add_argument("--corpus", help="corpus root directory")
-    p_eval.add_argument("--outputs", help="directory holding output tables from sync")
-    p_eval.add_argument("--out", help="report output directory")
-    p_eval.add_argument("--instance", help="substring selector over instance paths")
-    _add_setting_flags(p_eval, backend=True, models=True)
-    p_eval.set_defaults(func=cmd_eval)
+    if "eval" in wanted:
+        p_eval = sub.add_parser("eval", help="evaluate existing output tables against gold")
+        p_eval.add_argument("--corpus", help="corpus root directory")
+        p_eval.add_argument("--outputs", help="directory holding output tables from sync")
+        p_eval.add_argument("--out", help="report output directory")
+        p_eval.add_argument("--instance", help="substring selector over instance paths")
+        _add_setting_flags(p_eval, backend=True, models=True)
+        p_eval.set_defaults(func=cmd_eval)
 
-    # No abbreviations, so that `--model` is not taken for `--models`.
-    p_align = sub.add_parser("align", help="align two table files", allow_abbrev=False)
-    p_align.add_argument("--left", required=True)
-    p_align.add_argument("--right", required=True)
-    p_align.add_argument("--language", default=DEFAULT_PIVOT)
-    p_align.add_argument("--out", dest="out_file", help="write the alignment document here")
-    p_align.add_argument("--gold-alignment", dest="gold_alignment", help="score against this alignment doc")
-    _add_setting_flags(p_align, backend=True, votes=True)
-    p_align.set_defaults(func=cmd_align)
+    if "align" in wanted:
+        # No abbreviations, so that `--model` is not taken for `--models`.
+        p_align = sub.add_parser("align", help="align two table files", allow_abbrev=False)
+        p_align.add_argument("--left", required=True)
+        p_align.add_argument("--right", required=True)
+        p_align.add_argument("--language", default=DEFAULT_PIVOT)
+        p_align.add_argument("--out", dest="out_file", help="write the alignment document here")
+        p_align.add_argument("--gold-alignment", dest="gold_alignment", help="score against this alignment doc")
+        _add_setting_flags(p_align, backend=True, votes=True)
+        p_align.set_defaults(func=cmd_align)
 
-    p_errors = sub.add_parser("errors", help="stage-wise error ledger from run traces")
-    p_errors.add_argument("--instance-dir", dest="instance_dir", required=True)
-    p_errors.add_argument("--traces", required=True)
-    p_errors.add_argument("--out", dest="out_file", help="write the ledger JSON here")
-    _add_setting_flags(p_errors, pivot=True)
-    p_errors.set_defaults(func=cmd_errors)
+    if "errors" in wanted:
+        p_errors = sub.add_parser("errors", help="stage-wise error ledger from run traces")
+        p_errors.add_argument("--instance-dir", dest="instance_dir", required=True)
+        p_errors.add_argument("--traces", required=True)
+        p_errors.add_argument("--out", dest="out_file", help="write the ledger JSON here")
+        _add_setting_flags(p_errors, pivot=True)
+        p_errors.set_defaults(func=cmd_errors)
 
-    p_stats = sub.add_parser("stats", help="corpus statistics")
-    p_stats.add_argument("--corpus", required=True)
-    p_stats.add_argument("--json", action="store_true")
-    p_stats.set_defaults(func=cmd_stats)
+    if "stats" in wanted:
+        p_stats = sub.add_parser("stats", help="corpus statistics")
+        p_stats.add_argument("--corpus", required=True)
+        p_stats.add_argument("--json", action="store_true")
+        p_stats.set_defaults(func=cmd_stats)
 
-    p_fetch = sub.add_parser("fetch", help="fetch an infobox revision from a wiki")
-    p_fetch.add_argument("--title", required=True)
-    p_fetch.add_argument("--lang", required=True)
-    p_fetch.add_argument("--as-of", dest="as_of", required=True, help="ISO timestamp upper bound")
-    p_fetch.add_argument("--category", default="Uncategorized")
-    p_fetch.add_argument("--api-template", dest="api_template", default="https://{lang}.wikipedia.org/w/api.php")
-    p_fetch.add_argument("--out", help="write the table file here")
-    p_fetch.set_defaults(func=cmd_fetch)
+    if "fetch" in wanted:
+        p_fetch = sub.add_parser("fetch", help="fetch an infobox revision from a wiki")
+        p_fetch.add_argument("--title", required=True)
+        p_fetch.add_argument("--lang", required=True)
+        p_fetch.add_argument("--as-of", dest="as_of", required=True, help="ISO timestamp upper bound")
+        p_fetch.add_argument("--category", default="Uncategorized")
+        p_fetch.add_argument(
+            "--api-template", dest="api_template", default="https://{lang}.wikipedia.org/w/api.php"
+        )
+        p_fetch.add_argument("--out", help="write the table file here")
+        p_fetch.set_defaults(func=cmd_fetch)
 
-    p_tr = sub.add_parser("transcripts", help="inspect a transcript file")
-    p_tr.add_argument("file")
-    p_tr.add_argument("--digest", help="print the response replay serves for this digest prefix")
-    p_tr.set_defaults(func=cmd_transcripts)
+    if "transcripts" in wanted:
+        p_tr = sub.add_parser("transcripts", help="inspect a transcript file")
+        p_tr.add_argument("file")
+        p_tr.add_argument("--digest", help="print the response replay serves for this digest prefix")
+        p_tr.set_defaults(func=cmd_transcripts)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        # Raised through the command's `with build_gateway(...)`, which has closed.
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -74,6 +74,7 @@ def _fact_items(value: str) -> list[str]:
     return list(seen.values())
 
 
+@lru_cache
 def token_compare(left: TableRow | None, right: TableRow | None) -> AtomicComparison:
     """Deterministic value-token comparator used by the offline stub.
 
@@ -81,6 +82,7 @@ def token_compare(left: TableRow | None, right: TableRow | None) -> AtomicCompar
     positionally as contradictions, and unpaired leftovers are unique to their
     side. Item matching is case-insensitive. Fact texts anchor on the right
     (gold-side) key so rows aligned to the same key yield comparable facts.
+    Memoized: the error ledger's columns compare mostly the same row pairs.
     """
     left_items = _fact_items(left.value) if left is not None else []
     right_items = _fact_items(right.value) if right is not None else []

@@ -32,16 +32,29 @@ def template_text(name: str) -> str:
 
 
 def fill(name: str, **slots: str) -> str:
-    """Fill a template's named slots; unknown or missing slots raise KeyError."""
-    return Template(template_text(name)).substitute(**slots)
+    """Fill a template's named slots: the text of `string.Template.substitute`.
+    A missing slot raises KeyError; a slot the template does not name is ignored."""
+    literals, names = _split(template_text(name))
+    parts = [literals[0]]
+    for slot, literal in zip(names, literals[1:]):
+        parts += (slots[slot], literal)
+    return "".join(parts)
+
+
+def opening(name: str) -> str:
+    """The text every filling of the template starts with: its first literal."""
+    return _split(template_text(name))[0][0]
 
 
 @lru_cache(maxsize=None)
 def _split(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Template text cut at its slots: the literals, one more than the slot
-    names, and the slot names in order."""
+    names, and the slot names in order. A `$` that starts no slot and is not
+    `$$` is a ValueError, as in `string.Template`."""
     literals, names, start = [""], [], 0
     for match in Template.pattern.finditer(text):
+        if match.group("invalid") is not None:
+            raise ValueError(f"invalid placeholder at offset {match.start()} of template text")
         literals[-1] += text[start : match.start()]
         start = match.end()
         slot = match.group("named") or match.group("braced")

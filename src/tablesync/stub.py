@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Collection
 
 from . import prompts
 from .alignment import greedy_key_matches
@@ -58,15 +59,19 @@ class StubRuleSet:
         )
 
     @staticmethod
-    def from_dir(path: str | Path) -> StubRuleSet:
-        """Load `<src>-<tgt>.tsv` lexicon files (tab-separated phrase pairs).
+    def from_dir(path: str | Path, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:
+        """Load `<src>-<tgt>.tsv` lexicon files (tab-separated phrase pairs):
+        all of them, or only those whose (src, tgt) is in pairs.
 
         An unreadable file, or a line that is not two nonempty phrases
-        separated by a tab, is a ConfigError naming the file and line.
+        separated by a tab, is a ConfigError naming the file and line. A file
+        that is not loaded is not read.
         """
         lexicons: dict[tuple[str, str], LexiconPairs] = {}
         for file in sorted(Path(path).glob("*-*.tsv")):
             src, tgt = file.stem.split("-", 1)
+            if pairs is not None and (src, tgt) not in pairs:
+                continue
             try:
                 lines = file.read_text("utf-8").splitlines()
             except (OSError, UnicodeDecodeError) as exc:
@@ -198,28 +203,35 @@ class StubBackend:
 
     def __init__(self, rules: StubRuleSet) -> None:
         self.rules = rules
+        # (opening, template, simulation), tried in this order, which matters
+        # where two templates open alike (align_update, direct_decompose).
+        # Each simulation takes its template's slots as keyword arguments.
+        self._readers = tuple(
+            (prompts.opening(name), name, simulate)
+            for name, simulate in (
+                (prompts.TRANSLATE_TO_PIVOT, self._translate),
+                (prompts.TABLE_TO_KG, self._table_to_kg),
+                (prompts.MERGE_KGS, self._merge),
+                (prompts.KG_TO_TABLE, self._kg_to_table),
+                (prompts.TRANSLATE_FROM_PIVOT, self._translate),
+                (prompts.ALIGN, self._align),
+                (prompts.ALIGN_UPDATE, self._align_update),
+                (prompts.DIRECT, self._direct),
+                (prompts.DIRECT_DECOMPOSE, self._decompose),
+                (prompts.EVALUATE, self._evaluate),
+            )
+        )
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
         prompt = request.prompt
         for pattern, response in self.rules.canned_responses:
             if pattern in prompt:
                 return response
-        # Each simulation takes its template's slots as keyword arguments.
-        for name, simulate in (
-            (prompts.TRANSLATE_TO_PIVOT, self._translate),
-            (prompts.TABLE_TO_KG, self._table_to_kg),
-            (prompts.MERGE_KGS, self._merge),
-            (prompts.KG_TO_TABLE, self._kg_to_table),
-            (prompts.TRANSLATE_FROM_PIVOT, self._translate),
-            (prompts.ALIGN, self._align),
-            (prompts.ALIGN_UPDATE, self._align_update),
-            (prompts.DIRECT, self._direct),
-            (prompts.DIRECT_DECOMPOSE, self._decompose),
-            (prompts.EVALUATE, self._evaluate),
-        ):
-            slots = prompts.slots_of(name, prompt)
-            if slots is not None:
-                return simulate(**slots)
+        for opening, name, simulate in self._readers:
+            if prompt.startswith(opening):
+                slots = prompts.slots_of(name, prompt)
+                if slots is not None:
+                    return simulate(**slots)
         raise NoTableFound(f"stub cannot recognize prompt (tag={request.tag!r})")
 
     # stage simulations

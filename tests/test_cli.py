@@ -350,6 +350,37 @@ class TestFailureIsolation:
         if traces.exists():
             assert json.loads(traces.read_text()) == []
 
+    @pytest.mark.parametrize("command, concurrency", [("sync", "1"), ("sync", "4"), ("eval", "1")])
+    def test_interrupted_rerun_leaves_no_run_report(
+        self, corpus, lexicons, tmp_path, monkeypatch, capsys, command, concurrency
+    ):
+        synced, out = tmp_path / "synced", tmp_path / "out"
+        argv = {
+            "sync": ["sync", "--corpus", corpus],
+            "eval": ["eval", "--corpus", corpus, "--outputs", str(synced)],
+        }[command] + ["--out", str(out), "--lexicons", lexicons, "--concurrency", concurrency]
+        assert run_cli("sync", "--corpus", corpus, "--out", str(synced), "--lexicons", lexicons) == cli.EXIT_OK
+        assert run_cli(*argv) == cli.EXIT_OK
+        assert (out / "report.json").is_file() and (out / "config.snapshot").is_file()
+        calls, lock = [], threading.Lock()
+
+        def interrupted(complete, request):
+            with lock:
+                calls.append(request)
+                third = len(calls) == 3
+            if third:
+                raise KeyboardInterrupt
+            return complete()
+
+        patch_stub(monkeypatch, interrupted)
+        capsys.readouterr()
+        assert run_cli(*argv) == cli.EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not (out / "report.json").exists() and not (out / "config.snapshot").exists()
+        # The gateway closed before main returned: no helper outlives it.
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith(("ThreadPoolExecutor", "tablesync-gateway"))]
+
     def test_eval_unparseable_output(self, corpus, lexicons, tmp_path, capsys):
         synced = tmp_path / "sync"
         assert run_cli("sync", "--corpus", corpus, "--out", str(synced), "--lexicons", lexicons) == cli.EXIT_OK
@@ -758,6 +789,71 @@ class TestUnreadFlags:
         assert not (tmp_path / "o").exists()
 
 
+# One argv per command, setting most of its flags.
+REPRESENTATIVE_ARGV = {
+    "sync": [
+        "sync", "--corpus", "c", "--out", "o", "--strategy", "two", "--instance", "x", "--config", "f",
+        "--lexicons", "l", "--backend", "http", "--concurrency", "2", "--transcripts", "t", "--record",
+        "--endpoint", "e", "--api-key", "k", "--model", "m", "--eval-models", "a,b", "--pivot", "de",
+    ],
+    "eval": ["eval", "--corpus", "c", "--outputs", "p", "--out", "o", "--inst", "x", "--backend", "replay"],
+    "align": ["align", "--left", "l", "--right", "r", "--out", "o", "--models", "a,b", "--rounds", "3"],
+    "errors": ["errors", "--instance-dir", "d", "--traces", "t", "--out", "o", "--pivot", "de"],
+    "stats": ["stats", "--corpus", "c", "--json"],
+    "fetch": ["fetch", "--title", "T", "--lang", "en", "--as-of", "2018", "--api-template", "http://h/{lang}"],
+    "transcripts": ["transcripts", "f.jsonl", "--digest", "ab"],
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """(Namespace or exit code, stdout, stderr) of parser.parse_args(argv)."""
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+class TestParser:
+    """Each command builds only its own parser, and parses, errs and helps as
+    the parser of every command does."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_a_command_parser_knows_no_other_command(self, command, capsys):
+        parser = cli.build_parser(command)
+        for other in cli.COMMANDS:
+            outcome, _, err = parse_outcome(parser, REPRESENTATIVE_ARGV[other], capsys)
+            if other == command:
+                assert outcome.command == command
+            else:
+                assert outcome == cli.EXIT_CONFIG and f"invalid choice: '{other}'" in err
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize(
+        "suffix", [["--help"], [], ["--bogus"]], ids=["help", "representative", "unknown-flag"]
+    )
+    def test_one_command_parser_equals_the_full_parser(self, command, suffix, capsys):
+        argv = [command, "--help"] if suffix == ["--help"] else REPRESENTATIVE_ARGV[command] + suffix
+        alone = parse_outcome(cli.build_parser(command), argv, capsys)
+        assert alone == parse_outcome(cli.build_parser(), argv, capsys)
+        if suffix == ["--help"]:
+            assert alone[0] == 0 and alone[1].startswith(f"usage: tablesync {command} ")
+        elif suffix:
+            assert alone[0] == cli.EXIT_CONFIG and "unrecognized arguments: --bogus" in alone[2]
+        else:
+            assert alone[0].command == command
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["sync", "--bogus"]], ids=" ".join)
+    def test_top_level_output_is_the_full_parsers(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out, err) == parse_outcome(cli.build_parser(), argv, capsys)
+        usage = "usage: tablesync [-h] {sync,eval,align,errors,stats,fetch,transcripts} ...\n"
+        assert (out or err).startswith(usage)
+
+
 def load_fake_llm():
     """perfbench/fake_llm.py, the benchmark's fake chat-completion server."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "fake_llm.py"
@@ -904,6 +1000,33 @@ class TestErrors:
                 *flag,
             )
         assert excinfo.value.code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("malformed", ["es-en.tsv", "de-en.tsv"])
+    def test_reads_only_its_instances_lexicons(self, corpus, lexicon_dir, tmp_path, capsys, malformed):
+        # A de instance with an en reference and the en pivot: of the
+        # lexicons, its ledger reads de-en.tsv alone.
+        out, lexicons = tmp_path / "out", tmp_path / "lexicons"
+        shutil.copytree(lexicon_dir, lexicons)
+        selected = ["--corpus", corpus, "--lexicons", str(lexicons), "--instance", "musterstadt"]
+        assert run_cli("sync", *selected, "--out", str(out)) == cli.EXIT_OK
+        with (lexicons / malformed).open("a", encoding="utf-8") as handle:
+            handle.write("no tab here\n")
+        line = len((lexicons / malformed).read_text("utf-8").splitlines())
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--lexicons", str(lexicons),
+        )
+        captured = capsys.readouterr()
+        if malformed == "es-en.tsv":
+            assert code == cli.EXIT_OK and "in_reference" in captured.out
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert captured.err.startswith(f"config error: {lexicons / malformed}:{line}: ")
+        # sync reads every lexicon file.
+        assert run_cli("sync", *selected, "--out", str(tmp_path / "again")) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "text",

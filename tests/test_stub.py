@@ -2,6 +2,7 @@ import re
 import sys
 from functools import lru_cache
 from importlib import resources
+from string import Template
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,32 @@ def evaluate_prompt(left: TableRow, right: TableRow) -> str:
 
 def stub_answer(prompt: str) -> str:
     return StubBackend(StubRuleSet()).complete(CompletionRequest(prompt, "stub-model"), 0)
+
+
+class TestFill:
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_equals_template_substitute(self, data):
+        name = data.draw(st.sampled_from(TEMPLATES))
+        _, names = pieces(name)
+        # Values full of what Template itself would read as placeholders.
+        piece = st.sampled_from(["$", "$$", "${x}", "$table_a", "{", "}", "{}", "a", " ", "\n", "é"])
+        value = st.lists(piece, max_size=6).map("".join)
+        slots = {slot: data.draw(value) for slot in names}
+        slots.update(data.draw(st.dictionaries(st.sampled_from(["unused", "x", "graph_z"]), value)))
+        assert prompts.fill(name, **slots) == Template(prompts.template_text(name)).substitute(**slots)
+
+    def test_missing_slot_is_key_error(self):
+        with pytest.raises(KeyError, match="table_2"):
+            prompts.fill(prompts.EVALUATE, language="English", table_1="[]")
+
+    def test_lone_dollar_is_value_error(self, monkeypatch):
+        text = "costs $ 5: $table"
+        monkeypatch.setattr(prompts, "template_text", lambda name: text)
+        with pytest.raises(ValueError):
+            Template(text).substitute(table="t")
+        with pytest.raises(ValueError):
+            prompts.fill("any", table="t")
 
 
 class TestSlotsOf:
