@@ -9,13 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import prompts
 from .alignment import Alignment, align_deterministic
 from .errors import ComparisonFailed, TableSyncError, UniverseMismatch
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
-from .tables import InfoTable, TableRow, language_name, parse_kg, serialize_table
+from .tables import InfoTable, TableRow, language_name, normalize_key, parse_kg, serialize_table
 
 COMPARISON_KEYS = ("similar_consistent", "similar_contradictory", "table1_unique", "table2_unique")
 
@@ -110,24 +111,46 @@ def _facts_from(value: object) -> tuple[str, ...]:
     raise ComparisonFailed(f"category holds non-text facts: {value!r}")
 
 
+def _comparison_from(entry: object) -> AtomicComparison | None:
+    """The fact lists of one row's answer entry; None when the entry is
+    missing or not a map, holds non-text facts, or has overlapping lists."""
+    if not isinstance(entry, dict):
+        return None
+    try:
+        return AtomicComparison(*(_facts_from(entry.get(name)) for name in COMPARISON_KEYS))
+    except (ComparisonFailed, ValueError):
+        return None
+
+
+# Aligned row pairs judged in one evaluate prompt. The stub's answer takes
+# about 135 characters per row; a real judge's, about three times that, so 16
+# rows come to about 6,500 characters, some 1,600 tokens at four characters a
+# token: within DEFAULT_MAX_TOKENS (2048).
+EVAL_BATCH_ROWS = 16
+
+
 def compare_rows(
-    left_row: TableRow,
-    right_row: TableRow,
+    pairs: Sequence[tuple[TableRow, TableRow]],
     model_id: str,
     gateway: Gateway,
     *,
     language: str = "en",
-) -> AtomicComparison:
-    """LLM comparison of one aligned row pair into the four fact categories.
+) -> list[AtomicComparison | None]:
+    """LLM comparison of aligned (candidate row, gold row) pairs, all in one
+    prompt, into the four fact categories; one result per pair.
 
-    Output that does not parse, even after one reprompt, is ComparisonFailed;
-    backend errors propagate.
+    Table 1 holds the candidate rows and Table 2 the gold rows, row i aligned
+    with row i, so the gold keys must be distinct once normalized. The answer
+    maps each gold key to its fact lists; answer keys are matched through
+    `normalize_key`. An answer with no map gets one reprompt, and if that
+    fails too every pair's result is None. Otherwise a pair whose entry is
+    missing or malformed gets None, with no reprompt. Backend errors propagate.
     """
     prompt = prompts.fill(
         prompts.EVALUATE,
         language=language_name(language),
-        table_1=serialize_table([left_row]),
-        table_2=serialize_table([right_row]),
+        table_1=serialize_table(candidate for candidate, _ in pairs),
+        table_2=serialize_table(gold for _, gold in pairs),
     )
     request = CompletionRequest(
         prompt=prompt,
@@ -136,15 +159,17 @@ def compare_rows(
         tag="evaluate",
     )
 
-    def parse(response: str) -> AtomicComparison:
+    def parse(response: str) -> dict:
         try:
-            doc = parse_kg(response).root
-            return AtomicComparison(*(_facts_from(doc.get(name)) for name in COMPARISON_KEYS))
-        except (TableSyncError, ValueError) as exc:  # no graph, or fact lists that overlap
+            return {normalize_key(key): entry for key, entry in parse_kg(response).root.items()}
+        except TableSyncError as exc:  # no map in the answer
             raise ComparisonFailed(f"unparseable comparison output: {exc}") from exc
 
-    comparison, _ = gateway.complete_parsed(request, parse)
-    return comparison
+    try:
+        entries, _ = gateway.complete_parsed(request, parse)
+    except ComparisonFailed:
+        return [None] * len(pairs)
+    return [_comparison_from(entries.get(normalize_key(gold.key))) for _, gold in pairs]
 
 
 @dataclass(frozen=True)
@@ -321,9 +346,12 @@ def evaluate_instance(
     Alignments are source-gold and output-gold; each aligned pair is compared
     per evaluator model and reports are ensemble-averaged. The distinct
     (model, candidate row, gold row) comparisons are planned first, in the
-    order the reports read them, and issued as one `gateway.map` batch, so a
-    row the output leaves unchanged is compared once and scores the same on
-    both sides. A backend error is the first one in plan order.
+    order the reports read them, so a row the output leaves unchanged is
+    compared once and scores the same on both sides. The plan is cut into
+    chunks for `compare_rows`, each of one model: a chunk closes at
+    EVAL_BATCH_ROWS pairs, or before a gold key it already holds. The chunks
+    run as one `gateway.map` batch; a backend error is the first one in plan
+    order.
     """
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
@@ -347,16 +375,26 @@ def evaluate_instance(
             for _, candidate_row, gold_row in side
         )
     )
+    chunks: list[list[tuple[str, TableRow, TableRow]]] = []
+    held: set[str] = set()  # normalized gold keys of the last chunk
+    for item in plan:
+        model_id, _, gold_row = item
+        gold_key = normalize_key(gold_row.key)
+        last = chunks[-1] if chunks else []
+        if not last or last[0][0] != model_id or len(last) == EVAL_BATCH_ROWS or gold_key in held:
+            chunks.append(last := [])
+            held = set()
+        last.append(item)
+        held.add(gold_key)
 
-    def scored(comparison: tuple[str, TableRow, TableRow]) -> RowScore | None:  # None: comparison failed
-        model_id, candidate_row, gold_row = comparison
-        try:
-            comparison = compare_rows(candidate_row, gold_row, model_id, gateway, language=gold.language)
-            return score_row(comparison)
-        except ComparisonFailed:
-            return None
+    def scored(chunk: list[tuple[str, TableRow, TableRow]]) -> list[RowScore | None]:
+        # None where the comparison failed.
+        pairs = [(candidate_row, gold_row) for _, candidate_row, gold_row in chunk]
+        comparisons = compare_rows(pairs, chunk[0][0], gateway, language=gold.language)
+        return [None if comparison is None else score_row(comparison) for comparison in comparisons]
 
-    scores = dict(zip(plan, gateway.map(scored, plan)))
+    # The chunks cut the plan in order.
+    scores = dict(zip(plan, chain.from_iterable(gateway.map(scored, chunks))))
     flagged: list[tuple[str, str]] = []
 
     def side_scores(model_id: str, side) -> dict[str, RowScore]:

@@ -326,13 +326,10 @@ class StubBackend:
         return serialize_table(self._swap_rows(merged, pivot, lang_a))
 
     def _evaluate(self, table_1: str, table_2: str, **_) -> str:
-        rows_1, rows_2 = parse_table(table_1), parse_table(table_2)
-        comparison = token_compare(
-            rows_1[0] if rows_1 else None,
-            rows_2[0] if rows_2 else None,
-        )
-        doc = dict(
-            zip(COMPARISON_KEYS, (comparison.sct, comparison.scd, comparison.t1u, comparison.t2u))
-        )
+        # Row i of each table is one aligned pair; the answer is keyed by the gold row's key.
+        answer: dict[str, dict[str, list[str]]] = {}
+        for candidate, gold in zip(parse_table(table_1), parse_table(table_2)):
+            c = token_compare(candidate, gold)
+            answer[gold.key] = dict(zip(COMPARISON_KEYS, map(list, (c.sct, c.scd, c.t1u, c.t2u))))
         # No indent: with one, json.dumps falls back to its pure-Python encoder.
-        return json.dumps({k: list(v) for k, v in doc.items()}, ensure_ascii=False)
+        return json.dumps(answer, ensure_ascii=False)

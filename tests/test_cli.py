@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tablesync import cli, dataset, gateway as gw
+from tablesync import cli, dataset, gateway as gw, prompts
 from tablesync.alignment import align_deterministic, alignment_to_doc
 from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.pipeline import Pipeline, traces_jsonable
 from tablesync.stub import StubBackend
-from tablesync.tables import InfoTable, TableRow
+from tablesync.tables import InfoTable, TableRow, parse_table
 
 
 def run_cli(*argv) -> int:
@@ -167,7 +168,7 @@ class TestOverlap:
 
     def test_one_hierarchical_instance_takes_six_rounds(self, corpus, lexicons, tmp_path, monkeypatch):
         def slow(complete, request):
-            time.sleep(0.05)
+            time.sleep(0.1)
             return complete()
 
         patch_stub(monkeypatch, slow)
@@ -179,9 +180,9 @@ class TestOverlap:
         elapsed = time.perf_counter() - started
         assert code == cli.EXIT_OK
         # Translation, the two graph extractions, merge, graph-to-table,
-        # back-translation, then every row comparison at once: 6 rounds of
-        # 50 ms. The 14 calls one after another take 0.7 s.
-        assert elapsed < 0.45
+        # back-translation, then both row-comparison prompts at once: 6 rounds
+        # of 100 ms. The 8 calls one after another take 0.8 s.
+        assert elapsed < 0.7
         # No instance worker or gateway helper outlives the command.
         names = [thread.name for thread in threading.enumerate()]
         assert not [name for name in names if name.startswith(("ThreadPoolExecutor", "tablesync-gateway"))]
@@ -512,6 +513,22 @@ class TestRecordReplay:
         assert recorded == replayed and recorded
         for rel in recorded:
             assert (out_record / rel).read_bytes() == (out_replay / rel).read_bytes()
+
+    def test_eval_replays_what_sync_recorded(self, corpus, lexicons, tmp_path):
+        # sync and eval cut an instance's row comparisons into the same prompts.
+        transcript, synced, evaluated = tmp_path / "t.jsonl", tmp_path / "sync", tmp_path / "eval"
+        assert run_cli(
+            "sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(synced),
+            "--record", "--transcripts", str(transcript),
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "eval", "--corpus", corpus, "--outputs", str(synced), "--out", str(evaluated),
+            "--backend", "replay", "--transcripts", str(transcript),
+        ) == cli.EXIT_OK
+        reports = sorted(p.relative_to(synced) for p in synced.rglob("report.json"))
+        assert len(reports) == 11  # one per instance and the run's
+        for rel in reports:
+            assert (evaluated / rel).read_bytes() == (synced / rel).read_bytes()
 
     def test_transcripts_listing(self, corpus, lexicons, tmp_path, capsys):
         transcript = tmp_path / "t.jsonl"
@@ -905,6 +922,73 @@ class TestHttpEndToEnd:
         assert {rel: data for rel, data in serial.items() if poisoned not in rel.parents} == {
             rel: data for rel, data in stub.items() if poisoned not in rel.parents
         }
+
+
+class TestBatchedEvaluation:
+    """An instance's row comparisons go out as a few evaluate prompts."""
+
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    def test_hierarchical_call_counts(self, corpus, lexicons, tmp_path, monkeypatch, concurrency):
+        lock, tags = threading.Lock(), Counter()
+
+        def counted(complete, request):
+            with lock:
+                tags[request.tag] += 1
+            return complete()
+
+        patch_stub(monkeypatch, counted)
+        assert run_cli(
+            "sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(tmp_path / "o"),
+            "--strategy", "hierarchical", "--concurrency", concurrency,
+        ) == cli.EXIT_OK
+        assert sum(tags.values()) == 81
+        assert tags["evaluate"] == 19  # one chunk per instance and side, unless the sides share it
+
+    def test_benchmark_fault_rule_costs_one_reprompt(self, corpus, lexicons, instances, tmp_path, monkeypatch):
+        # The benchmark's fake server spoils the first answer to a row
+        # comparison that names a flaky instance's entity. Here every entity
+        # is flaky.
+        fault_for = load_fake_llm().fault_for
+        entities = tuple(instance.gold.entity for instance in instances)
+        lock, seen, calls = threading.Lock(), Counter(), Counter()
+        faulty = False
+
+        def owner(request) -> str:
+            rows = set(parse_table(prompts.slots_of(prompts.EVALUATE, request.prompt)["table_2"]))
+            (entity,) = [i.gold.entity for i in instances if rows <= set(i.gold.rows)]
+            return entity
+
+        def judged(complete, request):
+            if request.tag != "evaluate":
+                return complete()
+            with lock:
+                repeat = seen[faulty, request.prompt]
+                seen[faulty, request.prompt] += 1
+                calls[owner(request)] += 1
+            if faulty and fault_for(request.prompt, repeat, "", entities):
+                return "Sorry, I cannot produce that table right now."
+            return complete()
+
+        patch_stub(monkeypatch, judged)
+
+        def run(out: Path, spoil: bool) -> Counter:
+            nonlocal faulty
+            faulty = spoil
+            calls.clear()
+            assert run_cli("sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(out)) == cli.EXIT_OK
+            return Counter(calls)
+
+        clean, faulted = run(tmp_path / "clean", False), run(tmp_path / "faulted", True)
+        # The rows of two instances spell no entity name ("Nuit Étoilée",
+        # "Colegio Alcalde"); acme-corp's one prompt names Musterstadt too.
+        unnamed = {"Nuit Etoilee", "Colegio Mayor"}
+        assert {e: faulted[e] - clean[e] for e in entities} == {e: int(e not in unnamed) for e in entities}
+        files = {kind: output_files(tmp_path / kind) for kind in ("clean", "faulted")}
+        for kind in files:
+            del files[kind][Path("config.snapshot")]  # names the output directory
+        assert files["faulted"] == files["clean"]
+        reports = [json.loads(data) for rel, data in files["faulted"].items() if rel.name == "report.json"]
+        assert len(reports) == 11 and not any(report.get("flagged_rows") for report in reports)
 
 
 class TestStartup:

@@ -1,17 +1,22 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablesync.alignment import Alignment
-from tablesync import metrics
-from tablesync.errors import ComparisonFailed, ReplayMiss, UniverseMismatch
-from tablesync.gateway import Gateway, ReplayBackend, Transcript
+from tablesync import metrics, prompts
+from tablesync.alignment import Alignment, align_deterministic
+from tablesync.errors import ComparisonFailed, ReplayMiss, TableSyncError, UniverseMismatch
+from tablesync.gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway, ReplayBackend, Transcript
 from tablesync.metrics import (
-    AtomicComparison,
+    COMPARISON_KEYS,
+    EVAL_BATCH_ROWS,
     PERFECT_ROW,
+    ZERO_ROW,
+    AtomicComparison,
+    InstanceEvaluation,
     build_report,
     compare_rows,
     evaluate_instance,
@@ -20,7 +25,7 @@ from tablesync.metrics import (
     token_compare,
 )
 from tablesync.stub import StubBackend, StubRuleSet
-from tablesync.tables import TableRow
+from tablesync.tables import InfoTable, TableRow, language_name, parse_kg, parse_table, serialize_table
 
 INPUT_KEYS = ("ir1", "ir2", "ir3", "ir4")
 GOLD_KEYS = ("gr1", "gr2", "gr3", "gr4", "gr5", "gr6", "gr7", "gr8")
@@ -112,29 +117,75 @@ class TestTokenCompare:
         assert len(c.t2u) == 2 and not (c.sct or c.scd or c.t1u)
 
 
+def gold_rows(request) -> tuple[TableRow, ...]:
+    """Table 2 of an evaluate prompt: the gold rows of its aligned pairs."""
+    return parse_table(prompts.slots_of(prompts.EVALUATE, request.prompt)["table_2"])
+
+
+class Judge(StubBackend):
+    """Stub whose evaluate answers pass through `edit(answer map, attempt)`
+    first; it counts evaluate calls."""
+
+    def __init__(self, edit):
+        super().__init__(StubRuleSet())
+        self.edit = edit
+        self.evaluate_calls = 0
+
+    def complete(self, request, attempt):
+        response = super().complete(request, attempt)
+        if request.tag != "evaluate":
+            return response
+        self.evaluate_calls += 1
+        edited = self.edit(json.loads(response), attempt)
+        return edited if isinstance(edited, str) else json.dumps(edited, ensure_ascii=False)
+
+
+PAIRS = [
+    (TableRow("Country", "Germany"), TableRow("Country", "Germany, United States")),
+    (TableRow("Population", "210000"), TableRow("Population", "230000")),
+    (TableRow("Mayor", "Hans Alt"), TableRow("Mayor", "Hans Alt")),
+]
+
+
 class TestCompareRows:
+    def compare(self, backend):
+        return compare_rows(PAIRS, "m", Gateway(backend))
+
     def test_stub_comparator_through_gateway(self, stub_gateway):
-        c = compare_rows(
-            TableRow("Country", "Germany"),
-            TableRow("Country", "Germany, United States"),
-            "stub-model",
-            stub_gateway,
-        )
-        assert len(c.sct) == 1 and len(c.t2u) == 1
+        assert compare_rows(PAIRS, "stub-model", stub_gateway) == [token_compare(*pair) for pair in PAIRS]
 
-    def test_unparseable_output_fails_after_retry(self):
-        rules = StubRuleSet(
-            canned_responses=(("four types of information", "no structured output here"),)
-        )
-        gateway = Gateway(StubBackend(rules))
-        with pytest.raises(ComparisonFailed):
-            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", gateway)
+    def test_answer_with_no_map_is_reprompted_then_flags_every_row(self):
+        judge = Judge(lambda answer, attempt: "no structured output here")
+        assert self.compare(judge) == [None, None, None]
+        assert judge.evaluate_calls == 2  # the first attempt and its one reprompt
 
-    def test_overlapping_fact_lists_fail_after_retry(self):
-        overlapping = '{"similar_consistent": ["k: a"], "table1_unique": ["k: a"]}'
-        rules = StubRuleSet(canned_responses=(("four types of information", overlapping),))
-        with pytest.raises(ComparisonFailed):
-            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", Gateway(StubBackend(rules)))
+    def test_reprompt_answer_is_used(self):
+        judge = Judge(lambda answer, attempt: answer if attempt else "Sorry, no table.")
+        assert self.compare(judge) == [token_compare(*pair) for pair in PAIRS]
+        assert judge.evaluate_calls == 2
+
+    def test_missing_entry_flags_only_its_row(self):
+        judge = Judge(lambda answer, attempt: {k: v for k, v in answer.items() if k != "Population"})
+        assert self.compare(judge) == [token_compare(*PAIRS[0]), None, token_compare(*PAIRS[2])]
+        assert judge.evaluate_calls == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"similar_consistent": ["k: a"], "table1_unique": ["k: a"]},  # overlapping lists
+            {"similar_consistent": [["nested"]]},  # non-text facts
+            ["not", "a", "map"],
+        ],
+        ids=["overlapping", "non-text", "not-a-map"],
+    )
+    def test_malformed_entry_flags_only_its_row(self, entry):
+        judge = Judge(lambda answer, attempt: answer | {"Country": entry})
+        assert self.compare(judge) == [None, *(token_compare(*pair) for pair in PAIRS[1:])]
+        assert judge.evaluate_calls == 1
+
+    def test_answer_keys_match_by_normalized_key(self):
+        judge = Judge(lambda answer, attempt: {k.upper() + ".": v for k, v in answer.items()})
+        assert self.compare(judge) == [token_compare(*pair) for pair in PAIRS]
 
     def test_backend_error_propagates(self):
         class MissingBackend:
@@ -142,15 +193,15 @@ class TestCompareRows:
                 raise ReplayMiss("no recorded response")
 
         with pytest.raises(ReplayMiss):
-            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", Gateway(MissingBackend()))
+            compare_rows(PAIRS, "m", Gateway(MissingBackend()))
 
     def test_programming_error_propagates(self, stub_gateway, monkeypatch):
         def broken(text):
             raise TypeError("bug in the parser")
 
         monkeypatch.setattr(metrics, "parse_kg", broken)
-        with pytest.raises(TypeError):
-            compare_rows(TableRow("k", "a"), TableRow("k", "a"), "m", stub_gateway)
+        with pytest.raises(TypeError, match="bug in the parser"):
+            compare_rows(PAIRS, "m", stub_gateway)
 
 
 class TestPartition:
@@ -237,7 +288,7 @@ class ModelSpoiledEvaluator(StubBackend):
 
     def complete(self, request, attempt):
         if request.tag == "evaluate" and request.model_id == "spoiled":
-            return '{"similar_contradictory": ["spoiled"]}'
+            return json.dumps({row.key: {"similar_contradictory": ["spoiled"]} for row in gold_rows(request)})
         return super().complete(request, attempt)
 
 
@@ -281,23 +332,6 @@ class TestEvaluateInstance:
         assert evaluation.ensemble.updated == Fraction(100, 2)
 
 
-class CountingEvaluator(StubBackend):
-    """Stub that counts evaluate calls. With spoil_first it is nondeterministic:
-    its first evaluate answer calls the row pair contradictory."""
-
-    def __init__(self, rules, spoil_first=False):
-        super().__init__(rules)
-        self.spoil_first = spoil_first
-        self.evaluate_calls = 0
-
-    def complete(self, request, attempt):
-        if request.tag == "evaluate":
-            self.evaluate_calls += 1
-            if self.spoil_first and self.evaluate_calls == 1:
-                return '{"similar_contradictory": ["spoiled"]}'
-        return super().complete(request, attempt)
-
-
 class TestRowPairsComparedOnce:
     @pytest.fixture()
     def unchanged(self, mk_table):
@@ -305,31 +339,216 @@ class TestRowPairsComparedOnce:
         gold = mk_table([("Name", "X"), ("Population", "2"), ("Area", "3")], lang="en")
         return source, source, gold
 
+    @staticmethod
+    def spoiling_judge():
+        seen = []
+
+        def spoil_first_entry(answer, attempt):
+            """The first answer calls its first row pair contradictory."""
+            seen.append(attempt)
+            if len(seen) == 1:
+                answer[next(iter(answer))] = {"similar_contradictory": ["spoiled"]}
+            return answer
+
+        return Judge(spoil_first_entry)
+
     def test_unchanged_output_updates_nothing(self, unchanged):
         source, output, gold = unchanged
-        backend = CountingEvaluator(StubRuleSet(), spoil_first=True)
-        evaluation = evaluate_instance(
-            source, output, gold, gateway=Gateway(backend), evaluator_models=["m"]
-        )
+        judge = self.spoiling_judge()
+        evaluation = evaluate_instance(source, output, gold, gateway=Gateway(judge), evaluator_models=["m"])
         assert evaluation.ensemble.updated == 0
-        assert backend.evaluate_calls == 2  # one per distinct row pair
+        assert not evaluation.flagged
+        assert judge.evaluate_calls == 1  # both distinct row pairs in one chunk
 
     def test_record_then_replay_scores_alike(self, unchanged, tmp_path):
         source, output, gold = unchanged
         transcript = Transcript(tmp_path / "t.jsonl")
-        with Gateway(CountingEvaluator(StubRuleSet(), spoil_first=True), transcript=transcript) as recording:
+        with Gateway(self.spoiling_judge(), transcript=transcript) as recording:
             recorded = evaluate_instance(source, output, gold, gateway=recording, evaluator_models=["m"])
         replaying = Gateway(ReplayBackend(transcript))
         replayed = evaluate_instance(source, output, gold, gateway=replaying, evaluator_models=["m"])
         assert replayed.per_model == recorded.per_model
         assert replayed.flagged == recorded.flagged
 
+    def test_chunks_close_at_the_size_cap_and_before_a_held_gold_key(self, mk_table):
+        source = mk_table([(f"k{i:02}", "a") for i in range(20)], lang="en")
+        output = source.with_rows([*source.rows[:19], TableRow("k19", "b")])
+        sizes = []
+        judge = Judge(lambda answer, attempt: sizes.append(len(answer)) or answer)
+        evaluation = evaluate_instance(source, output, source, gateway=Gateway(judge), evaluator_models=["m"])
+        # k00..k15, then k16..k19, then the output's k19, whose gold row the second chunk holds.
+        assert sizes == [EVAL_BATCH_ROWS, 4, 1]
+        assert not evaluation.flagged
+
     def test_failed_pair_compared_once_and_flagged_per_side(self, mk_table):
-        rules = StubRuleSet(canned_responses=(("four types of information", "no structured output"),))
-        backend = CountingEvaluator(rules)
+        judge = Judge(lambda answer, attempt: "no structured output")
         table = mk_table([("Name", "X")], lang="en")
-        evaluation = evaluate_instance(
-            table, table, table, gateway=Gateway(backend), evaluator_models=["m"]
-        )
+        evaluation = evaluate_instance(table, table, table, gateway=Gateway(judge), evaluator_models=["m"])
         assert evaluation.flagged == (("m", "name"), ("m", "name"))
-        assert backend.evaluate_calls == 2  # the first attempt and its one reprompt
+        assert judge.evaluate_calls == 2  # the first attempt and its one reprompt
+
+
+# The one-row comparison that batching replaced, kept verbatim as the
+# reference: one evaluate call per distinct (model, candidate row, gold row),
+# answered by the one-row stub comparator below.
+
+
+def reference_facts_from(value: object) -> tuple[str, ...]:
+    if value is None:
+        return ()
+    if isinstance(value, str):
+        return (value,) if value else ()
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return tuple(value)
+    raise ComparisonFailed(f"category holds non-text facts: {value!r}")
+
+
+def reference_compare_rows(left_row, right_row, model_id, gateway, *, language="en"):
+    prompt = prompts.fill(
+        prompts.EVALUATE,
+        language=language_name(language),
+        table_1=serialize_table([left_row]),
+        table_2=serialize_table([right_row]),
+    )
+    request = CompletionRequest(
+        prompt=prompt,
+        model_id=model_id,
+        temperature=DEFAULT_EVAL_TEMPERATURE,
+        tag="evaluate",
+    )
+
+    def parse(response: str) -> AtomicComparison:
+        try:
+            doc = parse_kg(response).root
+            return AtomicComparison(*(reference_facts_from(doc.get(name)) for name in COMPARISON_KEYS))
+        except (TableSyncError, ValueError) as exc:  # no graph, or fact lists that overlap
+            raise ComparisonFailed(f"unparseable comparison output: {exc}") from exc
+
+    comparison, _ = gateway.complete_parsed(request, parse)
+    return comparison
+
+
+class ReferenceStub(StubBackend):
+    def _evaluate(self, table_1: str, table_2: str, **_) -> str:
+        rows_1, rows_2 = parse_table(table_1), parse_table(table_2)
+        comparison = token_compare(
+            rows_1[0] if rows_1 else None,
+            rows_2[0] if rows_2 else None,
+        )
+        doc = dict(
+            zip(COMPARISON_KEYS, (comparison.sct, comparison.scd, comparison.t1u, comparison.t2u))
+        )
+        # No indent: with one, json.dumps falls back to its pure-Python encoder.
+        return json.dumps({k: list(v) for k, v in doc.items()}, ensure_ascii=False)
+
+
+def reference_evaluate_instance(source, output, gold, *, gateway, evaluator_models):
+    ig = align_deterministic(source, gold)
+    og = align_deterministic(output, gold)
+    partition = partition_alignments(ig, og)
+
+    ig_pairs = {g: s for s, g, _ in partition.tri} | {g: s for s, g in partition.bi_input_gold}
+    og_pairs = {g: o for _, g, o in partition.tri} | {g: o for g, o in partition.bi_gold_output}
+    sides = [
+        [
+            (gold_key, candidate.row_for(cand_key), gold.row_for(gold_key))
+            for gold_key, cand_key in sorted(pairs.items())
+        ]
+        for pairs, candidate in ((ig_pairs, source), (og_pairs, output))
+    ]
+    plan = list(
+        dict.fromkeys(
+            (model_id, candidate_row, gold_row)
+            for model_id in evaluator_models
+            for side in sides
+            for _, candidate_row, gold_row in side
+        )
+    )
+
+    def scored(comparison):  # None: comparison failed
+        model_id, candidate_row, gold_row = comparison
+        try:
+            comparison = reference_compare_rows(candidate_row, gold_row, model_id, gateway, language=gold.language)
+            return score_row(comparison)
+        except ComparisonFailed:
+            return None
+
+    scores = dict(zip(plan, gateway.map(scored, plan)))
+    flagged = []
+
+    def side_scores(model_id, side):
+        result = {}
+        for gold_key, candidate_row, gold_row in side:
+            score = scores[model_id, candidate_row, gold_row]
+            if score is None:
+                flagged.append((model_id, gold_key))
+            result[gold_key] = ZERO_ROW if score is None else score
+        return result
+
+    per_model = {
+        model_id: build_report(partition, *(side_scores(model_id, side) for side in sides))
+        for model_id in evaluator_models
+    }
+    reports = list(per_model.values())
+    if reports:
+        n = len(reports)
+        ensemble = replace(
+            reports[0],
+            updated=sum((r.updated for r in reports), Fraction(0)) / n,
+            added_pct=sum((r.added_pct for r in reports), Fraction(0)) / n,
+        )
+    else:
+        ensemble = build_report(partition, {}, {})
+    return InstanceEvaluation(per_model, ensemble, tuple(flagged))
+
+
+# Keys differ in case or terminal punctuation, values hold quotes,
+# backslashes and the fact separators. No "<>", which the stub's
+# contradiction facts are written with.
+KEY_STEMS = st.text("abcdé", min_size=1, max_size=3)
+VALUES = st.text("ab1 ,;\"'\\", max_size=8)
+
+
+@st.composite
+def spelled(draw, stem: str) -> str:
+    """The stem as a table may spell it: in another case or with terminal punctuation."""
+    return draw(st.sampled_from([stem, stem.upper(), stem.title() + ".", stem + ":"]))
+
+
+@st.composite
+def instance_tables(draw):
+    """Source, output and gold tables over one key pool: the output keeps,
+    changes, drops or adds source rows; gold agrees with either or neither."""
+    stems = draw(st.lists(KEY_STEMS, max_size=EVAL_BATCH_ROWS + 8, unique=True))
+    source, output, gold = [], [], []
+    for stem in stems:
+        old = draw(VALUES)
+        new = draw(st.one_of(st.just(old), VALUES))
+        if draw(st.booleans()):
+            source.append((draw(spelled(stem)), old))
+        if draw(st.integers(0, 3)):
+            output.append((draw(spelled(stem)), draw(st.sampled_from([old, new]))))
+        if draw(st.integers(0, 3)):
+            gold.append((draw(spelled(stem)), draw(st.sampled_from([old, new]))))
+    return [
+        InfoTable("Entity", "en", "City", tuple(TableRow(k, v) for k, v in rows))
+        for rows in (source, output, gold)
+    ]
+
+
+class TestBatchedEqualsOneRowReference:
+    @given(
+        instance_tables(),
+        st.sampled_from([["m"], ["m", "n"]]),
+        st.sampled_from([str, str.upper, lambda key: key + "."]),
+    )
+    @settings(max_examples=200)
+    def test_equals_reference(self, tables, models, respell):
+        # The judge may echo a gold key in another case or with terminal punctuation.
+        judge = Judge(lambda answer, attempt: {respell(k): v for k, v in answer.items()})
+        batched = evaluate_instance(*tables, gateway=Gateway(judge), evaluator_models=models)
+        reference = reference_evaluate_instance(
+            *tables, gateway=Gateway(ReferenceStub(StubRuleSet())), evaluator_models=models
+        )
+        assert batched == reference
+        assert not batched.flagged
