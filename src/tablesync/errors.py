@@ -60,6 +60,10 @@ class ComparisonFailed(TableSyncError):
     """Atomic comparison output could not be parsed after a retry."""
 
 
+class OverlappingFacts(TableSyncError):
+    """One fact text is in two fact lists of a row comparison."""
+
+
 # synchronization pipeline
 
 

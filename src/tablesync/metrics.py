@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from . import prompts
 from .alignment import Alignment, align_deterministic
-from .errors import ComparisonFailed, TableSyncError, UniverseMismatch
+from .errors import ComparisonFailed, OverlappingFacts, TableSyncError, UniverseMismatch
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
 from .tables import InfoTable, TableRow, language_name, normalize_key, parse_kg, serialize_table
 
@@ -32,9 +32,10 @@ class AtomicComparison:
 
     def __post_init__(self) -> None:
         groups = (set(self.sct), set(self.scd), set(self.t1u), set(self.t2u))
-        total = sum(len(g) for g in groups)
-        if len(set().union(*groups)) != total:
-            raise ValueError("comparison fact lists must be disjoint")
+        union = set().union(*groups)
+        if len(union) != sum(len(g) for g in groups):
+            shared = min(fact for fact in union if sum(fact in g for g in groups) > 1)
+            raise OverlappingFacts(f"comparison fact lists must be disjoint; {shared!r} is in two")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,9 @@ def token_compare(left: TableRow | None, right: TableRow | None) -> AtomicCompar
     side. Item matching is case-insensitive. Fact texts anchor on the right
     (gold-side) key so rows aligned to the same key yield comparable facts.
     Memoized: the error ledger's columns compare mostly the same row pairs.
+    An item holding " <> " can write a consistent fact and a contradiction
+    fact alike ("k: a <> c" from "a <> c, a" against "a <> c, c"): that is
+    OverlappingFacts.
     """
     left_items = _fact_items(left.value) if left is not None else []
     right_items = _fact_items(right.value) if right is not None else []
@@ -118,7 +122,7 @@ def _comparison_from(entry: object) -> AtomicComparison | None:
         return None
     try:
         return AtomicComparison(*(_facts_from(entry.get(name)) for name in COMPARISON_KEYS))
-    except (ComparisonFailed, ValueError):
+    except (ComparisonFailed, OverlappingFacts):
         return None
 
 
@@ -134,20 +138,23 @@ def compare_rows(
     model_id: str,
     gateway: Gateway,
     *,
+    entity: str,
     language: str = "en",
 ) -> list[AtomicComparison | None]:
     """LLM comparison of aligned (candidate row, gold row) pairs, all in one
     prompt, into the four fact categories; one result per pair.
 
-    Table 1 holds the candidate rows and Table 2 the gold rows, row i aligned
-    with row i, so the gold keys must be distinct once normalized. The answer
-    maps each gold key to its fact lists; answer keys are matched through
+    The prompt names the entity the tables are about. Table 1 holds the
+    candidate rows and Table 2 the gold rows, row i aligned with row i, so
+    the gold keys must be distinct once normalized. The answer maps each
+    gold key to its fact lists; answer keys are matched through
     `normalize_key`. An answer with no map gets one reprompt, and if that
     fails too every pair's result is None. Otherwise a pair whose entry is
     missing or malformed gets None, with no reprompt. Backend errors propagate.
     """
     prompt = prompts.fill(
         prompts.EVALUATE,
+        entity=entity,
         language=language_name(language),
         table_1=serialize_table(candidate for candidate, _ in pairs),
         table_2=serialize_table(gold for _, gold in pairs),
@@ -344,14 +351,15 @@ def evaluate_instance(
     """Full §-style evaluation of one output table against its instance.
 
     Alignments are source-gold and output-gold; each aligned pair is compared
-    per evaluator model and reports are ensemble-averaged. The distinct
-    (model, candidate row, gold row) comparisons are planned first, in the
-    order the reports read them, so a row the output leaves unchanged is
-    compared once and scores the same on both sides. The plan is cut into
-    chunks for `compare_rows`, each of one model: a chunk closes at
-    EVAL_BATCH_ROWS pairs, or before a gold key it already holds. The chunks
-    run as one `gateway.map` batch; a backend error is the first one in plan
-    order.
+    per evaluator model and reports are ensemble-averaged. A candidate row
+    equal to its gold row (the same wire text) scores PERFECT_ROW without a
+    judge. The other distinct (model, candidate row, gold row) comparisons
+    are planned first, in the order the reports read them, so a row the
+    output leaves unchanged is compared once and scores the same on both
+    sides. The plan is cut into chunks for `compare_rows`, each of one model:
+    a chunk closes at EVAL_BATCH_ROWS pairs, or before a gold key it already
+    holds. The chunks run as one `gateway.map` batch; a backend error is the
+    first one in plan order.
     """
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
@@ -373,6 +381,7 @@ def evaluate_instance(
             for model_id in evaluator_models
             for side in sides
             for _, candidate_row, gold_row in side
+            if candidate_row != gold_row
         )
     )
     chunks: list[list[tuple[str, TableRow, TableRow]]] = []
@@ -390,7 +399,7 @@ def evaluate_instance(
     def scored(chunk: list[tuple[str, TableRow, TableRow]]) -> list[RowScore | None]:
         # None where the comparison failed.
         pairs = [(candidate_row, gold_row) for _, candidate_row, gold_row in chunk]
-        comparisons = compare_rows(pairs, chunk[0][0], gateway, language=gold.language)
+        comparisons = compare_rows(pairs, chunk[0][0], gateway, entity=gold.entity, language=gold.language)
         return [None if comparison is None else score_row(comparison) for comparison in comparisons]
 
     # The chunks cut the plan in order.
@@ -400,7 +409,7 @@ def evaluate_instance(
     def side_scores(model_id: str, side) -> dict[str, RowScore]:
         result: dict[str, RowScore] = {}
         for gold_key, candidate_row, gold_row in side:
-            score = scores[model_id, candidate_row, gold_row]
+            score = PERFECT_ROW if candidate_row == gold_row else scores[model_id, candidate_row, gold_row]
             if score is None:
                 flagged.append((model_id, gold_key))
             result[gold_key] = ZERO_ROW if score is None else score

@@ -217,6 +217,22 @@ class TestFailureIsolation:
         assert (out / "City" / "musterstadt" / "traces.json").is_file()
         self.assert_nine_reported(out, capsys)
 
+    def test_fact_in_two_lists_fails_only_its_instance(self, corpus_dir, lexicons, tmp_path, capsys):
+        # With " <> " in a cell the stub judge writes the consistent fact
+        # "Motto: a <> c" and the contradiction a <> c as one text.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        for name, value in (("source.de.table", "a <> c, a"), ("gold.de.table", "a <> c, c")):
+            path = corpus / "City" / "musterstadt" / name
+            text = path.read_text("utf-8")
+            end = text.rindex("]")
+            path.write_text(f'{text[:end].rstrip()},\n    ["Motto","{value}"]\n{text[end:]}', "utf-8")
+        out = tmp_path / "out"
+        assert run_cli("sync", "--corpus", str(corpus), "--out", str(out), "--lexicons", lexicons) == cli.EXIT_PARTIAL
+        failure = self.failure(out, "City/musterstadt")
+        assert failure["stage"] == "evaluate" and "'Motto: a <> c' is in two" in failure["error"]
+        self.assert_nine_reported(out, capsys)
+
     @pytest.mark.parametrize("concurrency", ["1", "4"])
     def test_evaluation_error_is_the_first_in_plan_order(
         self, corpus, lexicons, tmp_path, monkeypatch, concurrency
@@ -871,11 +887,15 @@ class TestParser:
         assert (out or err).startswith(usage)
 
 
-def load_fake_llm():
-    """perfbench/fake_llm.py, the benchmark's fake chat-completion server."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "fake_llm.py"
-    spec = importlib.util.spec_from_file_location("fake_llm", path)
+def load_perfbench(name: str, monkeypatch=None):
+    """A benchmark module, perfbench/<name>.py, loaded from its file. With
+    monkeypatch, it is in sys.modules under its own name until teardown, as
+    its dataclasses and the modules that import it need."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -888,7 +908,7 @@ class TestHttpEndToEnd:
     def test_sync_over_http_with_faults(self, corpus, lexicons, tmp_path, no_proxy_env, capsys):
         # Every merge answer for musterstadt is garbage; the first graph-to-table
         # and row-comparison answers for estadio-central are garbage once.
-        fake_llm = load_fake_llm()
+        fake_llm = load_perfbench("fake_llm")
         complete = fake_llm.stub_completer(lexicons)
         fake = fake_llm.FakeLLM(complete, "Eva Neu", ("Estadio Central",), delay_s=0.0)
         server = fake_llm.make_server(fake)
@@ -941,14 +961,14 @@ class TestBatchedEvaluation:
             "sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(tmp_path / "o"),
             "--strategy", "hierarchical", "--concurrency", concurrency,
         ) == cli.EXIT_OK
-        assert sum(tags.values()) == 81
-        assert tags["evaluate"] == 19  # one chunk per instance and side, unless the sides share it
+        assert sum(tags.values()) == 71
+        assert tags["evaluate"] == 9  # one chunk per instance that has a row unequal to its gold row
 
     def test_benchmark_fault_rule_costs_one_reprompt(self, corpus, lexicons, instances, tmp_path, monkeypatch):
         # The benchmark's fake server spoils the first answer to a row
         # comparison that names a flaky instance's entity. Here every entity
         # is flaky.
-        fault_for = load_fake_llm().fault_for
+        fault_for = load_perfbench("fake_llm").fault_for
         entities = tuple(instance.gold.entity for instance in instances)
         lock, seen, calls = threading.Lock(), Counter(), Counter()
         faulty = False
@@ -979,16 +999,58 @@ class TestBatchedEvaluation:
             return Counter(calls)
 
         clean, faulted = run(tmp_path / "clean", False), run(tmp_path / "faulted", True)
-        # The rows of two instances spell no entity name ("Nuit Étoilée",
-        # "Colegio Alcalde"); acme-corp's one prompt names Musterstadt too.
-        unnamed = {"Nuit Etoilee", "Colegio Mayor"}
-        assert {e: faulted[e] - clean[e] for e in entities} == {e: int(e not in unnamed) for e in entities}
+        # Every evaluate prompt names its entity, so each instance that sends
+        # one pays exactly one reprompt; none sends two.
+        assert {e: faulted[e] - clean[e] for e in entities} == {e: int(clean[e] > 0) for e in entities}
         files = {kind: output_files(tmp_path / kind) for kind in ("clean", "faulted")}
         for kind in files:
             del files[kind][Path("config.snapshot")]  # names the output directory
         assert files["faulted"] == files["clean"]
         reports = [json.loads(data) for rel, data in files["faulted"].items() if rel.name == "report.json"]
         assert len(reports) == 11 and not any(report.get("flagged_rows") for report in reports)
+
+
+class TestBenchmarkFaultSchedule:
+    """The http-latency workload's fault schedule, met on the stub.
+
+    perfbench/run.py checks that its fake server serves every scheduled
+    fault: two for the poisoned instance's merge (first try and reprompt),
+    and for each flaky instance the first answer to its graph-to-table prompt
+    and to the one evaluate prompt that names it. An evaluation plan that
+    names a flaky entity in no prompt, or in two, breaks that run.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_flaky_entity_named_by_one_evaluate_prompt(self, seed, tmp_path, monkeypatch):
+        load_perfbench("corpus", monkeypatch)  # run.py imports it by that name
+        bench, fake_llm = load_perfbench("run", monkeypatch), load_perfbench("fake_llm")
+        workload = bench.WORKLOADS["http-latency"]
+        generated = bench.gen.generate(tmp_path / "gen", seed, workload.params)
+        poisoned = generated.instances[bench.POISONED_INDEX]
+        flaky = tuple(instance.entity for instance in generated.instances[:: bench.FLAKY_EVERY])
+        lock, seen, named, spoiled = threading.Lock(), Counter(), Counter(), Counter()
+
+        def served(complete, request):
+            # As the fake server does: repeat counts earlier sightings of the same request body.
+            body = (request.prompt, request.model_id, request.temperature, request.max_tokens)
+            with lock:
+                repeat = seen[body]
+                seen[body] += 1
+                if request.tag == "evaluate" and not repeat:
+                    named.update(name for name in flaky if name in request.prompt)
+                faulty = fake_llm.fault_for(request.prompt, repeat, poisoned.entity, flaky)
+                spoiled[request.tag] += faulty
+            return fake_llm.GARBAGE if faulty else complete()
+
+        patch_stub(monkeypatch, served)
+        out = tmp_path / "out"
+        assert run_cli(
+            "sync", "--corpus", str(generated.corpus_dir), "--lexicons", str(generated.lexicon_dir),
+            "--out", str(out), "--strategy", "hierarchical", "--concurrency", str(workload.clients),
+        ) == cli.EXIT_PARTIAL
+        assert json.loads((out / poisoned.rel / "failure.json").read_text())["stage"] == "merge"
+        assert named == Counter(flaky)
+        assert sum(spoiled.values()) == 2 + 2 * len(flaky)
 
 
 class TestStartup:

@@ -8,7 +8,7 @@ from tablesync.error_analysis import (
     ledger_jsonable,
     render_ledger,
 )
-from tablesync.errors import ConfigError
+from tablesync.errors import ConfigError, TableSyncError
 from tablesync.gateway import Gateway
 from tablesync.metrics import AtomicComparison, token_compare
 from tablesync.pipeline import Pipeline, Strategy
@@ -43,6 +43,13 @@ class TestClassify:
         gold = mk_table([("a", "x, new")])
         counts = ErrorAnalyzer(StubRuleSet()).classify(candidate, gold)
         assert counts == ErrorCounts(outdated_partial=1)
+
+    def test_fact_in_two_lists_is_a_typed_error(self, mk_table):
+        # "a <> c" is both a consistent item and the contradiction a <> c.
+        candidate = mk_table([("k", "a <> c, a")])
+        gold = mk_table([("k", "a <> c, c")])
+        with pytest.raises(TableSyncError, match="'k: a <> c' is in two"):
+            ErrorAnalyzer(StubRuleSet()).classify(candidate, gold)
 
     def test_fully_contradicting_value_is_full(self, mk_table):
         candidate = mk_table([("a", "old")])

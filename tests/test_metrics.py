@@ -1,6 +1,8 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
+from string import Template
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from tablesync import metrics, prompts
 from tablesync.alignment import Alignment, align_deterministic
-from tablesync.errors import ComparisonFailed, ReplayMiss, TableSyncError, UniverseMismatch
+from tablesync.errors import ComparisonFailed, OverlappingFacts, ReplayMiss, TableSyncError, UniverseMismatch
 from tablesync.gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway, ReplayBackend, Transcript
 from tablesync.metrics import (
     COMPARISON_KEYS,
@@ -92,7 +94,7 @@ class TestScoreRow:
         assert worse.recall < base.recall
 
     def test_disjointness_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OverlappingFacts):
             AtomicComparison(("a",), ("a",), (), ())
 
 
@@ -116,6 +118,12 @@ class TestTokenCompare:
         c = token_compare(None, TableRow("k", "a, b"))
         assert len(c.t2u) == 2 and not (c.sct or c.scd or c.t1u)
 
+    def test_fact_written_as_consistent_and_contradictory_is_a_typed_error(self):
+        # "k: a <> c" is the consistent item "a <> c" and the contradiction a <> c.
+        with pytest.raises(OverlappingFacts, match="'k: a <> c' is in two"):
+            token_compare(TableRow("k", "a <> c, a"), TableRow("k", "a <> c, c"))
+        assert issubclass(OverlappingFacts, TableSyncError)
+
 
 def gold_rows(request) -> tuple[TableRow, ...]:
     """Table 2 of an evaluate prompt: the gold rows of its aligned pairs."""
@@ -124,18 +132,22 @@ def gold_rows(request) -> tuple[TableRow, ...]:
 
 class Judge(StubBackend):
     """Stub whose evaluate answers pass through `edit(answer map, attempt)`
-    first; it counts evaluate calls."""
+    first; it keeps the evaluate prompts it is sent."""
 
     def __init__(self, edit):
         super().__init__(StubRuleSet())
         self.edit = edit
-        self.evaluate_calls = 0
+        self.evaluate_prompts = []
+
+    @property
+    def evaluate_calls(self) -> int:
+        return len(self.evaluate_prompts)
 
     def complete(self, request, attempt):
         response = super().complete(request, attempt)
         if request.tag != "evaluate":
             return response
-        self.evaluate_calls += 1
+        self.evaluate_prompts.append(request.prompt)
         edited = self.edit(json.loads(response), attempt)
         return edited if isinstance(edited, str) else json.dumps(edited, ensure_ascii=False)
 
@@ -149,10 +161,19 @@ PAIRS = [
 
 class TestCompareRows:
     def compare(self, backend):
-        return compare_rows(PAIRS, "m", Gateway(backend))
+        return compare_rows(PAIRS, "m", Gateway(backend), entity="Musterstadt")
 
     def test_stub_comparator_through_gateway(self, stub_gateway):
-        assert compare_rows(PAIRS, "stub-model", stub_gateway) == [token_compare(*pair) for pair in PAIRS]
+        assert compare_rows(PAIRS, "stub-model", stub_gateway, entity="Musterstadt") == [
+            token_compare(*pair) for pair in PAIRS
+        ]
+
+    def test_prompt_names_the_entity(self):
+        judge = Judge(lambda answer, attempt: answer)
+        self.compare(judge)
+        (prompt,) = judge.evaluate_prompts
+        assert prompts.slots_of(prompts.EVALUATE, prompt)["entity"] == "Musterstadt"
+        assert "Here are the test tables about Musterstadt, provided in language English:\n\nTable 1:\n" in prompt
 
     def test_answer_with_no_map_is_reprompted_then_flags_every_row(self):
         judge = Judge(lambda answer, attempt: "no structured output here")
@@ -193,7 +214,7 @@ class TestCompareRows:
                 raise ReplayMiss("no recorded response")
 
         with pytest.raises(ReplayMiss):
-            compare_rows(PAIRS, "m", Gateway(MissingBackend()))
+            compare_rows(PAIRS, "m", Gateway(MissingBackend()), entity="Musterstadt")
 
     def test_programming_error_propagates(self, stub_gateway, monkeypatch):
         def broken(text):
@@ -201,7 +222,7 @@ class TestCompareRows:
 
         monkeypatch.setattr(metrics, "parse_kg", broken)
         with pytest.raises(TypeError, match="bug in the parser"):
-            compare_rows(PAIRS, "m", stub_gateway)
+            compare_rows(PAIRS, "m", stub_gateway, entity="Musterstadt")
 
 
 class TestPartition:
@@ -295,9 +316,12 @@ class ModelSpoiledEvaluator(StubBackend):
 class TestEnsemble:
     @pytest.fixture()
     def tables(self, mk_table):
-        source = mk_table([("Name", "X"), ("Population", "1")], lang="en")
+        # Lower-cased keys: no candidate row equals its gold row, so every
+        # pair goes to the judge, and the stub still judges the spellings alike.
+        source = mk_table([("name", "X"), ("population", "1")], lang="en")
         gold = mk_table([("Name", "X"), ("Population", "2"), ("Area", "3")], lang="en")
-        return source, gold, gold  # source, output, gold
+        output = gold.with_rows([TableRow(row.key.lower(), row.value) for row in gold.rows])
+        return source, output, gold
 
     def evaluate(self, tables, models):
         gateway = Gateway(ModelSpoiledEvaluator(StubRuleSet()))
@@ -371,26 +395,64 @@ class TestRowPairsComparedOnce:
         assert replayed.flagged == recorded.flagged
 
     def test_chunks_close_at_the_size_cap_and_before_a_held_gold_key(self, mk_table):
-        source = mk_table([(f"k{i:02}", "a") for i in range(20)], lang="en")
-        output = source.with_rows([*source.rows[:19], TableRow("k19", "b")])
+        gold = mk_table([(f"k{i:02}", "a") for i in range(20)], lang="en")
+        source = gold.with_rows([TableRow(row.key, "b") for row in gold.rows])  # every row differs
+        output = source.with_rows([*source.rows[:19], TableRow("k19", "c")])
         sizes = []
         judge = Judge(lambda answer, attempt: sizes.append(len(answer)) or answer)
-        evaluation = evaluate_instance(source, output, source, gateway=Gateway(judge), evaluator_models=["m"])
+        evaluation = evaluate_instance(source, output, gold, gateway=Gateway(judge), evaluator_models=["m"])
         # k00..k15, then k16..k19, then the output's k19, whose gold row the second chunk holds.
         assert sizes == [EVAL_BATCH_ROWS, 4, 1]
         assert not evaluation.flagged
 
     def test_failed_pair_compared_once_and_flagged_per_side(self, mk_table):
         judge = Judge(lambda answer, attempt: "no structured output")
-        table = mk_table([("Name", "X")], lang="en")
-        evaluation = evaluate_instance(table, table, table, gateway=Gateway(judge), evaluator_models=["m"])
+        table = mk_table([("name", "X")], lang="en")  # differs from gold's "Name", so it is judged
+        gold = mk_table([("Name", "X")], lang="en")
+        evaluation = evaluate_instance(table, table, gold, gateway=Gateway(judge), evaluator_models=["m"])
         assert evaluation.flagged == (("m", "name"), ("m", "name"))
         assert judge.evaluate_calls == 2  # the first attempt and its one reprompt
 
 
 # The one-row comparison that batching replaced, kept verbatim as the
 # reference: one evaluate call per distinct (model, candidate row, gold row),
-# answered by the one-row stub comparator below.
+# identical rows included, answered by the one-row stub comparator below.
+# It fills its own copy of the evaluate template as that comparison knew it.
+
+REFERENCE_EVALUATE = """Your task involves analyzing two sets of key-value pair tables. Row i of Table 1 is aligned with row i of Table 2, and each aligned row pair is compared on its own. Begin by translating the tables to English. Then, extract all pertinent fine-grained details from each row. Then, delve into the semantic content, disregarding minor differences due to formatting, grammar, and language nuances.
+
+Within an aligned row pair, information may fall into two categories:
+
+'Similar Information': Information common to both rows
+
+- 'Consistent Information': Both rows contain identical data with possible differences in format.
+- 'Contradictory Information': The rows present conflicting data with clear difference in meaning.
+
+Note: While analyzing the information, especially for similar information from two rows, solely focus on the semantic content, disregarding any minor differences due to formatting, grammar, and linguistic variations. While comparing numerical information, allow a reasonable error percentage that you consider acceptable before presenting information as inconsistent. Allow the same error margin for other types of information such as coordinates. Be lenient in grouping information as 'Consistent' when slight differences still refer to the overall same data.
+
+'Unique Information': Information exclusive to one row of the pair.
+
+Your comparison of each row pair should result in four types of information:
+
+- Similar and consistent information: similar_consistent
+- Similar and contradictory information: similar_contradictory
+- Table 1 unique information: table1_unique
+- Table 2 unique information: table2_unique
+
+Here are the test tables provided in language $language:
+
+Table 1:
+$table_1
+
+Table 2:
+$table_2
+
+Note: While comparing information, solely focus on the semantic content, disregarding formatting, grammar, and language nuances.
+
+Provide the result as one json object that maps each key of Table 2 to an object with the four keys similar_consistent, similar_contradictory, table1_unique and table2_unique, each holding a list of atomic fact strings about that row pair.
+"""
+# The reference prompt's slots, read back by matching the literals around them.
+REFERENCE_SLOTS = re.compile(re.sub(r"\\\$(\w+)", r"(?P<\1>.*?)", re.escape(REFERENCE_EVALUATE)), re.DOTALL)
 
 
 def reference_facts_from(value: object) -> tuple[str, ...]:
@@ -404,8 +466,7 @@ def reference_facts_from(value: object) -> tuple[str, ...]:
 
 
 def reference_compare_rows(left_row, right_row, model_id, gateway, *, language="en"):
-    prompt = prompts.fill(
-        prompts.EVALUATE,
+    prompt = Template(REFERENCE_EVALUATE).substitute(
         language=language_name(language),
         table_1=serialize_table([left_row]),
         table_2=serialize_table([right_row]),
@@ -428,9 +489,10 @@ def reference_compare_rows(left_row, right_row, model_id, gateway, *, language="
     return comparison
 
 
-class ReferenceStub(StubBackend):
-    def _evaluate(self, table_1: str, table_2: str, **_) -> str:
-        rows_1, rows_2 = parse_table(table_1), parse_table(table_2)
+class ReferenceStub:
+    def complete(self, request, attempt):
+        slots = REFERENCE_SLOTS.fullmatch(request.prompt)
+        rows_1, rows_2 = parse_table(slots["table_1"]), parse_table(slots["table_2"])
         comparison = token_compare(
             rows_1[0] if rows_1 else None,
             rows_2[0] if rows_2 else None,
@@ -547,8 +609,43 @@ class TestBatchedEqualsOneRowReference:
         # The judge may echo a gold key in another case or with terminal punctuation.
         judge = Judge(lambda answer, attempt: {respell(k): v for k, v in answer.items()})
         batched = evaluate_instance(*tables, gateway=Gateway(judge), evaluator_models=models)
-        reference = reference_evaluate_instance(
-            *tables, gateway=Gateway(ReferenceStub(StubRuleSet())), evaluator_models=models
-        )
+        reference = reference_evaluate_instance(*tables, gateway=Gateway(ReferenceStub()), evaluator_models=models)
         assert batched == reference
         assert not batched.flagged
+
+
+class IdenticalPairSpoiler(Judge):
+    """Judge that answers garbage to every evaluate prompt holding a candidate
+    row equal to its gold row, and keeps those prompts apart."""
+
+    def __init__(self):
+        super().__init__(lambda answer, attempt: answer)
+        self.spoiled = []
+
+    def complete(self, request, attempt):
+        if request.tag == "evaluate":
+            slots = prompts.slots_of(prompts.EVALUATE, request.prompt)
+            if any(map(TableRow.__eq__, parse_table(slots["table_1"]), parse_table(slots["table_2"]))):
+                self.spoiled.append(request.prompt)
+                return "Sorry, I cannot produce that table right now."
+        return super().complete(request, attempt)
+
+
+class TestIdenticalRowsSkipped:
+    """A candidate row equal to its gold row scores PERFECT_ROW unjudged."""
+
+    @given(instance_tables(), st.sampled_from([["m"], ["m", "n"]]))
+    @settings(max_examples=100)
+    def test_judge_never_sees_an_identical_pair(self, tables, models):
+        judge = IdenticalPairSpoiler()
+        evaluation = evaluate_instance(*tables, gateway=Gateway(judge), evaluator_models=models)
+        assert judge.spoiled == []
+        assert not evaluation.flagged
+
+    def test_instance_with_only_identical_rows_sends_no_prompt(self, mk_table):
+        table = mk_table([("Name", "X"), ("Population", "1")], lang="en")
+        judge = IdenticalPairSpoiler()
+        evaluation = evaluate_instance(table, table, table, gateway=Gateway(judge), evaluator_models=["m", "n"])
+        assert judge.spoiled == [] and judge.evaluate_calls == 0
+        assert not evaluation.flagged
+        assert evaluation.ensemble.updated == 0 and evaluation.ensemble.added_pct == 0

@@ -186,6 +186,7 @@ def pieces(name: str) -> tuple[list[str], list[str]]:
 def evaluate_prompt(left: TableRow, right: TableRow) -> str:
     return prompts.fill(
         prompts.EVALUATE,
+        entity="Musterstadt",
         language="English",
         table_1=serialize_table([left]),
         table_2=serialize_table([right]),
@@ -211,7 +212,7 @@ class TestFill:
 
     def test_missing_slot_is_key_error(self):
         with pytest.raises(KeyError, match="table_2"):
-            prompts.fill(prompts.EVALUATE, language="English", table_1="[]")
+            prompts.fill(prompts.EVALUATE, entity="Musterstadt", language="English", table_1="[]")
 
     def test_lone_dollar_is_value_error(self, monkeypatch):
         text = "costs $ 5: $table"
@@ -253,7 +254,7 @@ class TestSlotsOf:
         head, _, tail = prompt.rpartition("German")
         assert prompts.slots_of(prompts.DIRECT, head + "French" + tail) is None
         # the literal after table_1 overlaps the final literal, leaving table_2 no room
-        prompt = prompts.fill(prompts.EVALUATE, language="English", table_1="[]", table_2="")
+        prompt = prompts.fill(prompts.EVALUATE, entity="Musterstadt", language="English", table_1="[]", table_2="")
         assert prompts.slots_of(prompts.EVALUATE, prompt)["table_2"] == ""
         assert prompts.slots_of(prompts.EVALUATE, prompt.replace("Table 2:\n\n", "Table 2:\n")) is None
 
