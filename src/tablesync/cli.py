@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import Field, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -96,7 +97,7 @@ def _read_json(path: str, what: str, decode):
         return decode(json.loads(Path(path).read_text("utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, LookupError, TypeError, AttributeError, TableSyncError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError, TableSyncError) as exc:
         raise ConfigError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
@@ -230,12 +231,22 @@ def _encode(value: object, newline: str, chunks: list[str]) -> None:
 
 
 def _write(path: Path, text: str) -> None:
-    """The one way the CLI writes a file: make its parent directories, then
-    write text as UTF-8. A path that cannot be written is a ConfigError naming it."""
+    """The one way the CLI writes a file: write text as UTF-8 to a temporary
+    file beside it, then rename that over it, so the path holds the old file
+    or the whole new one, never a cut one. The parent directories are made
+    only when they are missing. A path that cannot be written is a
+    ConfigError naming it, and leaves no temporary file."""
+    temporary = path.with_name(f".{path.name}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, "utf-8")
+        try:
+            temporary.write_text(text, "utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temporary.write_text(text, "utf-8")
+        os.replace(temporary, path)
     except OSError as exc:
+        with suppress(OSError):
+            temporary.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 

@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     TableSyncError,
 )
-from .tables import InfoTable, SyncInstance, TableRow, parse_table, serialize_table
+from .tables import InfoTable, SyncInstance, TableRow, parse_table
 
 MANIFEST_NAME = "manifest"
 _REQUIRED_MANIFEST_KEYS = ("entity", "category", "source_lang", "reference_lang")
@@ -125,30 +125,3 @@ def corpus_stats(root: str | Path) -> CorpusStats:
         count += 1
     return CorpusStats(by_language, by_category, count)
 
-
-def instance_slug(entity: str) -> str:
-    slug = "".join(ch if ch.isalnum() else "-" for ch in entity.lower())
-    return "-".join(part for part in slug.split("-") if part) or "entity"
-
-
-def write_instance(root: str | Path, instance: SyncInstance) -> Path:
-    """Materialize an instance in the corpus layout; returns its directory."""
-    directory = Path(root) / instance.source.category / instance_slug(instance.source.entity)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"entity: {instance.source.entity}",
-        f"category: {instance.source.category}",
-        f"source_lang: {instance.source.language}",
-        f"reference_lang: {instance.reference.language}",
-    ]
-    for role, table in (
-        ("source", instance.source),
-        ("reference", instance.reference),
-        ("gold", instance.gold),
-    ):
-        if table.revision_tag:
-            lines.append(f"{role}_revision: {table.revision_tag}")
-        path = directory / f"{role}.{table.language}.table"
-        path.write_text(serialize_table(table) + "\n", "utf-8")
-    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n", "utf-8")
-    return directory

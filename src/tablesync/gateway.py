@@ -188,7 +188,7 @@ class HttpBackend:
                 raise BackendUnavailable(f"HTTP {status}: {text}")
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:  # too deeply nested
                 raise BackendUnavailable(f"malformed completion body: {exc!r}") from exc
             if not isinstance(content, str):
                 raise BackendUnavailable(f"completion content is not text: {content!r}")
@@ -280,7 +280,7 @@ class Transcript:
                             and isinstance(record["response"], str)
                             and isinstance(record.get("request", {}), dict)
                         )
-                    except (ValueError, TypeError, KeyError):
+                    except (ValueError, TypeError, KeyError, RecursionError):
                         valid = False
                     if not valid:
                         raise ConfigError(f"{self.path}:{number}: malformed transcript record")

@@ -39,24 +39,15 @@ LexiconPairs = tuple[tuple[str, str], ...]
 
 @dataclass(frozen=True)
 class StubRuleSet:
-    """Rules driving the stub: phrase lexicons per language pair, canned
-    responses matched by prompt substring, and optional merge fault injection.
-    """
+    """Rules driving the stub: phrase lexicons per (source, target) language pair."""
 
     lexicons: dict[tuple[str, str], LexiconPairs] = field(default_factory=dict)
-    canned_responses: tuple[tuple[str, str], ...] = ()
-    merge_drop_keys: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         for pair, entries in self.lexicons.items():
             for src, tgt in entries:
                 if not src or not tgt:
                     raise ValueError(f"empty lexicon entry in {pair}: {(src, tgt)!r}")
-        object.__setattr__(
-            self,
-            "merge_drop_keys",
-            frozenset(normalize_key(k) for k in self.merge_drop_keys),
-        )
 
     @staticmethod
     def from_dir(path: str | Path, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:
@@ -154,14 +145,9 @@ def translate_cells(rows, pairs: LexiconPairs) -> tuple[TableRow, ...]:
     return tuple(TableRow(_swap(r.key, lengths, targets), _swap(r.value, lengths, targets)) for r in rows)
 
 
-def merge_graphs(
-    a: KnowledgeGraph,
-    b: KnowledgeGraph,
-    drop_keys: frozenset[str] = frozenset(),
-) -> KnowledgeGraph:
+def merge_graphs(a: KnowledgeGraph, b: KnowledgeGraph) -> KnowledgeGraph:
     """Path union of two graphs. Graph b wins leaf conflicts; sibling keys that
-    normalize identically are merged under the first-seen spelling. Keys in
-    drop_keys are silently omitted (fault injection for stage attribution)."""
+    normalize identically are merged under the first-seen spelling."""
 
     def merge_maps(map_a: dict, map_b: dict) -> dict:
         out: dict = {}
@@ -169,8 +155,6 @@ def merge_graphs(
 
         def put(key: str, value, prefer: bool) -> None:
             norm = normalize_key(key)
-            if norm in drop_keys:
-                return
             if norm in spelling:
                 kept = spelling[norm]
                 existing = out[kept]
@@ -224,9 +208,6 @@ class StubBackend:
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
         prompt = request.prompt
-        for pattern, response in self.rules.canned_responses:
-            if pattern in prompt:
-                return response
         for opening, name, simulate in self._readers:
             if prompt.startswith(opening):
                 slots = prompts.slots_of(name, prompt)
@@ -249,8 +230,7 @@ class StubBackend:
         return serialize_kg(table_to_flat_kg(parse_table(table)))
 
     def _merge(self, graph_a: str, graph_b: str) -> str:
-        merged = merge_graphs(parse_kg(graph_a), parse_kg(graph_b), self.rules.merge_drop_keys)
-        return serialize_kg(merged)
+        return serialize_kg(merge_graphs(parse_kg(graph_a), parse_kg(graph_b)))
 
     def _kg_to_table(self, graph: str, **_) -> str:
         return serialize_table(flatten_kg(parse_kg(graph)))

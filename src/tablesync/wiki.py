@@ -136,7 +136,7 @@ class MediaWikiClient:
             request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
             with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
                 data = json.load(response)
-        except (OSError, ValueError, http.client.HTTPException) as exc:  # HTTP, URL and JSON errors
+        except (OSError, ValueError, RecursionError, http.client.HTTPException) as exc:  # HTTP, URL, JSON errors
             raise NetworkError(f"wiki API request failed: {exc}") from exc
         try:
             pages = data.get("query", {}).get("pages", [])

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import socket
 import threading
@@ -32,6 +33,46 @@ def rules(lexicon_dir) -> StubRuleSet:
 @pytest.fixture()
 def stub_gateway(rules) -> Gateway:
     return Gateway(StubBackend(rules))
+
+
+class FaultBackend(StubBackend):
+    """The stub with faults injected by stage tag: the one way tests spoil answers.
+
+    `faults` maps a request's tag to what the backend does instead of simply
+    answering: a str is served as the answer, an exception is raised, and a
+    callable edit(request, attempt, answer) gets the stub's answer and returns
+    the one served. The tag "*" stands for every tag without an entry of its
+    own. `calls` logs each (tag, attempt) served, in the order served.
+    """
+
+    def __init__(self, rules: StubRuleSet, faults: dict | None = None) -> None:
+        super().__init__(rules)
+        self.faults = dict(faults or {})
+        self.calls: list[tuple[str, int]] = []
+
+    def complete(self, request, attempt):
+        self.calls.append((request.tag, attempt))
+        fault = self.faults.get(request.tag, self.faults.get("*"))
+        if isinstance(fault, BaseException):
+            raise fault
+        if isinstance(fault, str):
+            return fault
+        answer = super().complete(request, attempt)
+        return answer if fault is None else fault(request, attempt, answer)
+
+
+def output_files(root: Path) -> dict[Path, bytes]:
+    """Every file under root, by path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="session")
+def generator():
+    """tests/fixtures/generate_corpus.py, which owns the corpus writer."""
+    spec = importlib.util.spec_from_file_location("generate_corpus", FIXTURES / "generate_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

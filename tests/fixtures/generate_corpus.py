@@ -3,23 +3,26 @@
 Each instance is derived from canonical English rows plus per-language phrase
 maps; source/reference/gold tables and the lexicon files all come from the
 same mapping, so stub translation provably round-trips and the reference
-covers every gold row. Run from the repository root:
+covers every gold row. This module also owns the corpus writer
+(`write_instance`). Run from the repository root:
 
-    python3 tests/fixtures/generate_corpus.py
+    python3 tests/fixtures/generate_corpus.py [ROOT]
+
+It writes ROOT/corpus and ROOT/lexicons, ROOT being this file's directory by
+default; an existing ROOT/corpus is replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 import shutil
 from pathlib import Path
 
-from tablesync.dataset import write_instance
+from tablesync.dataset import MANIFEST_NAME
 from tablesync.stub import translate_cells
-from tablesync.tables import InfoTable, SyncInstance, TableRow
+from tablesync.tables import InfoTable, SyncInstance, TableRow, serialize_table
 
 HERE = Path(__file__).parent
-CORPUS = HERE / "corpus"
-LEXICONS = HERE / "lexicons"
 
 # English canon -> per-language phrases. Identity translations are omitted
 # from the lexicon files (untranslated phrases pass through the stub).
@@ -225,26 +228,58 @@ def build_instance(spec: dict) -> SyncInstance:
     return SyncInstance(source, reference, gold)
 
 
-def write_lexicons() -> None:
-    LEXICONS.mkdir(parents=True, exist_ok=True)
+def instance_slug(entity: str) -> str:
+    slug = "".join(ch if ch.isalnum() else "-" for ch in entity.lower())
+    return "-".join(part for part in slug.split("-") if part) or "entity"
+
+
+def write_instance(root: str | Path, instance: SyncInstance) -> Path:
+    """Materialize an instance in the corpus layout; returns its directory."""
+    directory = Path(root) / instance.source.category / instance_slug(instance.source.entity)
+    directory.mkdir(parents=True, exist_ok=True)
+    lines = [
+        f"entity: {instance.source.entity}",
+        f"category: {instance.source.category}",
+        f"source_lang: {instance.source.language}",
+        f"reference_lang: {instance.reference.language}",
+    ]
+    for role, table in (
+        ("source", instance.source),
+        ("reference", instance.reference),
+        ("gold", instance.gold),
+    ):
+        if table.revision_tag:
+            lines.append(f"{role}_revision: {table.revision_tag}")
+        path = directory / f"{role}.{table.language}.table"
+        path.write_text(serialize_table(table) + "\n", "utf-8")
+    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n", "utf-8")
+    return directory
+
+
+def write_lexicons(directory: Path) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
     for lang in ("de", "fr", "es"):
         forward = lexicon_pairs(lang)
-        (LEXICONS / f"en-{lang}.tsv").write_text(
+        (directory / f"en-{lang}.tsv").write_text(
             "".join(f"{a}\t{b}\n" for a, b in forward), "utf-8"
         )
-        (LEXICONS / f"{lang}-en.tsv").write_text(
+        (directory / f"{lang}-en.tsv").write_text(
             "".join(f"{b}\t{a}\n" for a, b in forward), "utf-8"
         )
 
 
-def main() -> None:
-    if CORPUS.exists():
-        shutil.rmtree(CORPUS)
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate the fixture corpus and its lexicons.")
+    parser.add_argument("root", nargs="?", type=Path, default=HERE, help="output root (default: %(default)s)")
+    root = parser.parse_args(argv).root
+    corpus, lexicons = root / "corpus", root / "lexicons"
+    if corpus.exists():
+        shutil.rmtree(corpus)
     for spec in INSTANCES:
-        directory = write_instance(CORPUS, build_instance(spec))
+        directory = write_instance(corpus, build_instance(spec))
         print(f"wrote {directory}")
-    write_lexicons()
-    print(f"wrote lexicons to {LEXICONS}")
+    write_lexicons(lexicons)
+    print(f"wrote lexicons to {lexicons}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,13 @@ from tablesync.alignment import (
 from tablesync.errors import EmptyVoteSet, UniverseMismatch
 from tablesync.gateway import Gateway
 from tablesync.stub import StubBackend, StubRuleSet
+from conftest import FaultBackend
 from test_similarity import key_similarity
+
+
+def answering_align(text: str) -> Gateway:
+    """A stub gateway whose every align prompt gets `text` as its answer."""
+    return Gateway(FaultBackend(StubRuleSet(), {"align": text}))
 
 
 LEFT_KEYS = ("k1", "k2", "k3", "k4")
@@ -309,11 +315,8 @@ class TestLlmAlign:
         assert alignment.unaligned_left == {"extra"}
 
     def test_reanchoring_of_slightly_off_echo(self, mk_table):
-        # Canned response echoes "Birth Date" for the real key "Birth date:".
-        rules = StubRuleSet(
-            canned_responses=(("matching Table G keys", '[["Birth Date","Birth Date"]]'),)
-        )
-        gateway = Gateway(StubBackend(rules))
+        # The answer echoes "Birth Date" for the real key "Birth date:".
+        gateway = answering_align('[["Birth Date","Birth Date"]]')
         a = mk_table([("Birth date:", "x")])
         b = mk_table([("Birth date", "y")])
         diagnostics = []
@@ -322,10 +325,7 @@ class TestLlmAlign:
 
     def test_reanchoring_tie_picks_smaller_key(self, mk_table):
         # The echo is one edit from both real keys (distance 0.1 each).
-        rules = StubRuleSet(
-            canned_responses=(("matching Table G keys", '[["abcdefghij","Name"]]'),)
-        )
-        gateway = Gateway(StubBackend(rules))
+        gateway = answering_align('[["abcdefghij","Name"]]')
         a = mk_table([("abcdefghiz", "x"), ("abcdefghiy", "y")])
         b = mk_table([("Name", "z")])
         diagnostics = []
@@ -334,10 +334,7 @@ class TestLlmAlign:
         assert diagnostics == ["re-anchored 'abcdefghij' -> 'abcdefghiy'"]
 
     def test_unanchorable_key_dropped_with_diagnostic(self, mk_table):
-        rules = StubRuleSet(
-            canned_responses=(("matching Table G keys", '[["Completely Unrelated","Name"]]'),)
-        )
-        gateway = Gateway(StubBackend(rules))
+        gateway = answering_align('[["Completely Unrelated","Name"]]')
         a = mk_table([("Name", "x")])
         b = mk_table([("Name", "y")])
         diagnostics = []
@@ -424,8 +421,7 @@ class TestMultiVote:
 
     def test_majority_side_wins_two_to_one(self, mk_table):
         # Deterministic vote and model m1 say name<->name; model m2 abstains.
-        rules = StubRuleSet(canned_responses=(("matching Table G keys", "[]"),))
-        gateway = Gateway(StubBackend(rules))
+        gateway = answering_align("[]")
         a = mk_table([("Name", "x")])
         b = mk_table([("Name", "y")])
         result = multi_vote_align(a, b, ["m2"], 1, gateway)

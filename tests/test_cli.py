@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import os
@@ -20,6 +21,7 @@ from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.pipeline import Pipeline, traces_jsonable
 from tablesync.stub import StubBackend
 from tablesync.tables import InfoTable, TableRow, parse_table
+from conftest import output_files
 
 
 def run_cli(*argv) -> int:
@@ -900,10 +902,6 @@ def load_perfbench(name: str, monkeypatch=None):
     return module
 
 
-def output_files(root: Path) -> dict[Path, bytes]:
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 class TestHttpEndToEnd:
     def test_sync_over_http_with_faults(self, corpus, lexicons, tmp_path, no_proxy_env, capsys):
         # Every merge answer for musterstadt is garbage; the first graph-to-table
@@ -1187,8 +1185,9 @@ class TestErrors:
                     "table_to_kg_reference", "merge", "kg_to_table", "back_translate",
                 )
             ]),
+            "[" * 100_000 + "]" * 100_000,  # nested beyond the JSON decoder's depth
         ],
-        ids=["truncated", "object", "no-artifacts", "no-tables"],
+        ids=["truncated", "object", "no-artifacts", "no-tables", "deeply-nested"],
     )
     def test_malformed_traces_file(self, corpus, lexicons, tmp_path, capsys, text):
         traces = tmp_path / "traces.json"
@@ -1318,6 +1317,36 @@ json_documents = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+class TestAtomicWrite:
+    """cli._write leaves the old file or the whole new one, never a cut one."""
+
+    @pytest.mark.parametrize("old", [None, "old text"], ids=["new-file", "old-file"])
+    def test_write_failing_halfway(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "report.json"
+        if old is not None:
+            path.write_text(old, "utf-8")
+        write_text = Path.write_text
+
+        def cut(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+        monkeypatch.setattr(Path, "write_text", cut)
+        with pytest.raises(ConfigError, match=f"cannot write {path}: .*No space left"):
+            cli._write(path, "new text " * 100)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+        if old is not None:
+            assert path.read_text("utf-8") == old
+
+    def test_missing_parents_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "report.json"
+        cli._write(path, "first")
+        cli._write(path, "second")
+        assert path.read_text("utf-8") == "second"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "a", path.parent, path]
 
 
 class TestJsonWriter:

@@ -2,14 +2,13 @@ import pytest
 
 from tablesync.dataset import (
     corpus_stats,
-    instance_slug,
     iter_instance_dirs,
     load_instance,
     read_manifest,
-    write_instance,
 )
 from tablesync.errors import LanguageConstraintViolation, MissingFile, ParseError
 from tablesync.tables import SyncInstance
+from conftest import output_files
 
 
 def write_fixture(tmp_path, manifest: dict, tables: dict):
@@ -88,7 +87,7 @@ class TestStats:
         assert stats.instance_count == 0
         assert not stats.tables_by_language
 
-    def test_hand_counted_fixture(self, tmp_path, mk_table):
+    def test_hand_counted_fixture(self, tmp_path, mk_table, generator):
         specs = [("de", "City"), ("de", "Person"), ("fr", "City")]
         for i, (lang, category) in enumerate(specs):
             instance = SyncInstance(
@@ -96,7 +95,7 @@ class TestStats:
                 mk_table([("a", "1")], lang="en", category=category, entity=f"e{i}"),
                 mk_table([("a", "1")], lang=lang, category=category, entity=f"e{i}"),
             )
-            write_instance(tmp_path, instance)
+            generator.write_instance(tmp_path, instance)
         stats = corpus_stats(tmp_path)
         assert stats.instance_count == 3
         assert stats.tables_by_language == {"de": 2, "fr": 1}
@@ -114,21 +113,26 @@ class TestStats:
 
 
 class TestWriteInstance:
-    def test_round_trip(self, tmp_path, mk_table):
+    def test_round_trip(self, tmp_path, mk_table, generator):
         instance = SyncInstance(
             mk_table([("Land", "Deutschland")], lang="de", revision_tag="old-2018"),
             mk_table([("Country", "Germany")], lang="en", revision_tag="new-2023"),
             mk_table([("Land", "Deutschland")], lang="de", revision_tag="new-2023"),
         )
-        directory = write_instance(tmp_path, instance)
+        directory = generator.write_instance(tmp_path, instance)
         loaded = load_instance(directory)
         assert loaded == instance
         manifest = read_manifest(directory)
         assert manifest.source_revision == "old-2018"
 
-    def test_slug(self):
-        assert instance_slug("Albert Einstein") == "albert-einstein"
-        assert instance_slug("***") == "entity"
+    def test_slug(self, generator):
+        assert generator.instance_slug("Albert Einstein") == "albert-einstein"
+        assert generator.instance_slug("***") == "entity"
+
+    def test_generator_reproduces_the_fixtures(self, tmp_path, generator, corpus_dir, lexicon_dir):
+        generator.main([str(tmp_path)])
+        assert output_files(tmp_path / "corpus") == output_files(corpus_dir)
+        assert output_files(tmp_path / "lexicons") == output_files(lexicon_dir)
 
     def test_iter_dirs_sorted(self, corpus_dir):
         dirs = iter_instance_dirs(corpus_dir)

@@ -12,8 +12,9 @@ from tablesync.errors import ConfigError, TableSyncError
 from tablesync.gateway import Gateway
 from tablesync.metrics import AtomicComparison, token_compare
 from tablesync.pipeline import Pipeline, Strategy
-from tablesync.stub import StubBackend, StubRuleSet
-from tablesync.tables import SyncInstance
+from tablesync.stub import StubBackend, StubRuleSet, translate_cells
+from tablesync.tables import KnowledgeGraph, SyncInstance, TableRow, normalize_key, parse_kg, serialize_kg
+from conftest import FaultBackend
 
 
 class TestErrorCounts:
@@ -85,8 +86,8 @@ class TestClassify:
 
 @pytest.fixture()
 def run_and_ledger(rules, mk_table):
-    def runner(instance: SyncInstance, run_rules: StubRuleSet):
-        pipe = Pipeline(Gateway(StubBackend(run_rules)), "stub-model")
+    def runner(instance: SyncInstance, run_rules: StubRuleSet, faults=None):
+        pipe = Pipeline(Gateway(FaultBackend(run_rules, faults)), "stub-model")
         result = pipe.run(instance, Strategy.HIERARCHICAL)
         analyzer = ErrorAnalyzer(run_rules)
         return result, analyzer.stagewise_ledger(instance, result.traces)
@@ -128,26 +129,20 @@ class TestLedger:
 
     def test_merge_drop_adds_missing_at_merge_column(self, instances, rules, run_and_ledger):
         instance = instances[0]
-        # drop one reference-only path during the merge stage
-        reference_only = sorted(
-            instance.gold.normalized_keys()
-            - {k for k in instance.source.normalized_keys()}
-        )
-        dropping = StubRuleSet(
-            lexicons=rules.lexicons, merge_drop_keys=frozenset({reference_only[0]})
-        )
-        # the drop key is in the pivot language: map it through the lexicon
-        from tablesync.stub import translate_cells
-        from tablesync.tables import TableRow, normalize_key
-
+        # drop one reference-only path from the merge stage's answer
+        reference_only = sorted(instance.gold.normalized_keys() - instance.source.normalized_keys())
+        # the merged graph is in the pivot language: map the key through the lexicon
         gold_row = instance.gold.row_for(reference_only[0])
         pivot_key = translate_cells(
             (TableRow(gold_row.key, ""),), rules.lexicon(instance.gold.language, "en")
         )[0].key
-        dropping = StubRuleSet(
-            lexicons=rules.lexicons, merge_drop_keys=frozenset({normalize_key(pivot_key)})
-        )
-        _, ledger = run_and_ledger(instance, dropping)
+        dropped = normalize_key(pivot_key)
+
+        def drop(request, attempt, answer):
+            graph = parse_kg(answer)
+            return serialize_kg(KnowledgeGraph({k: v for k, v in graph.root.items() if normalize_key(k) != dropped}))
+
+        _, ledger = run_and_ledger(instance, rules, {"merge": drop})
         by_stage = {e.stage: e for e in ledger.entries}
         assert by_stage["merge"].delta.missing == 1
         assert by_stage["kg_construction"].delta.missing == 0

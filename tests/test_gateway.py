@@ -65,11 +65,6 @@ class TestStubBackend:
         request = translation_request()
         assert gateway.complete(request) == gateway.complete(request)
 
-    def test_canned_response_wins(self):
-        rules = StubRuleSet(canned_responses=(("into English", "[[\"x\",\"y\"]]"),))
-        gateway = Gateway(StubBackend(rules))
-        assert gateway.complete(translation_request()) == '[["x","y"]]'
-
     def test_attempts_identical_on_stub(self):
         gateway = Gateway(StubBackend(StubRuleSet()))
         texts = [gateway.complete(translation_request(), attempt=i) for i in range(3)]
@@ -157,6 +152,7 @@ class TestRecordReplay:
             '{"digest": "d2"}',
             '{"digest": 7, "response": "x"}',
             '{"digest": "d2", "response": "x", "request": "r"}',
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),  # beyond the JSON decoder's depth
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, bad_line):
@@ -351,6 +347,7 @@ class TestHttpBackend:
             {"choices": [{"text": "legacy shape"}]},
             {"choices": [{"message": {"content": None}}]},
             {"choices": [{"message": {"content": ["a", "list"]}}]},
+            pytest.param(bytearray(b"[" * 100_000 + b"]" * 100_000), id="deeply-nested"),  # beyond the decoder's depth
         ],
     )
     def test_malformed_200_body_is_backend_unavailable(self, backend, http_server, payload):

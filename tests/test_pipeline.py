@@ -12,6 +12,7 @@ from tablesync.pipeline import (
 from tablesync.stub import StubBackend, StubRuleSet, merge_graphs
 from tablesync.tables import KnowledgeGraph, SyncInstance, table_to_flat_kg
 from tablesync.alignment import Alignment
+from conftest import FaultBackend
 
 
 @pytest.fixture()
@@ -54,6 +55,10 @@ def pipeline_for(rules) -> Pipeline:
     return Pipeline(Gateway(StubBackend(rules)), "stub-model")
 
 
+def faulty_pipeline(faults) -> Pipeline:
+    return Pipeline(Gateway(FaultBackend(StubRuleSet(), faults)), "stub-model")
+
+
 class TestStages:
     def test_translate_identity_when_already_target(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
@@ -79,10 +84,7 @@ class TestStages:
         assert back.rows == table.rows
 
     def test_row_drop_is_diagnostic_not_error(self, mk_table):
-        rules = StubRuleSet(
-            canned_responses=(("provide only the translated table", '[["Name","X"]]'),)
-        )
-        pipe = pipeline_for(rules)
+        pipe = faulty_pipeline({"translate": '[["Name","X"]]'})
         table = mk_table([("Name", "X"), ("Other", "Y")], lang="de")
         result, trace = pipe.translate_table(table, "en")
         assert len(result.rows) == 1
@@ -134,11 +136,6 @@ class TestMergeRules:
         b = KnowledgeGraph({"country:": "y"})
         merged = merge_graphs(a, b)
         assert merged.root == {"Country": "y"}
-
-    def test_drop_keys_fault_injection(self):
-        a = KnowledgeGraph({"keep": "1", "Lost Path": "2"})
-        merged = merge_graphs(a, KnowledgeGraph({}), drop_keys=frozenset({"lost path"}))
-        assert merged.root == {"keep": "1"}
 
 
 class TestRun:
@@ -202,42 +199,24 @@ class TestRun:
 
     def test_stage_failure_preserves_partial_traces(self, de_instance):
         # Merge responses are unparseable; earlier stages must be retained.
-        rules = StubRuleSet(
-            canned_responses=(("your task is to merge the graphs", "not a graph"),)
-        )
         with pytest.raises(StageFailed) as excinfo:
-            pipeline_for(rules).run(de_instance, Strategy.HIERARCHICAL)
+            faulty_pipeline({"merge": "not a graph"}).run(de_instance, Strategy.HIERARCHICAL)
         assert excinfo.value.stage == "merge"
         stages = [t.stage for t in excinfo.value.traces]
         assert "translate_source" in stages and "merge" not in stages
 
     def test_parse_retry_uses_distinct_digest(self, de_instance, de_en_rules, tmp_path):
         transcript = Transcript(tmp_path / "t.jsonl")
-        gateway = Gateway(StubBackend(StubRuleSet(
-            canned_responses=(("provide only the translated table", "chatter with no table"),)
-        )), transcript=transcript)
+        backend = FaultBackend(StubRuleSet(), {"translate_source": "chatter with no table"})
+        gateway = Gateway(backend, transcript=transcript)
         with gateway, pytest.raises(StageFailed):
             Pipeline(gateway, "stub-model").run(de_instance, Strategy.HIERARCHICAL)
         assert len(transcript.responses()) == 2  # original attempt plus one reprompt
 
 
-class FaultyBackend(StubBackend):
-    """Stub that logs every (tag, attempt) and raises `error` for one stage tag."""
-
-    def __init__(self, rules, tag, error):
-        super().__init__(rules)
-        self.tag, self.error, self.calls = tag, error, []
-
-    def complete(self, request, attempt):
-        self.calls.append((request.tag, attempt))
-        if request.tag == self.tag:
-            raise self.error
-        return super().complete(request, attempt)
-
-
 class TestStageAttribution:
     def test_backend_error_names_its_stage(self, de_instance, de_en_rules):
-        backend = FaultyBackend(de_en_rules, "merge", BackendUnavailable("HTTP 503"))
+        backend = FaultBackend(de_en_rules, {"merge": BackendUnavailable("HTTP 503")})
         with pytest.raises(StageFailed) as excinfo:
             Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
         assert excinfo.value.stage == "merge"
@@ -246,11 +225,7 @@ class TestStageAttribution:
         assert ("merge", RETRY_ATTEMPT_OFFSET) not in backend.calls
 
     def test_invalid_graph_reprompted_once(self, de_instance, de_en_rules):
-        rules = StubRuleSet(
-            lexicons=de_en_rules.lexicons,
-            canned_responses=(("your task is to merge the graphs", '{"": "empty key"}'),),
-        )
-        backend = FaultyBackend(rules, None, None)
+        backend = FaultBackend(de_en_rules, {"merge": '{"": "empty key"}'})
         with pytest.raises(StageFailed) as excinfo:
             Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
         assert excinfo.value.stage == "merge"
@@ -261,7 +236,7 @@ class TestStageAttribution:
         ]
 
     def test_align_backend_error_names_align(self, de_instance, de_en_rules):
-        backend = FaultyBackend(de_en_rules, "align", BackendUnavailable("HTTP 503"))
+        backend = FaultBackend(de_en_rules, {"align": BackendUnavailable("HTTP 503")})
         with pytest.raises(StageFailed) as excinfo:
             Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.ALIGN_UPDATE_TWO)
         assert excinfo.value.stage == "align"

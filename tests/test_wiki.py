@@ -116,10 +116,11 @@ class TestFetchRevision:
             (200, {"query": {"pages": ["x"]}}),
             (200, {"query": {"pages": [{"revisions": ["r"]}]}}),
             (200, page_payload(5)),
+            (200, b"[" * 100_000 + b"]" * 100_000),
         ],
         ids=[
             "http-error", "not-json", "not-an-object", "query-a-list", "page-a-string",
-            "revision-a-string", "content-a-number",
+            "revision-a-string", "content-a-number", "deeply-nested",
         ],
     )
     def test_http_and_json_errors_are_network_errors(self, http_server, status, payload):
