@@ -26,6 +26,12 @@ DEFAULT_EVAL_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 2048
 # Offset keeping reprompt digests apart from voting-round digests.
 RETRY_ATTEMPT_OFFSET = 1000
+# HttpBackend's transport policy: tries per completion, the first backoff and
+# its cap (it doubles after each retry), and the socket timeout.
+HTTP_ATTEMPTS = 3
+HTTP_BACKOFF_S = 1.0
+HTTP_BACKOFF_CAP_S = 8.0
+HTTP_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -78,30 +84,14 @@ class HttpBackend:
     CONNECT tunnel. https verifies against the system CA store.
 
     Transient failures (connection errors, 429, 5xx) are retried with capped
-    exponential backoff.
+    exponential backoff (HTTP_ATTEMPTS, HTTP_BACKOFF_S, HTTP_BACKOFF_CAP_S).
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str = "",
-        *,
-        attempts: int = 3,
-        backoff_s: float = 1.0,
-        backoff_cap_s: float = 8.0,
-        timeout_s: float = 60.0,
-    ) -> None:
+    def __init__(self, endpoint: str, api_key: str = "") -> None:
         # Imported where HTTP is used, so other commands start without them.
         import base64
         import http.client
         import urllib.request
-
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.attempts = attempts
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self.timeout_s = timeout_s
 
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
@@ -167,10 +157,10 @@ class HttpBackend:
 
         last_error: Exception | None = None
         rate_limited = False
-        for retry in range(self.attempts):
+        for retry in range(HTTP_ATTEMPTS):
             if retry:
-                log.warning("retrying completion (%d/%d): %s", retry, self.attempts, last_error)
-                time.sleep(min(self.backoff_s * 2 ** (retry - 1), self.backoff_cap_s))
+                log.warning("retrying completion (%d/%d): %s", retry, HTTP_ATTEMPTS, last_error)
+                time.sleep(min(HTTP_BACKOFF_S * 2 ** (retry - 1), HTTP_BACKOFF_CAP_S))
             try:
                 status, data = self._exchange(message)
             except (OSError, http.client.HTTPException) as exc:
@@ -194,8 +184,8 @@ class HttpBackend:
                 raise BackendUnavailable(f"completion content is not text: {content!r}")
             return content
         if rate_limited:
-            raise RateLimited(f"rate limited after {self.attempts} attempts")
-        raise BackendUnavailable(f"no response after {self.attempts} attempts: {last_error}")
+            raise RateLimited(f"rate limited after {HTTP_ATTEMPTS} attempts")
+        raise BackendUnavailable(f"no response after {HTTP_ATTEMPTS} attempts: {last_error}")
 
     def _exchange(self, message: bytes) -> tuple[int, bytes]:
         """Send one request on this thread's connection; (status, body)."""
@@ -204,7 +194,7 @@ class HttpBackend:
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = self._connection_class(
-                *self._address, timeout=self.timeout_s, **self._connection_args
+                *self._address, timeout=HTTP_TIMEOUT_S, **self._connection_args
             )
             if self._tunnel is not None:
                 host, port, headers = self._tunnel

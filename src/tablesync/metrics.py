@@ -351,15 +351,15 @@ def evaluate_instance(
     """Full §-style evaluation of one output table against its instance.
 
     Alignments are source-gold and output-gold; each aligned pair is compared
-    per evaluator model and reports are ensemble-averaged. A candidate row
-    equal to its gold row (the same wire text) scores PERFECT_ROW without a
-    judge. The other distinct (model, candidate row, gold row) comparisons
-    are planned first, in the order the reports read them, so a row the
-    output leaves unchanged is compared once and scores the same on both
-    sides. The plan is cut into chunks for `compare_rows`, each of one model:
-    a chunk closes at EVAL_BATCH_ROWS pairs, or before a gold key it already
-    holds. The chunks run as one `gateway.map` batch; a backend error is the
-    first one in plan order.
+    per evaluator model (evaluator_models is non-empty) and reports are
+    ensemble-averaged. A candidate row equal to its gold row (the same wire
+    text) scores PERFECT_ROW without a judge. The other distinct (model,
+    candidate row, gold row) comparisons are planned first, in the order the
+    reports read them, so a row the output leaves unchanged is compared once
+    and scores the same on both sides. The plan is cut into chunks for
+    `compare_rows`, each of one model: a chunk closes at EVAL_BATCH_ROWS
+    pairs, or before a gold key it already holds. The chunks run as one
+    `gateway.map` batch; a backend error is the first one in plan order.
     """
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
@@ -419,16 +419,13 @@ def evaluate_instance(
         model_id: build_report(partition, *(side_scores(model_id, side) for side in sides))
         for model_id in evaluator_models
     }
+    # Every report reads the one partition, so only the scores differ.
     reports = list(per_model.values())
-    if reports:  # every report reads the one partition, so only the scores differ
-        n = len(reports)
-        ensemble = replace(
-            reports[0],
-            updated=sum((r.updated for r in reports), Fraction(0)) / n,
-            added_pct=sum((r.added_pct for r in reports), Fraction(0)) / n,
-        )
-    else:
-        ensemble = build_report(partition, {}, {})
+    ensemble = replace(
+        reports[0],
+        updated=sum((r.updated for r in reports), Fraction(0)) / len(reports),
+        added_pct=sum((r.added_pct for r in reports), Fraction(0)) / len(reports),
+    )
     return InstanceEvaluation(per_model, ensemble, tuple(flagged))
 
 

@@ -41,11 +41,6 @@ def fill(name: str, **slots: str) -> str:
     return "".join(parts)
 
 
-def opening(name: str) -> str:
-    """The text every filling of the template starts with: its first literal."""
-    return _split(template_text(name))[0][0]
-
-
 @lru_cache(maxsize=None)
 def _split(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Template text cut at its slots: the literals, one more than the slot

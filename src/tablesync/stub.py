@@ -187,32 +187,26 @@ class StubBackend:
 
     def __init__(self, rules: StubRuleSet) -> None:
         self.rules = rules
-        # (opening, template, simulation), tried in this order, which matters
-        # where two templates open alike (align_update, direct_decompose).
-        # Each simulation takes its template's slots as keyword arguments.
-        self._readers = tuple(
-            (prompts.opening(name), name, simulate)
-            for name, simulate in (
-                (prompts.TRANSLATE_TO_PIVOT, self._translate),
-                (prompts.TABLE_TO_KG, self._table_to_kg),
-                (prompts.MERGE_KGS, self._merge),
-                (prompts.KG_TO_TABLE, self._kg_to_table),
-                (prompts.TRANSLATE_FROM_PIVOT, self._translate),
-                (prompts.ALIGN, self._align),
-                (prompts.ALIGN_UPDATE, self._align_update),
-                (prompts.DIRECT, self._direct),
-                (prompts.DIRECT_DECOMPOSE, self._decompose),
-                (prompts.EVALUATE, self._evaluate),
-            )
+        # (template, simulation); the first template that reads the prompt
+        # answers it. Each simulation takes its template's slots as keyword arguments.
+        self._readers = (
+            (prompts.TRANSLATE_TO_PIVOT, self._translate),
+            (prompts.TABLE_TO_KG, self._table_to_kg),
+            (prompts.MERGE_KGS, self._merge),
+            (prompts.KG_TO_TABLE, self._kg_to_table),
+            (prompts.TRANSLATE_FROM_PIVOT, self._translate),
+            (prompts.ALIGN, self._align),
+            (prompts.ALIGN_UPDATE, self._align_update),
+            (prompts.DIRECT, self._direct),
+            (prompts.DIRECT_DECOMPOSE, self._decompose),
+            (prompts.EVALUATE, self._evaluate),
         )
 
     def complete(self, request: CompletionRequest, attempt: int) -> str:
-        prompt = request.prompt
-        for opening, name, simulate in self._readers:
-            if prompt.startswith(opening):
-                slots = prompts.slots_of(name, prompt)
-                if slots is not None:
-                    return simulate(**slots)
+        for name, simulate in self._readers:
+            slots = prompts.slots_of(name, request.prompt)
+            if slots is not None:
+                return simulate(**slots)
         raise NoTableFound(f"stub cannot recognize prompt (tag={request.tag!r})")
 
     # stage simulations

@@ -397,8 +397,27 @@ def _rows_from_candidate(candidate: list) -> tuple[TableRow, ...]:
         key, value = element
         if not isinstance(key, str) or not isinstance(value, str):
             raise MalformedRow(f"element is not a pair of text: {element!r}")
+        if not key.strip():
+            raise MalformedRow("row key is empty")
         rows.append(TableRow(key, value))
     return tuple(rows)
+
+
+def _first_valid(text: str, opener: str, build, not_found: Exception):
+    """build(candidate) for the first candidate that builds; else the first
+    MalformedRow or InvalidValue it raised; else not_found. An empty candidate
+    counts only when its opener is the only one in text: beside others it is
+    a fragment of a cut or nested answer ("[[]", "{a {}"), not the answer."""
+    error: Exception | None = None
+    for candidate in extract_candidates(text, opener):
+        if not candidate and text.count(opener) > 1:
+            continue
+        try:
+            return build(candidate)
+        except (MalformedRow, InvalidValue) as exc:
+            if error is None:
+                error = exc
+    raise error if error is not None else not_found
 
 
 def parse_table(text: str) -> tuple[TableRow, ...]:
@@ -407,30 +426,12 @@ def parse_table(text: str) -> tuple[TableRow, ...]:
     Surrounding chatter is ignored. Raises NoTableFound when no balanced list
     exists, MalformedRow when balanced lists exist but none is a pair list.
     """
-    malformed: MalformedRow | None = None
-    for candidate in extract_candidates(text, "["):
-        try:
-            return _rows_from_candidate(candidate)
-        except (MalformedRow, EmptyKey) as exc:
-            if malformed is None:
-                malformed = exc if isinstance(exc, MalformedRow) else MalformedRow(str(exc))
-    if malformed is not None:
-        raise malformed
-    raise NoTableFound("no balanced list-of-pairs candidate")
+    return _first_valid(text, "[", _rows_from_candidate, NoTableFound("no balanced list-of-pairs candidate"))
 
 
 def parse_kg(text: str) -> KnowledgeGraph:
     """Extract the first balanced nested map from text; same discipline as parse_table."""
-    invalid: InvalidValue | None = None
-    for candidate in extract_candidates(text, "{"):
-        try:
-            return KnowledgeGraph(candidate)
-        except InvalidValue as exc:
-            if invalid is None:
-                invalid = exc
-    if invalid is not None:
-        raise invalid
-    raise NoGraphFound("no balanced nested-map candidate")
+    return _first_valid(text, "{", KnowledgeGraph, NoGraphFound("no balanced nested-map candidate"))
 
 
 def escape_text(text: str) -> str:

@@ -12,6 +12,9 @@ from .tables import InfoTable, TableRow
 
 DEFAULT_API_TEMPLATE = "https://{lang}.wikipedia.org/w/api.php"
 USER_AGENT = "tablesync/0.1 (table synchronization research tooling)"
+# Least time between the starts of two requests of one client, and the socket timeout.
+MIN_INTERVAL_S = 1.0
+TIMEOUT_S = 30.0
 
 _INFOBOX_NAME = re.compile(r"\s*infobox\b", re.IGNORECASE)
 _COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
@@ -88,19 +91,12 @@ def extract_infobox_rows(wikitext: str) -> tuple[TableRow, ...]:
 class MediaWikiClient:
     """Action-API client fetching the infobox of a page revision at a timestamp."""
 
-    def __init__(
-        self,
-        api_template: str = DEFAULT_API_TEMPLATE,
-        min_interval_s: float = 1.0,
-        timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, api_template: str = DEFAULT_API_TEMPLATE) -> None:
         self.api_template = api_template
-        self.min_interval_s = min_interval_s
-        self.timeout_s = timeout_s
         self._last_request = 0.0
 
     def _throttle(self) -> None:
-        wait = self.min_interval_s - (time.monotonic() - self._last_request)
+        wait = MIN_INTERVAL_S - (time.monotonic() - self._last_request)
         if wait > 0:
             time.sleep(wait)
         self._last_request = time.monotonic()
@@ -134,7 +130,7 @@ class MediaWikiClient:
         self._throttle()
         try:
             request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                 data = json.load(response)
         except (OSError, ValueError, RecursionError, http.client.HTTPException) as exc:  # HTTP, URL, JSON errors
             raise NetworkError(f"wiki API request failed: {exc}") from exc

@@ -1,7 +1,6 @@
 """Whole runs under spoiled model answers: every failure stays typed and
 scoped to its own instance, and the outputs do not depend on --concurrency."""
 
-import functools
 import io
 import json
 import random
@@ -122,7 +121,7 @@ def test_http_storm_fails_its_instance_with_a_typed_error(
 ):
     script, stage, cause = STORMS[storm]
     http_server.script = list(script)
-    monkeypatch.setattr(gw, "HttpBackend", functools.partial(gw.HttpBackend, backoff_s=0.001))
+    monkeypatch.setattr(gw, "HTTP_BACKOFF_S", 0.001)
     out = tmp_path / "out"
     code = cli.main([
         "sync", "--corpus", str(corpus_dir), "--lexicons", str(lexicon_dir), "--out", str(out),

@@ -295,13 +295,14 @@ class TestHttpBackend:
     """HttpBackend against a loopback server (see conftest.ScriptedServer)."""
 
     @pytest.fixture()
-    def backend(self, http_server):
-        """Factory of backends on the loopback server, closed after the test."""
+    def backend(self, http_server, monkeypatch):
+        """Factory of backends on the loopback server, closed after the test;
+        retries do not sleep."""
+        monkeypatch.setattr(gateway_module, "HTTP_BACKOFF_S", 0.0)
         made = []
 
         def make(**kwargs):
-            endpoint = f"{http_server.base}/v1/chat/completions"
-            made.append(HttpBackend(endpoint, **{"backoff_s": 0.0, **kwargs}))
+            made.append(HttpBackend(f"{http_server.base}/v1/chat/completions", **kwargs))
             return made[-1]
 
         yield make
@@ -320,17 +321,30 @@ class TestHttpBackend:
         assert backend().complete(REQUEST, 0) == "ok"
         assert len(http_server.seen) == 2
 
-    def test_rate_limited_after_attempts(self, backend, http_server):
+    def test_rate_limited_after_attempts(self, backend, http_server, monkeypatch):
+        monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 3)
         http_server.script = [(429, b"{}")] * 3
         with pytest.raises(RateLimited):
-            backend(attempts=3).complete(REQUEST, 0)
+            backend().complete(REQUEST, 0)
         assert len(http_server.seen) == 3
 
-    def test_unavailable_after_attempts(self, backend, http_server):
+    def test_unavailable_after_attempts(self, backend, http_server, monkeypatch):
+        monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 3)
         http_server.script = [(503, b"{}")] * 3
         with pytest.raises(BackendUnavailable):
-            backend(attempts=3).complete(REQUEST, 0)
+            backend().complete(REQUEST, 0)
         assert len(http_server.seen) == 3
+
+    def test_retries_sleep_the_capped_doubling_backoff(self, backend, http_server, monkeypatch):
+        for name, value in (("HTTP_ATTEMPTS", 4), ("HTTP_BACKOFF_S", 1), ("HTTP_BACKOFF_CAP_S", 1.5)):
+            monkeypatch.setattr(gateway_module, name, value)
+        slept = []
+        monkeypatch.setattr(gateway_module.time, "sleep", slept.append)
+        http_server.script = [(503, b"{}")] * 4
+        with pytest.raises(BackendUnavailable, match="no response after 4 attempts"):
+            backend().complete(REQUEST, 0)
+        assert slept == [1, 1.5, 1.5]
+        assert len(http_server.seen) == 4
 
     def test_hard_client_error_not_retried(self, backend, http_server):
         http_server.script = [(400, b"bad request")]
@@ -368,8 +382,9 @@ class TestHttpBackend:
             raise AssertionError(f"slept {seconds} s")
 
         monkeypatch.setattr(gateway_module.time, "sleep", no_sleep)
+        client = backend()
+        monkeypatch.setattr(gateway_module, "HTTP_BACKOFF_S", 1.0)  # a retry would sleep
         http_server.script = [(200, completion_body("first"), "close"), (200, completion_body("second"))]
-        client = backend(backoff_s=1.0)
         http_server.closed.clear()
         assert client.complete(REQUEST, 0) == "first"
         assert http_server.closed.wait(timeout=10)
@@ -391,8 +406,9 @@ class TestHttpBackend:
         self, http_server, closed_port, monkeypatch
     ):
         monkeypatch.setenv("https_proxy", http_server.base.replace("http://", "http://us%40r:pw@"))
+        monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 1)
         http_server.script = [(407, b"")]
-        client = HttpBackend(f"https://127.0.0.1:{closed_port}/v1/chat/completions", attempts=1)
+        client = HttpBackend(f"https://127.0.0.1:{closed_port}/v1/chat/completions")
         with pytest.raises(BackendUnavailable, match="407"):
             client.complete(REQUEST, 0)
         client.close()
@@ -400,8 +416,10 @@ class TestHttpBackend:
         assert (method, path) == ("CONNECT", f"127.0.0.1:{closed_port}")
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
 
-    def test_connection_refused_is_backend_unavailable(self, closed_port, no_proxy_env):
-        backend = HttpBackend(f"http://127.0.0.1:{closed_port}/", attempts=2, backoff_s=0.0)
+    def test_connection_refused_is_backend_unavailable(self, closed_port, no_proxy_env, monkeypatch):
+        monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 2)
+        monkeypatch.setattr(gateway_module, "HTTP_BACKOFF_S", 0.0)
+        backend = HttpBackend(f"http://127.0.0.1:{closed_port}/")
         with pytest.raises(BackendUnavailable, match="no response after 2 attempts"):
             backend.complete(REQUEST, 0)
 

@@ -235,6 +235,19 @@ class TestStageAttribution:
             ("merge", RETRY_ATTEMPT_OFFSET),
         ]
 
+    def test_cut_merge_answer_with_an_empty_inner_map_is_reprompted(self, de_instance, de_en_rules):
+        def cut_first(request, attempt, answer):
+            return "x {a {}" if attempt == 0 else answer
+
+        backend = FaultBackend(de_en_rules, {"merge": cut_first})
+        result = Pipeline(Gateway(backend), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
+        assert [call for call in backend.calls if call[0] == "merge"] == [
+            ("merge", 0),
+            ("merge", RETRY_ATTEMPT_OFFSET),
+        ]
+        clean = Pipeline(Gateway(StubBackend(de_en_rules)), "stub-model").run(de_instance, Strategy.HIERARCHICAL)
+        assert result.output == clean.output
+
     def test_align_backend_error_names_align(self, de_instance, de_en_rules):
         backend = FaultBackend(de_en_rules, {"align": BackendUnavailable("HTTP 503")})
         with pytest.raises(StageFailed) as excinfo:

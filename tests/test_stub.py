@@ -290,3 +290,16 @@ class TestStubRecognition:
         prompt = evaluate_prompt(left, right)
         assert "First table:" in prompt
         assert stub_answer(prompt) == expected
+
+    def test_template_reworded_after_the_stub_is_built_is_still_read(self, monkeypatch):
+        left, right = TableRow("Born", "12 May 1990"), TableRow("Born", "12 May 1991")
+        stub = StubBackend(StubRuleSet())
+        expected = stub.complete(CompletionRequest(evaluate_prompt(left, right), "stub-model"), 0)
+        original = prompts.template_text
+        reworded = "Compare these tables.\n\n" + original(prompts.EVALUATE)
+        monkeypatch.setattr(
+            prompts, "template_text", lambda name: reworded if name == prompts.EVALUATE else original(name)
+        )
+        prompt = evaluate_prompt(left, right)
+        assert prompt.startswith("Compare these tables.")
+        assert stub.complete(CompletionRequest(prompt, "stub-model"), 0) == expected

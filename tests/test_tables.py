@@ -271,6 +271,25 @@ class TestParseTable:
     def test_empty_list(self):
         assert parse_table("[]") == ()
 
+    def test_empty_list_in_chatter(self):
+        assert parse_table("Here it is: []") == ()
+
+    @pytest.mark.parametrize("text", ["[[]]", "[[[]]]", "Sorry [[]] here", "Sorry [1] []"])
+    def test_empty_list_beside_other_openers_is_not_the_answer(self, text):
+        with pytest.raises(MalformedRow):
+            parse_table(text)
+
+    def test_empty_list_of_a_cut_answer_is_no_table(self):
+        with pytest.raises(NoTableFound):
+            parse_table("[[]")
+
+    def test_empty_list_before_a_table_yields_the_table(self):
+        assert [r.as_pair() for r in parse_table('[] then [["k","v"]]')] == [("k", "v")]
+
+    def test_blank_key_is_malformed_row(self):
+        with pytest.raises(MalformedRow, match="row key is empty"):
+            parse_table('[[" ","v"]]')
+
     def test_chatter_and_escaped_apostrophe(self):
         rows = parse_table("Here is the table: [[\"k\",\"O\\'Neil\"]] hope this helps")
         assert [r.as_pair() for r in rows] == [("k", "O'Neil")]
@@ -307,8 +326,11 @@ class TestParseTable:
     @settings(max_examples=100)
     def test_round_trip_with_chatter(self, rows, prefix, suffix):
         # Chatter containing brackets may legitimately win the first-candidate
-        # scan, so restrict it here.
+        # scan, so restrict it here. An empty table is read only as the one
+        # list in the text, so then the suffix holds no bracket either.
         clean_prefix = prefix.replace("[", "(").replace("{", "(")
+        if not rows:
+            suffix = suffix.replace("[", "(")
         text = clean_prefix + serialize_table(rows) + suffix
         assert parse_table(text) == tuple(rows)
 
@@ -340,6 +362,14 @@ class TestParseKg:
 
     def test_empty_map(self):
         assert parse_kg("{}").root == {}
+
+    def test_empty_inner_map(self):
+        assert parse_kg('{"a": {}}').root == {"a": {}}
+
+    @pytest.mark.parametrize("text", ["{{}}", "x {a {}"])
+    def test_empty_map_beside_other_openers_is_no_graph(self, text):
+        with pytest.raises(NoGraphFound):
+            parse_kg(text)
 
     def test_bare_tokens_kept_as_text(self):
         kg = parse_kg('{"age": 24, "active": true}')

@@ -4,6 +4,7 @@ import urllib.parse
 import pytest
 
 from tablesync.errors import NetworkError, NoInfobox, PageNotFound
+from tablesync import wiki
 from tablesync.wiki import USER_AGENT, MediaWikiClient, extract_infobox_rows
 
 WIKITEXT = """
@@ -70,10 +71,14 @@ def page_payload(content, revid=123, timestamp="2018-06-01T00:00:00Z"):
 class TestFetchRevision:
     """MediaWikiClient against a loopback server (see conftest.ScriptedServer)."""
 
+    @pytest.fixture(autouse=True)
+    def no_pacing(self, monkeypatch):
+        monkeypatch.setattr(wiki, "MIN_INTERVAL_S", 0.0)
+
     def fetch(self, server, payload, status=200, title="Musterstadt", **kwargs):
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         server.script = [(status, body)]
-        client = MediaWikiClient(api_template=f"{server.base}/{{lang}}/api.php", min_interval_s=0.0)
+        client = MediaWikiClient(api_template=f"{server.base}/{{lang}}/api.php")
         return client.fetch_revision(title, "en", "2018-07-01T00:00:00Z", **kwargs)
 
     def test_recorded_response_to_rows(self, http_server):
@@ -128,6 +133,29 @@ class TestFetchRevision:
             self.fetch(http_server, payload, status=status)
 
     def test_network_error_wrapped(self, closed_port, no_proxy_env):
-        client = MediaWikiClient(api_template=f"http://127.0.0.1:{closed_port}/api.php", min_interval_s=0.0)
+        client = MediaWikiClient(api_template=f"http://127.0.0.1:{closed_port}/api.php")
         with pytest.raises(NetworkError):
             client.fetch_revision("x", "en", "2018-01-01T00:00:00Z")
+
+    def test_fetches_of_one_client_are_paced(self, http_server, monkeypatch):
+        class Clock:
+            now, slept = 1000.0, []
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.slept.append(seconds)
+                self.now += seconds
+
+        clock = Clock()
+        monkeypatch.setattr(wiki, "time", clock)
+        monkeypatch.setattr(wiki, "MIN_INTERVAL_S", 5.0)
+        http_server.script = [(200, json.dumps(page_payload(WIKITEXT)).encode())] * 2
+        client = MediaWikiClient(api_template=f"{http_server.base}/{{lang}}/api.php")
+        client.fetch_revision("Musterstadt", "en", "2018-07-01T00:00:00Z")
+        assert clock.slept == []
+        clock.now += 2.0  # the first answer took 2 s
+        client.fetch_revision("Musterstadt", "en", "2018-07-01T00:00:00Z")
+        assert clock.slept == [3.0]  # the rest of the interval
+        assert len(http_server.seen) == 2
