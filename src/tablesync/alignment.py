@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import prompts
 from .errors import EmptyVoteSet, UniverseMismatch
@@ -23,7 +23,7 @@ class Alignment:
     Keys are normalized, and alignments with equal universes and edges are
     equal. The edges may be a strict subset of a multi-alignment group's
     cartesian product (majority voting must not invent correspondences); the
-    groups and the unaligned leftovers are derived from them.
+    groups, each right key's left keys and the leftovers are derived from them.
     """
 
     left_universe: frozenset[str]
@@ -49,7 +49,15 @@ class Alignment:
 
     @property
     def unaligned_right(self) -> frozenset[str]:
-        return self.right_universe - {r for _, r in self.edges}
+        return self.right_universe.difference(self.by_right)
+
+    @cached_property
+    def by_right(self) -> Mapping[str, tuple[str, ...]]:
+        """Each right key on an edge -> its left keys, sorted."""
+        lefts: dict[str, list[str]] = {}
+        for l, r in self.edges:
+            lefts.setdefault(r, []).append(l)
+        return {r: tuple(sorted(keys)) for r, keys in lefts.items()}
 
     @cached_property
     def pairs(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:

@@ -24,7 +24,7 @@ from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_
 from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
 from .stub import StubBackend, StubRuleSet
 from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, serialize_table
-from .wiki import MediaWikiClient
+from .wiki import DEFAULT_API_TEMPLATE, MediaWikiClient
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -105,7 +105,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line in text.splitlines():
         line = line.strip()
@@ -606,9 +606,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_fetch.add_argument("--lang", required=True)
         p_fetch.add_argument("--as-of", dest="as_of", required=True, help="ISO timestamp upper bound")
         p_fetch.add_argument("--category", default="Uncategorized")
-        p_fetch.add_argument(
-            "--api-template", dest="api_template", default="https://{lang}.wikipedia.org/w/api.php"
-        )
+        p_fetch.add_argument("--api-template", dest="api_template", default=DEFAULT_API_TEMPLATE)
         p_fetch.add_argument("--out", help="write the table file here")
         p_fetch.set_defaults(func=cmd_fetch)
 

@@ -91,13 +91,9 @@ def classify_errors(
     F1 == 0, partial below 1); extra candidate rows whose consistent facts
     overlap an earlier row on the same gold key count as redundant.
     """
-    by_gold: dict[str, list[str]] = {}
-    for cand_key, gold_key in alignment.edges:
-        by_gold.setdefault(gold_key, []).append(cand_key)
-
     missing = outdated_full = outdated_partial = redundant = 0
     for gold_key in sorted(alignment.right_universe):
-        cand_keys = sorted(by_gold.get(gold_key, ()))
+        cand_keys = alignment.by_right.get(gold_key, ())
         if not cand_keys:
             missing += 1
             continue

@@ -208,6 +208,11 @@ class AlignmentPartition:
         return len(self.tri) + len(self.bi_gold_output) + len(self.un_output)
 
 
+def _gold_partners(alignment: Alignment) -> dict[str, str]:
+    """Each aligned gold (right) key -> its smallest aligned left key."""
+    return {gold: keys[0] for gold, keys in alignment.by_right.items()}
+
+
 def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
     """Partition gold keys by where they are aligned.
 
@@ -217,38 +222,14 @@ def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
     if ig.right_universe != og.right_universe:
         raise UniverseMismatch("alignments do not share the gold key universe")
 
-    input_by_gold: dict[str, list[str]] = {}
-    for src, gold in ig.edges:
-        input_by_gold.setdefault(gold, []).append(src)
-    output_by_gold: dict[str, list[str]] = {}
-    for out, gold in og.edges:
-        output_by_gold.setdefault(gold, []).append(out)
-
-    tri: set[tuple[str, str, str]] = set()
-    bi_ig: set[tuple[str, str]] = set()
-    bi_go: set[tuple[str, str]] = set()
-    un_gold: set[str] = set()
-    for gold in ig.right_universe:
-        sources = input_by_gold.get(gold)
-        outputs = output_by_gold.get(gold)
-        if sources and outputs:
-            tri.add((min(sources), gold, min(outputs)))
-        elif sources:
-            bi_ig.add((min(sources), gold))
-        elif outputs:
-            bi_go.add((gold, min(outputs)))
-        else:
-            un_gold.add(gold)
-
-    aligned_inputs = {src for srcs in input_by_gold.values() for src in srcs}
-    aligned_outputs = {out for outs in output_by_gold.values() for out in outs}
+    sources, outputs = _gold_partners(ig), _gold_partners(og)
     return AlignmentPartition(
-        tri=frozenset(tri),
-        bi_input_gold=frozenset(bi_ig),
-        bi_gold_output=frozenset(bi_go),
-        un_input=ig.left_universe - aligned_inputs,
-        un_output=og.left_universe - aligned_outputs,
-        un_gold=frozenset(un_gold),
+        tri=frozenset((sources[g], g, outputs[g]) for g in sources.keys() & outputs.keys()),
+        bi_input_gold=frozenset((sources[g], g) for g in sources.keys() - outputs.keys()),
+        bi_gold_output=frozenset((g, outputs[g]) for g in outputs.keys() - sources.keys()),
+        un_input=ig.unaligned_left,
+        un_output=og.unaligned_left,
+        un_gold=ig.unaligned_right & og.unaligned_right,
     )
 
 
@@ -364,16 +345,13 @@ def evaluate_instance(
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
     partition = partition_alignments(ig, og)
-
-    ig_pairs = {g: s for s, g, _ in partition.tri} | {g: s for s, g in partition.bi_input_gold}
-    og_pairs = {g: o for _, g, o in partition.tri} | {g: o for g, o in partition.bi_gold_output}
     # Per side: (gold key, candidate row, gold row) by gold key.
     sides = [
         [
             (gold_key, candidate.row_for(cand_key), gold.row_for(gold_key))
-            for gold_key, cand_key in sorted(pairs.items())
+            for gold_key, cand_key in sorted(_gold_partners(alignment).items())
         ]
-        for pairs, candidate in ((ig_pairs, source), (og_pairs, output))
+        for alignment, candidate in ((ig, source), (og, output))
     ]
     plan = list(
         dict.fromkeys(

@@ -91,7 +91,7 @@ def extract_infobox_rows(wikitext: str) -> tuple[TableRow, ...]:
 class MediaWikiClient:
     """Action-API client fetching the infobox of a page revision at a timestamp."""
 
-    def __init__(self, api_template: str = DEFAULT_API_TEMPLATE) -> None:
+    def __init__(self, api_template: str) -> None:
         self.api_template = api_template
         self._last_request = 0.0
 

@@ -130,39 +130,25 @@ def test_criterion_2_score_row_matches_brute_force():
 
 
 def enumerator_partition(i_keys, o_keys, g_keys, edges_ig, edges_og):
-    """Verbatim set-theoretic definitions of the alignment groups."""
+    """Verbatim set-theoretic definitions of the alignment groups. A gold key
+    aligned to several keys on one side names the smallest of them."""
 
-    def aligned_ig(i, g):
-        return (i, g) in edges_ig
+    def aligned_ig(g):
+        return {i for i in i_keys if (i, g) in edges_ig}
 
-    def aligned_og(o, g):
-        return (o, g) in edges_og
+    def aligned_og(g):
+        return {o for o in o_keys if (o, g) in edges_og}
 
     tri = {
-        (i, o, g)
-        for i in i_keys
-        for o in o_keys
+        (min(aligned_ig(g)), g, min(aligned_og(g)))
         for g in g_keys
-        if aligned_ig(i, g) and aligned_og(o, g)
+        if aligned_ig(g) and aligned_og(g)
     }
-    bi_input = {
-        i
-        for i in i_keys
-        if any(aligned_ig(i, g) and not any(aligned_og(o, g) for o in o_keys) for g in g_keys)
-    }
-    bi_output = {
-        o
-        for o in o_keys
-        if any(aligned_og(o, g) and not any(aligned_ig(i, g) for i in i_keys) for g in g_keys)
-    }
-    un_input = {i for i in i_keys if all(not aligned_ig(i, g) for g in g_keys)}
-    un_output = {o for o in o_keys if all(not aligned_og(o, g) for g in g_keys)}
-    un_gold = {
-        g
-        for g in g_keys
-        if all(not aligned_ig(i, g) for i in i_keys)
-        and all(not aligned_og(o, g) for o in o_keys)
-    }
+    bi_input = {(min(aligned_ig(g)), g) for g in g_keys if aligned_ig(g) and not aligned_og(g)}
+    bi_output = {(g, min(aligned_og(g))) for g in g_keys if aligned_og(g) and not aligned_ig(g)}
+    un_input = {i for i in i_keys if all((i, g) not in edges_ig for g in g_keys)}
+    un_output = {o for o in o_keys if all((o, g) not in edges_og for g in g_keys)}
+    un_gold = {g for g in g_keys if not aligned_ig(g) and not aligned_og(g)}
     return tri, bi_input, bi_output, un_input, un_output, un_gold
 
 
@@ -171,16 +157,24 @@ def random_one_to_one(rng, left, right):
     return set(zip(rng.sample(left, count), rng.sample(right, count)))
 
 
+def random_many_to_many(rng, left, right):
+    density = rng.random()
+    return {(l, r) for l in left for r in right if rng.random() < density}
+
+
 def test_criterion_3_partition_matches_enumerator():
     with criterion(3, "partition matches the exhaustive enumerator on 1000 random triples"):
         started = time.monotonic()
         rng = random.Random(20240917)
-        for _ in range(1000):
-            i_keys = [f"i{n}" for n in range(rng.randint(0, 5))]
-            o_keys = [f"o{n}" for n in range(rng.randint(0, 5))]
-            g_keys = [f"g{n}" for n in range(rng.randint(0, 5))]
-            edges_ig = random_one_to_one(rng, i_keys, g_keys)
-            edges_og = random_one_to_one(rng, o_keys, g_keys)
+        for n in range(1000):
+            # Up to 12 keys a side, so "i10" sorts before "i2".
+            i_keys = [f"i{k}" for k in range(rng.randint(0, 12))]
+            o_keys = [f"o{k}" for k in range(rng.randint(0, 12))]
+            g_keys = [f"g{k}" for k in range(rng.randint(0, 12))]
+            one_to_one = n % 2 == 0
+            draw = random_one_to_one if one_to_one else random_many_to_many
+            edges_ig = draw(rng, i_keys, g_keys)
+            edges_og = draw(rng, o_keys, g_keys)
             partition = partition_alignments(
                 Alignment.build(i_keys, g_keys, edges_ig),
                 Alignment.build(o_keys, g_keys, edges_og),
@@ -188,15 +182,20 @@ def test_criterion_3_partition_matches_enumerator():
             tri, bi_in, bi_out, un_in, un_out, un_gold = enumerator_partition(
                 i_keys, o_keys, g_keys, edges_ig, edges_og
             )
-            assert partition.tri == {(i, g, o) for (i, o, g) in tri}
-            assert {i for i, _ in partition.bi_input_gold} == bi_in
-            assert {o for _, o in partition.bi_gold_output} == bi_out
+            assert partition.tri == tri
+            assert partition.bi_input_gold == bi_in
+            assert partition.bi_gold_output == bi_out
             assert partition.un_input == un_in
             assert partition.un_output == un_out
             assert partition.un_gold == un_gold
             assert partition.gold_len == len(g_keys)
-            assert partition.input_len == len(i_keys)
-            assert partition.output_len == len(o_keys)
+            # A side's length counts its gold-aligned groups, one per gold
+            # key, and its unaligned keys: the table length when one-to-one.
+            assert partition.input_len == len(tri) + len(bi_in) + len(un_in)
+            assert partition.output_len == len(tri) + len(bi_out) + len(un_out)
+            if one_to_one:
+                assert partition.input_len == len(i_keys)
+                assert partition.output_len == len(o_keys)
         assert time.monotonic() - started < 10.0
 
 

@@ -47,10 +47,17 @@ class TestBuild:
         assert alignment.unaligned_right == {"r3", "r4"}
         assert alignment.left_universe == set(LEFT_KEYS)
         assert alignment.right_universe == set(RIGHT_KEYS)
+        assert alignment.by_right == {"r1": ("k1",), "r2": ("k2",)}
+        empty = mk_alignment([])
+        assert empty.by_right == {}
+        assert empty.unaligned_right == set(RIGHT_KEYS)
 
     def test_regroups_multi_alignments(self):
         alignment = mk_alignment([("k1", "r1"), ("k2", "r1")])
         assert alignment.pairs == ((("k1", "k2"), ("r1",)),)
+        many = mk_alignment([("k3", "r2"), ("k1", "r2"), ("k2", "r2"), ("k3", "r4")])
+        assert many.by_right == {"r2": ("k1", "k2", "k3"), "r4": ("k3",)}
+        assert many.unaligned_right == {"r1", "r3"}
 
     def test_edge_outside_universe(self):
         with pytest.raises(UniverseMismatch):
@@ -179,6 +186,10 @@ class TestAgainstStoredReference:
         assert alignment.pairs == tuple((p.left, p.right) for p in reference.pairs)
         assert alignment.unaligned_left == reference.unaligned_left
         assert alignment.unaligned_right == reference.unaligned_right
+        assert alignment.by_right.keys() == {r for _, r in edges}
+        for r, lefts in alignment.by_right.items():
+            assert list(lefts) == sorted(l for l, other in edges if other == r)
+        assert alignment.unaligned_right == set(right) - alignment.by_right.keys()
         doc = alignment_to_doc(alignment)
         assert doc == reference_alignment_to_doc(reference)
         assert alignment_from_doc(doc) == alignment

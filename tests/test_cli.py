@@ -1119,10 +1119,14 @@ class TestErrors:
         assert code == cli.EXIT_OK
         assert "in_reference" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text", ["concurency = 2\n", "pivot = xx\n"], ids=["unknown-key", "bad-pivot"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"concurency = 2\n", b"pivot = xx\n", b"\xff\xfepivot = en\n"],
+        ids=["unknown-key", "bad-pivot", "not-utf8"],
+    )
     def test_config_file_errors_it_reads(self, corpus, tmp_path, capsys, text):
         config = tmp_path / "shared.cfg"
-        config.write_text(text)
+        config.write_bytes(text)
         code = run_cli(
             "errors",
             "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
