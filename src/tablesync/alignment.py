@@ -9,7 +9,6 @@ from typing import Iterable, Mapping, Sequence
 from . import prompts
 from .errors import EmptyVoteSet, UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
-from .similarity import normalized_edit_distance, trigrams
 from .tables import KEY_FEATURES_CACHED, InfoTable, language_name, normalize_key, parse_table, serialize_table
 
 SIMILARITY_THRESHOLD = 0.5
@@ -88,6 +87,33 @@ class AlignmentScore:
     precision: float
     recall: float
     f1: float
+
+
+def trigrams(text: str) -> frozenset[str]:
+    if len(text) < 3:
+        return frozenset((text,)) if text else frozenset()
+    return frozenset(text[i : i + 3] for i in range(len(text) - 2))
+
+
+def levenshtein(a: str, b: str) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a):
+        current = [i + 1]
+        for j, cb in enumerate(b):
+            current.append(min(previous[j + 1] + 1, current[j] + 1, previous[j] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def normalized_edit_distance(a: str, b: str) -> float:
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 0.0
+    return levenshtein(a, b) / longest
 
 
 @lru_cache(maxsize=KEY_FEATURES_CACHED)

@@ -77,7 +77,7 @@ def _fact_items(value: str) -> list[str]:
 
 
 @lru_cache
-def token_compare(left: TableRow | None, right: TableRow | None) -> AtomicComparison:
+def token_compare(left: TableRow, right: TableRow) -> AtomicComparison:
     """Deterministic value-token comparator used by the offline stub.
 
     Items shared by both values are consistent facts; leftover items are paired
@@ -89,11 +89,10 @@ def token_compare(left: TableRow | None, right: TableRow | None) -> AtomicCompar
     fact alike ("k: a <> c" from "a <> c, a" against "a <> c, c"): that is
     OverlappingFacts.
     """
-    left_items = _fact_items(left.value) if left is not None else []
-    right_items = _fact_items(right.value) if right is not None else []
+    left_items, right_items = _fact_items(left.value), _fact_items(right.value)
     left_fold = {item.casefold() for item in left_items}
     right_fold = {item.casefold() for item in right_items}
-    key = right.key if right is not None else (left.key if left is not None else "")
+    key = right.key
 
     sct = [f"{key}: {item}" for item in left_items if item.casefold() in right_fold]
     rest_left = [item for item in left_items if item.casefold() not in right_fold]
@@ -139,7 +138,7 @@ def compare_rows(
     gateway: Gateway,
     *,
     entity: str,
-    language: str = "en",
+    language: str,
 ) -> list[AtomicComparison | None]:
     """LLM comparison of aligned (candidate row, gold row) pairs, all in one
     prompt, into the four fact categories; one result per pair.
@@ -194,18 +193,12 @@ class AlignmentPartition:
     un_input: frozenset[str]
     un_output: frozenset[str]
     un_gold: frozenset[str]
+    input_len: int  # distinct normalized keys of the source table
+    output_len: int  # and of the output table
 
     @property
     def gold_len(self) -> int:
         return len(self.tri) + len(self.bi_input_gold) + len(self.bi_gold_output) + len(self.un_gold)
-
-    @property
-    def input_len(self) -> int:
-        return len(self.tri) + len(self.bi_input_gold) + len(self.un_input)
-
-    @property
-    def output_len(self) -> int:
-        return len(self.tri) + len(self.bi_gold_output) + len(self.un_output)
 
 
 def _gold_partners(alignment: Alignment) -> dict[str, str]:
@@ -230,6 +223,8 @@ def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
         un_input=ig.unaligned_left,
         un_output=og.unaligned_left,
         un_gold=ig.unaligned_right & og.unaligned_right,
+        input_len=len(ig.left_universe),
+        output_len=len(og.left_universe),
     )
 
 

@@ -74,7 +74,7 @@ class Pipeline:
         target: str,
         *,
         example: tuple[InfoTable, InfoTable] | None = None,
-        stage: str = "translate",
+        stage: str,
     ) -> tuple[InfoTable, StageTrace]:
         """Translate a table, or pass it through untouched when already in target.
 
@@ -106,7 +106,7 @@ class Pipeline:
         result = InfoTable(table.entity, target, table.category, rows, table.revision_tag)
         return result, StageTrace(stage, table, prompt, response, result, tuple(diagnostics))
 
-    def table_to_kg(self, table: InfoTable, *, stage: str = "table_to_kg") -> tuple[KnowledgeGraph, StageTrace]:
+    def table_to_kg(self, table: InfoTable, *, stage: str) -> tuple[KnowledgeGraph, StageTrace]:
         prompt = prompts.fill(
             prompts.TABLE_TO_KG, category=table.category, table=serialize_table(table)
         )

@@ -175,13 +175,6 @@ def merge_graphs(a: KnowledgeGraph, b: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph(merge_maps(a.root, b.root))
 
 
-def _lang_code(name: str) -> str | None:
-    try:
-        return language_code(name.strip())
-    except ValueError:
-        return None
-
-
 class StubBackend:
     """Pure offline completion backend: response = f(request, rules)."""
 
@@ -217,8 +210,8 @@ class StubBackend:
         return translate_cells(rows, self.rules.lexicon(src, tgt))
 
     def _translate(self, source_language: str, target_language: str, table: str, **_) -> str:
-        rows = parse_table(table)
-        return serialize_table(self._swap_rows(rows, _lang_code(source_language), _lang_code(target_language)))
+        source, target = language_code(source_language), language_code(target_language)
+        return serialize_table(self._swap_rows(parse_table(table), source, target))
 
     def _table_to_kg(self, table: str, **_) -> str:
         return serialize_kg(table_to_flat_kg(parse_table(table)))
@@ -282,7 +275,7 @@ class StubBackend:
 
     def _decompose(self, language_a: str, language_b: str, table_a: str, table_b: str, **_) -> str:
         rows_a, rows_b = parse_table(table_a), parse_table(table_b)
-        lang_a, lang_b = _lang_code(language_a), _lang_code(language_b)
+        lang_a, lang_b = language_code(language_a), language_code(language_b)
         pivot = "en"
         rows_a = self._swap_rows(rows_a, lang_a, pivot)
         rows_b = self._swap_rows(rows_b, lang_b, pivot)

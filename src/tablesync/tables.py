@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -50,12 +50,10 @@ def language_name(code: str) -> str:
         raise ValueError(f"unregistered language code: {code!r}") from None
 
 
-def language_code(name: str) -> str:
-    """Inverse lookup of language_name; exact English-name match."""
-    for code, known in LANGUAGE_NAMES.items():
-        if known == name:
-            return code
-    raise ValueError(f"unknown language name: {name!r}")
+def language_code(name: str) -> str | None:
+    """Inverse lookup of language_name on the stripped name; None when unregistered."""
+    name = name.strip()
+    return next((code for code, known in LANGUAGE_NAMES.items() if known == name), None)
 
 
 @lru_cache(maxsize=KEY_FEATURES_CACHED)
@@ -157,7 +155,7 @@ def _check_kg_value(value, path: str) -> None:
 class KnowledgeGraph:
     """Nested attribute tree: text leaves, lists, and maps. Treat as immutable."""
 
-    root: dict = field(default_factory=dict)
+    root: dict
 
     def __post_init__(self) -> None:
         if not isinstance(self.root, dict):
@@ -407,11 +405,16 @@ def _first_valid(text: str, opener: str, build, not_found: Exception):
     """build(candidate) for the first candidate that builds; else the first
     MalformedRow or InvalidValue it raised; else not_found. An empty candidate
     counts only when its opener is the only one in text: beside others it is
-    a fragment of a cut or nested answer ("[[]", "{a {}"), not the answer."""
+    a fragment of a cut or nested answer ("[[]", "{a {}"), not the answer.
+    The openers are counted once, at the first empty candidate."""
     error: Exception | None = None
+    lone: bool | None = None
     for candidate in extract_candidates(text, opener):
-        if not candidate and text.count(opener) > 1:
-            continue
+        if not candidate:
+            if lone is None:
+                lone = text.count(opener) == 1
+            if not lone:
+                continue
         try:
             return build(candidate)
         except (MalformedRow, InvalidValue) as exc:

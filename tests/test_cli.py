@@ -1084,6 +1084,40 @@ class TestErrors:
         doc = json.loads(ledger_out.read_text())
         assert doc["stages"][-1]["cumulative"]["total"] == 0
 
+    def test_ledger_counts_a_lexicon_gap(self, corpus, lexicon_dir, tmp_path, capsys):
+        # The traces are made with the full lexicons; the ledger reads them
+        # with one lacking "Einwohner -> Population". Its English view of the
+        # gold table then keeps "Einwohner", which no English column holds.
+        # back_translate compares German with German and needs no lexicon.
+        out = tmp_path / "out"
+        run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", str(lexicon_dir), "--instance", "musterstadt"
+        )
+        gapped = tmp_path / "lexicons"
+        shutil.copytree(lexicon_dir, gapped)
+        lines = (gapped / "de-en.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines.pop(7) == "Einwohner\tPopulation\n"
+        (gapped / "de-en.tsv").write_text("".join(lines), encoding="utf-8")
+        ledger_out = tmp_path / "ledger.json"
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--lexicons", str(gapped),
+            "--out", str(ledger_out),
+        )
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        stages = json.loads(ledger_out.read_text())["stages"]
+        zero = dict.fromkeys(("missing", "outdated_full", "outdated_partial", "redundant", "total"), 0)
+        one_missing = zero | {"missing": 1, "total": 1}
+        pivot_columns = ("in_reference", "translate_en", "kg_construction", "merge", "table_conversion")
+        assert [(stage["stage"], stage["cumulative"]) for stage in stages] == [
+            *((name, one_missing) for name in pivot_columns),
+            ("back_translate", zero),
+        ]
+        assert stages[-1]["delta"] == zero | {"missing": -1, "total": -1}
+
 
     def test_ledger_needs_hierarchical_traces(self, corpus, lexicons, tmp_path, capsys):
         out = tmp_path / "out"

@@ -114,10 +114,6 @@ class TestTokenCompare:
         c = token_compare(TableRow("Population", "210000"), TableRow("Population", "230000"))
         assert len(c.scd) == 1 and not c.sct
 
-    def test_missing_side_is_unique(self):
-        c = token_compare(None, TableRow("k", "a, b"))
-        assert len(c.t2u) == 2 and not (c.sct or c.scd or c.t1u)
-
     def test_fact_written_as_consistent_and_contradictory_is_a_typed_error(self):
         # "k: a <> c" is the consistent item "a <> c" and the contradiction a <> c.
         with pytest.raises(OverlappingFacts, match="'k: a <> c' is in two"):
@@ -161,10 +157,10 @@ PAIRS = [
 
 class TestCompareRows:
     def compare(self, backend):
-        return compare_rows(PAIRS, "m", Gateway(backend), entity="Musterstadt")
+        return compare_rows(PAIRS, "m", Gateway(backend), entity="Musterstadt", language="en")
 
     def test_stub_comparator_through_gateway(self, stub_gateway):
-        assert compare_rows(PAIRS, "stub-model", stub_gateway, entity="Musterstadt") == [
+        assert compare_rows(PAIRS, "stub-model", stub_gateway, entity="Musterstadt", language="en") == [
             token_compare(*pair) for pair in PAIRS
         ]
 
@@ -214,7 +210,7 @@ class TestCompareRows:
                 raise ReplayMiss("no recorded response")
 
         with pytest.raises(ReplayMiss):
-            compare_rows(PAIRS, "m", Gateway(MissingBackend()), entity="Musterstadt")
+            compare_rows(PAIRS, "m", Gateway(MissingBackend()), entity="Musterstadt", language="en")
 
     def test_programming_error_propagates(self, stub_gateway, monkeypatch):
         def broken(text):
@@ -222,7 +218,7 @@ class TestCompareRows:
 
         monkeypatch.setattr(metrics, "parse_kg", broken)
         with pytest.raises(TypeError, match="bug in the parser"):
-            compare_rows(PAIRS, "m", stub_gateway, entity="Musterstadt")
+            compare_rows(PAIRS, "m", stub_gateway, entity="Musterstadt", language="en")
 
 
 class TestPartition:
@@ -354,6 +350,14 @@ class TestEvaluateInstance:
         assert all(r.updated == reports[0].updated for r in reports)
         assert evaluation.ensemble.updated == reports[0].updated
         assert evaluation.ensemble.updated == Fraction(100, 2)
+
+    def test_table_sizes_are_key_counts_under_many_to_one(self, mk_table, stub_gateway):
+        # "Area" and "Area km" both align to gold "area": one gold key, two source keys.
+        source = mk_table([("Area", "1"), ("Area km", "1"), ("Pop", "2"), ("Mayor", "X")], lang="en")
+        gold = mk_table([("Area", "1"), ("area", "1"), ("Pop", "3")], lang="en")
+        report = evaluate_instance(source, source, gold, gateway=stub_gateway, evaluator_models=["m"]).ensemble
+        assert (report.input_len, report.un_input, report.un_input_frac) == (4, 1, Fraction(1, 4))
+        assert (report.output_len, report.un_output, report.un_output_frac) == (4, 1, Fraction(1, 4))
 
 
 class TestRowPairsComparedOnce:

@@ -63,7 +63,7 @@ class TestStages:
     def test_translate_identity_when_already_target(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
         table = mk_table([("Name", "X")], lang="en")
-        result, trace = pipe.translate_table(table, "en")
+        result, trace = pipe.translate_table(table, "en", stage="translate_source")
         assert result is table
         assert trace.prompt is None
         assert "skipped" in trace.diagnostics[0]
@@ -71,7 +71,7 @@ class TestStages:
     def test_translate_via_lexicon(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
         table = mk_table([("Land", "Deutschland")], lang="de")
-        result, trace = pipe.translate_table(table, "en")
+        result, trace = pipe.translate_table(table, "en", stage="translate_source")
         assert [r.as_pair() for r in result.rows] == [("Country", "Germany")]
         assert result.language == "en"
         assert trace.response is not None
@@ -79,28 +79,28 @@ class TestStages:
     def test_round_trip_under_inverse_lexicons(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
         table = mk_table([("Country", "Germany"), ("Birth date", "x")], lang="en")
-        there, _ = pipe.translate_table(table, "de")
-        back, _ = pipe.translate_table(there, "en")
+        there, _ = pipe.translate_table(table, "de", stage="translate_source")
+        back, _ = pipe.translate_table(there, "en", stage="translate_source")
         assert back.rows == table.rows
 
     def test_row_drop_is_diagnostic_not_error(self, mk_table):
-        pipe = faulty_pipeline({"translate": '[["Name","X"]]'})
+        pipe = faulty_pipeline({"translate_source": '[["Name","X"]]'})
         table = mk_table([("Name", "X"), ("Other", "Y")], lang="de")
-        result, trace = pipe.translate_table(table, "en")
+        result, trace = pipe.translate_table(table, "en", stage="translate_source")
         assert len(result.rows) == 1
         assert any("row count changed" in d for d in trace.diagnostics)
 
     def test_table_to_kg_covers_values(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
         table = mk_table([("Name", "Albert Einstein"), ("Birth date", "14 March 1879")])
-        kg, trace = pipe.table_to_kg(table)
+        kg, trace = pipe.table_to_kg(table, stage="table_to_kg_source")
         leaves = kg.leaves()
         assert "Albert Einstein" in leaves and "14 March 1879" in leaves
         assert not trace.diagnostics
 
     def test_table_to_kg_empty(self, mk_table, de_en_rules):
         pipe = pipeline_for(de_en_rules)
-        kg, _ = pipe.table_to_kg(mk_table([]))
+        kg, _ = pipe.table_to_kg(mk_table([]), stage="table_to_kg_source")
         assert kg.root == {}
 
     def test_merge_prefers_reference_on_conflict(self, de_en_rules, mk_table):

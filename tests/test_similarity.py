@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tablesync.alignment import greedy_key_matches
-from tablesync.similarity import levenshtein, normalized_edit_distance, trigrams
+from tablesync.alignment import greedy_key_matches, levenshtein, normalized_edit_distance, trigrams
 from tablesync.tables import normalize_key
 
 

@@ -522,6 +522,14 @@ class TestExtractCandidates:
             parse(text)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("parse, error, empty", [(parse_table, NoTableFound, "[]"), (parse_kg, NoGraphFound, "{}")])
+    def test_64kb_of_empty_candidates_rejected_in_linear_time(self, parse, error, empty):
+        # Every candidate is empty beside other openers; the openers are counted once.
+        start = time.perf_counter()
+        with pytest.raises(error):
+            parse(empty * 32768)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestNormalizeKey:
     def test_trim_collapse_lower_strip(self):
