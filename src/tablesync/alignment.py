@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import prompts
-from .errors import EmptyVoteSet, UniverseMismatch
+from .errors import UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
 from .tables import KEY_FEATURES_CACHED, InfoTable, language_name, normalize_key, parse_table, serialize_table
 
@@ -280,25 +280,15 @@ def align_llm(
 
 
 def majority_vote(votes: Sequence[Alignment]) -> Alignment:
-    """Edges kept iff they appear in strictly more than half the votes.
-
-    Votes must share both key universes. Multi-alignments are exploded into
-    atomic edges for counting and regrouped afterwards; counting makes the
-    result independent of vote order.
-    """
-    if not votes:
-        raise EmptyVoteSet("majority voting needs at least one vote")
-    left = votes[0].left_universe
-    right = votes[0].right_universe
-    for vote in votes[1:]:
-        if vote.left_universe != left or vote.right_universe != right:
-            raise UniverseMismatch("votes cover different key universes")
+    """Edges kept iff they appear in strictly more than half the votes, which
+    share both key universes (`multi_vote_align` builds at least one, all over
+    the same two tables). Edges are counted, so vote order does not matter."""
     counts: dict[tuple[str, str], int] = {}
     for vote in votes:
         for edge in vote.edges:
             counts[edge] = counts.get(edge, 0) + 1
     majority = [edge for edge, n in counts.items() if 2 * n > len(votes)]
-    return Alignment.build(left, right, majority)
+    return Alignment.build(votes[0].left_universe, votes[0].right_universe, majority)
 
 
 def multi_vote_align(
@@ -310,9 +300,7 @@ def multi_vote_align(
 ) -> Alignment:
     """Per-model majority over repeated runs, then a final majority that also
     includes the deterministic aligner's vote. The models x rounds runs are
-    independent and overlap through `gateway.map`."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    independent and overlap through `gateway.map`. `cli.resolve_config` checks rounds >= 1."""
     jobs = [(model_id, r) for model_id in models for r in range(rounds)]
     runs = gateway.map(lambda job: align_llm(a, b, job[0], gateway, attempt=job[1]), jobs)
     votes = [align_deterministic(a, b)]

@@ -100,13 +100,13 @@ def load_instance(directory: str | Path) -> SyncInstance:
         raise LanguageConstraintViolation(
             f"{manifest.root}: source and reference share language {manifest.source_lang!r}"
         )
-    try:  # an unregistered language fails InfoTable, a mismatched one SyncInstance
+    try:  # an unregistered language fails InfoTable
         source = _load_table(manifest, "source", manifest.source_lang, manifest.source_revision)
         reference = _load_table(manifest, "reference", manifest.reference_lang, manifest.reference_revision)
         gold = _load_table(manifest, "gold", manifest.source_lang, manifest.gold_revision)
-        return SyncInstance(source, reference, gold)
     except ValueError as exc:
         raise LanguageConstraintViolation(f"{manifest.root}: {exc}") from exc
+    return SyncInstance(source, reference, gold)
 
 
 def iter_instance_dirs(root: str | Path) -> list[Path]:

@@ -48,10 +48,6 @@ class ReplayMiss(TableSyncError):
 # alignment and evaluation
 
 
-class EmptyVoteSet(TableSyncError):
-    """Majority voting requires at least one vote."""
-
-
 class UniverseMismatch(TableSyncError):
     """Two alignments do not share the same key universe."""
 

@@ -334,16 +334,15 @@ class Gateway:
     threads ask. `map` overlaps independent calls on the calling thread and
     up to 2 * (concurrency - 1) helper threads; nested `map` calls share the
     helpers. There are more threads than slots so that a slot does not sit
-    idle while its thread parses or writes between calls. Each completion is
-    appended to the transcript when one is given. `close` (or leaving a
-    `with` block) stops the helpers and closes the transcript and the backend.
+    idle while its thread parses or writes between calls; `cli.resolve_config`
+    checks concurrency >= 1. An answer UTF-8 cannot encode is refused; the
+    others go to the transcript when one is given. `close` (or leaving a `with`
+    block) stops the helpers and closes the transcript and the backend.
     """
 
     def __init__(
         self, backend: Backend, *, transcript: Transcript | None = None, concurrency: int = 1
     ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
         self.backend = backend
         self.transcript = transcript
         self._slots = threading.Semaphore(concurrency)
@@ -407,6 +406,10 @@ class Gateway:
         with self._slots:
             started = time.monotonic()
             response = self.backend.complete(request, attempt)
+        try:  # json.loads turns a "\ud800" escape into a lone surrogate, which no writer takes
+            response.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BackendUnavailable(f"answer is not UTF-8 text: {exc.reason} at character {exc.start}") from None
         if self.transcript is not None:
             latency_ms = int((time.monotonic() - started) * 1000)
             self.transcript.append(request, attempt, response, latency_ms)

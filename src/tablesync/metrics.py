@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from . import prompts
 from .alignment import Alignment, align_deterministic
-from .errors import ComparisonFailed, OverlappingFacts, TableSyncError, UniverseMismatch
+from .errors import ComparisonFailed, OverlappingFacts, TableSyncError
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
 from .tables import InfoTable, TableRow, language_name, normalize_key, parse_kg, serialize_table
 
@@ -210,11 +210,8 @@ def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
     """Partition gold keys by where they are aligned.
 
     ig aligns source (left) against gold (right); og aligns output (left)
-    against gold (right). Both must cover the same gold key universe.
+    against gold (right): `evaluate_instance` aligns both against one gold table.
     """
-    if ig.right_universe != og.right_universe:
-        raise UniverseMismatch("alignments do not share the gold key universe")
-
     sources, outputs = _gold_partners(ig), _gold_partners(og)
     return AlignmentPartition(
         tri=frozenset((sources[g], g, outputs[g]) for g in sources.keys() & outputs.keys()),

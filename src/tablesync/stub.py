@@ -39,15 +39,10 @@ LexiconPairs = tuple[tuple[str, str], ...]
 
 @dataclass(frozen=True)
 class StubRuleSet:
-    """Rules driving the stub: phrase lexicons per (source, target) language pair."""
+    """Rules driving the stub: phrase lexicons per (source, target) language pair.
+    No phrase is empty: `from_dir` checks each line."""
 
     lexicons: dict[tuple[str, str], LexiconPairs] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for pair, entries in self.lexicons.items():
-            for src, tgt in entries:
-                if not src or not tgt:
-                    raise ValueError(f"empty lexicon entry in {pair}: {(src, tgt)!r}")
 
     @staticmethod
     def from_dir(path: str | Path, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:

@@ -185,22 +185,13 @@ class SyncInstance:
     """A (source, reference, gold) triple over one entity.
 
     Source is outdated and shares its language with gold; the reference is
-    current but in a different language.
+    current but in a different language. All three share entity and category:
+    `dataset.load_instance` builds them from one manifest and checks that.
     """
 
     source: InfoTable
     reference: InfoTable
     gold: InfoTable
-
-    def __post_init__(self) -> None:
-        if self.source.language != self.gold.language:
-            raise ValueError("source and gold must share a language")
-        if self.source.language == self.reference.language:
-            raise ValueError("source and reference must differ in language")
-        if not (self.source.entity == self.reference.entity == self.gold.entity):
-            raise ValueError("all three tables must describe the same entity")
-        if not (self.source.category == self.reference.category == self.gold.category):
-            raise ValueError("all three tables must share a category")
 
 
 # ---------------------------------------------------------------------------

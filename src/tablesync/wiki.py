@@ -148,4 +148,8 @@ class MediaWikiClient:
             raise NetworkError(f"wiki API answer has an unexpected shape: {exc!r}") from exc
         if not isinstance(content, str):
             raise NetworkError(f"revision content is {type(content).__name__}, not text")
+        try:  # json turns a "\ud800" escape into a lone surrogate, which no writer takes
+            (tag + content).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise NetworkError(f"revision is not UTF-8 text: {exc.reason}") from None
         return InfoTable(title, lang, category, extract_infobox_rows(content), revision_tag=tag)

@@ -28,7 +28,7 @@ WRONG_SHAPES = ('{"a": "b"}', '[["a", "b", "c"]]', "[1, 2]", '"text"', '{"a": [1
 
 
 def spoil(rng: random.Random, answer: str) -> str:
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return ""
     if kind == 1:
@@ -40,7 +40,9 @@ def spoil(rng: random.Random, answer: str) -> str:
     if kind == 4:
         return rng.choice(WRONG_SHAPES)
     at = rng.randrange(len(answer) + 1)
-    return answer[:at] + rng.choice(WIRE_CHARACTERS) + answer[at:]
+    if kind == 5:
+        return answer[:at] + rng.choice(WIRE_CHARACTERS) + answer[at:]
+    return answer[:at] + "\ud800" + answer[at:]  # a lone surrogate, as json.loads makes of "\ud800"
 
 
 def chaos(seed: int):
@@ -79,6 +81,7 @@ def test_spoiled_answers_fail_only_their_instance(corpus_dir, lexicon_dir, strat
             assert len(failed) + len(reported) == 10 and not failed & reported
             assert json.loads((out / "report.json").read_text("utf-8"))["instances"] == len(reported)
             assert (code == cli.EXIT_OK) == (not failed)
+            assert not list(out.rglob("*.tmp"))
             for directory in failed:
                 assert json.loads((directory / "failure.json").read_text("utf-8"))["stage"] in STAGES
         serial, overlapped = output_files(outs["1"]), output_files(outs["4"])
@@ -105,6 +108,12 @@ STORMS = {
     "empty-body": ([(200, b"")], "direct", "malformed completion body"),
     "nested-body": ([(200, b"[" * 100_000 + b"]" * 100_000)], "direct", "malformed completion body"),
     "nested-answer": ([(200, completion("[" * 1500))] * 2, "direct", "no balanced list-of-pairs candidate"),
+    # One answer only: an answer UTF-8 cannot encode fails its stage without a reprompt.
+    "lone-surrogate": (
+        [(200, completion(SOURCE_TABLE.replace("Hans Alt", "Hans \ud800Alt")))],
+        "direct",
+        "answer is not UTF-8 text: surrogates not allowed",
+    ),
     # The direct answer comes after a 429 and a 500; the server answers every
     # later request, the first row comparison's, with an unscripted 500.
     "evaluate-500": (
@@ -132,3 +141,4 @@ def test_http_storm_fails_its_instance_with_a_typed_error(
     failure = json.loads((out / "City" / "musterstadt" / "failure.json").read_text("utf-8"))
     assert failure["stage"] == stage and failure["error"].startswith(f"stage '{stage}' failed: {cause}")
     assert "Traceback" not in capsys.readouterr().err
+    assert not list(out.rglob("*.tmp"))

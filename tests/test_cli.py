@@ -419,10 +419,19 @@ class TestConfig:
     def resolve(self, *argv, command=("sync",)):
         return cli.resolve_config(cli.build_parser().parse_args([*command, *argv]))
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_concurrency_below_one_rejected(self, value):
-        with pytest.raises(ConfigError, match="concurrency"):
-            self.resolve("--concurrency", value)
+    @pytest.mark.parametrize(
+        "setting, value, command",
+        [
+            pytest.param("concurrency", "0", ("sync",), id="0"),
+            pytest.param("concurrency", "-1", ("sync",), id="-1"),
+            pytest.param("rounds", "0", ALIGN_COMMAND, id="rounds-0"),
+            pytest.param("rounds", "-1", ALIGN_COMMAND, id="rounds--1"),
+        ],
+    )
+    def test_concurrency_below_one_rejected(self, setting, value, command):
+        """The one check of each setting that the gateway and the voter rely on."""
+        with pytest.raises(ConfigError, match=f"{setting} must be >= 1"):
+            self.resolve(f"--{setting}", value, command=command)
 
     def test_record_requires_transcripts(self, corpus, lexicons, tmp_path, capsys):
         code = run_cli(

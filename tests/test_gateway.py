@@ -71,10 +71,6 @@ class TestStubBackend:
         assert len(texts) == 3
         assert len(set(texts)) == 1
 
-    def test_empty_lexicon_entry_rejected(self):
-        with pytest.raises(ValueError):
-            StubRuleSet(lexicons={("a", "b"): (("", "x"),)})
-
 
 class TestRecordReplay:
     def test_replay_returns_recorded_bytes(self, tmp_path):

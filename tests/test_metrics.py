@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tablesync import metrics, prompts
 from tablesync.alignment import Alignment, align_deterministic
-from tablesync.errors import ComparisonFailed, OverlappingFacts, ReplayMiss, TableSyncError, UniverseMismatch
+from tablesync.errors import ComparisonFailed, OverlappingFacts, ReplayMiss, TableSyncError
 from tablesync.gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway, ReplayBackend, Transcript
 from tablesync.metrics import (
     COMPARISON_KEYS,
@@ -253,12 +253,6 @@ class TestPartition:
         partition = partition_alignments(ig, og)
         assert len(partition.tri) == 3
         assert not partition.un_gold
-
-    def test_universe_mismatch(self):
-        ig = Alignment.build(INPUT_KEYS, GOLD_KEYS, [])
-        og = Alignment.build(OUTPUT_KEYS, GOLD_KEYS[:4], [])
-        with pytest.raises(UniverseMismatch):
-            partition_alignments(ig, og)
 
 
 class TestBuildReport:

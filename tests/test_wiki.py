@@ -4,7 +4,7 @@ import urllib.parse
 import pytest
 
 from tablesync.errors import NetworkError, NoInfobox, PageNotFound
-from tablesync import wiki
+from tablesync import cli, wiki
 from tablesync.wiki import USER_AGENT, MediaWikiClient, extract_infobox_rows
 
 WIKITEXT = """
@@ -122,15 +122,29 @@ class TestFetchRevision:
             (200, {"query": {"pages": [{"revisions": ["r"]}]}}),
             (200, page_payload(5)),
             (200, b"[" * 100_000 + b"]" * 100_000),
+            (200, page_payload(WIKITEXT, timestamp="\ud800")),
         ],
         ids=[
             "http-error", "not-json", "not-an-object", "query-a-list", "page-a-string",
-            "revision-a-string", "content-a-number", "deeply-nested",
+            "revision-a-string", "content-a-number", "deeply-nested", "timestamp-a-lone-surrogate",
         ],
     )
     def test_http_and_json_errors_are_network_errors(self, http_server, status, payload):
         with pytest.raises(NetworkError):
             self.fetch(http_server, payload, status=status)
+
+    def test_lone_surrogate_in_content_fails_fetch(self, http_server, tmp_path, capsys):
+        """json decodes a "\\ud800" escape into a lone surrogate, which no UTF-8 writer takes."""
+        payload = page_payload(WIKITEXT.replace("Musterstadt", "Muster\ud800stadt"))
+        http_server.script = [(200, json.dumps(payload).encode())]
+        out = tmp_path / "x.table"
+        code = cli.main([
+            "fetch", "--title", "Musterstadt", "--lang", "en", "--as-of", "2018-07-01T00:00:00Z",
+            "--api-template", f"{http_server.base}/{{lang}}/api.php", "--out", str(out),
+        ])
+        assert code == cli.EXIT_PARTIAL
+        assert capsys.readouterr().err.startswith("error: revision is not UTF-8 text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_network_error_wrapped(self, closed_port, no_proxy_env):
         client = MediaWikiClient(api_template=f"http://127.0.0.1:{closed_port}/api.php")
