@@ -515,12 +515,15 @@ def cmd_transcripts(args: argparse.Namespace) -> int:
 
 
 def _add_setting_flags(
-    parser: argparse.ArgumentParser, *, backend=False, models=False, pivot=False, votes=False
+    parser: argparse.ArgumentParser, *, corpus=False, backend=False, models=False, pivot=False, votes=False
 ) -> None:
     """Declare the flags of the settings parser's command reads: resolve_config
     reads exactly the RunConfig fields these flags set. A flag's default is
     its environment variable, if it has one."""
     add = parser.add_argument
+    if corpus:
+        add("--corpus", help="corpus root directory")
+        add("--out", help="output directory (sync: tables, traces and reports; eval: reports)")
     add("--config", help="flat key=value config file")
     add("--lexicons", help="stub lexicon directory")
     if backend:
@@ -559,20 +562,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if "sync" in wanted:
         p_sync = sub.add_parser("sync", help="run a synchronization strategy over a corpus")
-        p_sync.add_argument("--corpus", help="corpus root directory")
-        p_sync.add_argument("--out", help="output directory for tables, traces, reports")
         p_sync.add_argument("--strategy", choices=[s.value for s in Strategy])
         p_sync.add_argument("--instance", help="substring selector over instance paths")
-        _add_setting_flags(p_sync, backend=True, models=True, pivot=True)
+        _add_setting_flags(p_sync, corpus=True, backend=True, models=True, pivot=True)
         p_sync.set_defaults(func=cmd_sync)
 
     if "eval" in wanted:
         p_eval = sub.add_parser("eval", help="evaluate existing output tables against gold")
-        p_eval.add_argument("--corpus", help="corpus root directory")
         p_eval.add_argument("--outputs", help="directory holding output tables from sync")
-        p_eval.add_argument("--out", help="report output directory")
         p_eval.add_argument("--instance", help="substring selector over instance paths")
-        _add_setting_flags(p_eval, backend=True, models=True)
+        _add_setting_flags(p_eval, corpus=True, backend=True, models=True)
         p_eval.set_defaults(func=cmd_eval)
 
     if "align" in wanted:

@@ -123,8 +123,6 @@ class ErrorAnalyzer:
         self.pivot = pivot
 
     def _to_pivot(self, table: InfoTable) -> InfoTable:
-        if table.language == self.pivot:
-            return table
         rows = translate_cells(table.rows, self.rules.lexicon(table.language, self.pivot))
         return InfoTable(table.entity, self.pivot, table.category, rows, table.revision_tag)
 
@@ -142,40 +140,30 @@ class ErrorAnalyzer:
         """Error compounding across the hierarchical stages.
 
         The reference column is the deterministic-translation view of the
-        reference table (the lower bound); intermediate columns classify each
-        stage's materialized artifact in the pivot language, with graph
-        artifacts flattened deterministically; the final column classifies the
-        back-translated output directly against gold.
+        reference table (the lower bound). Every other column classifies its
+        stage's output artifact in that artifact's language: against the pivot
+        view of gold when it is in the pivot, against gold otherwise. A graph
+        artifact is flattened deterministically into a pivot-language table.
         """
         by_stage = {trace.stage: trace for trace in traces}
         missing = [stage for _, stage in LEDGER_COLUMNS if stage not in by_stage]
         if missing:
             raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
-        gold_pivot = self._to_pivot(instance.gold)
-
-        def table_of(stage: str, language: str) -> InfoTable:
+        gold = instance.gold
+        columns = [("in_reference", self._to_pivot(instance.reference))]
+        for label, stage in LEDGER_COLUMNS:
             artifact = by_stage[stage].output_artifact
             if isinstance(artifact, KnowledgeGraph):
-                rows = flatten_kg(artifact)
-            elif isinstance(artifact, InfoTable):
-                rows = artifact.rows
-            else:
+                artifact = InfoTable(gold.entity, self.pivot, gold.category, flatten_kg(artifact))
+            elif not isinstance(artifact, InfoTable):
                 raise ConfigError(f"stage {stage!r} trace holds a {type(artifact).__name__}, not a table or graph")
-            return InfoTable(instance.gold.entity, language, instance.gold.category, rows)
-
-        columns: list[tuple[str, InfoTable, InfoTable]] = [
-            ("in_reference", self._to_pivot(instance.reference), gold_pivot)
-        ]
-        for label, stage in LEDGER_COLUMNS[:-1]:
-            columns.append((label, table_of(stage, self.pivot), gold_pivot))
-        label, stage = LEDGER_COLUMNS[-1]
-        final = table_of(stage, instance.gold.language)
-        columns.append((label, final, instance.gold))
+            columns.append((label, artifact))
+        gold_pivot = self._to_pivot(gold)
 
         entries: list[LedgerEntry] = []
         previous: ErrorCounts | None = None
-        for stage, candidate, gold in columns:
-            counts = self.classify(candidate, gold)
+        for stage, candidate in columns:
+            counts = self.classify(candidate, gold_pivot if candidate.language == self.pivot else gold)
             delta = counts - previous if previous is not None else ErrorCounts()
             entries.append(LedgerEntry(stage, counts, delta))
             previous = counts

@@ -256,8 +256,9 @@ class Transcript:
         self._handle = None  # opened by the first append
 
     def records(self) -> Iterator[dict]:
-        """Records in file order, read one line at a time; a malformed line is
-        a ConfigError naming it."""
+        """Records in file order, read one line at a time; a malformed line, or
+        one whose digest, response, tag or latency UTF-8 cannot encode, is a
+        ConfigError naming it."""
         try:
             with open(self.path, encoding="utf-8") as handle:
                 for number, line in enumerate(handle, 1):
@@ -265,12 +266,12 @@ class Transcript:
                         continue
                     try:
                         record = json.loads(line)
-                        valid = (
-                            isinstance(record["digest"], str)
-                            and isinstance(record["response"], str)
-                            and isinstance(record.get("request", {}), dict)
-                        )
-                    except (ValueError, TypeError, KeyError, RecursionError):
+                        digest, response = record["digest"], record["response"]
+                        valid = isinstance(digest, str) and isinstance(response, str)
+                        # What is printed or served must encode: json reads "\ud800" as a lone surrogate.
+                        tag, latency = record.get("request", {}).get("tag", ""), record.get("latency_ms")
+                        f"{digest}{response}{tag}{latency}".encode("utf-8")
+                    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
                         valid = False
                     if not valid:
                         raise ConfigError(f"{self.path}:{number}: malformed transcript record")

@@ -21,6 +21,7 @@ from .errors import ConfigError, NoTableFound
 from .gateway import CompletionRequest
 from .metrics import COMPARISON_KEYS, token_compare
 from .tables import (
+    DEFAULT_PIVOT,
     KnowledgeGraph,
     TableRow,
     extract_candidates,
@@ -199,14 +200,9 @@ class StubBackend:
 
     # stage simulations
 
-    def _swap_rows(self, rows, src: str | None, tgt: str | None):
-        if src is None or tgt is None or src == tgt:
-            return tuple(rows)
-        return translate_cells(rows, self.rules.lexicon(src, tgt))
-
     def _translate(self, source_language: str, target_language: str, table: str, **_) -> str:
-        source, target = language_code(source_language), language_code(target_language)
-        return serialize_table(self._swap_rows(parse_table(table), source, target))
+        lexicon = self.rules.lexicon(language_code(source_language), language_code(target_language))
+        return serialize_table(translate_cells(parse_table(table), lexicon))
 
     def _table_to_kg(self, table: str, **_) -> str:
         return serialize_kg(table_to_flat_kg(parse_table(table)))
@@ -222,42 +218,21 @@ class StubBackend:
         matches = greedy_key_matches([r.key for r in rows_a], [r.key for r in rows_g])
         return serialize_table(TableRow(a, g) for a, g in matches)
 
-    def _parse_alignment_slot(self, alignments: str) -> list[tuple[list[str], list[str]]] | None:
-        """Pairs from the filled alignments slot; None when the slot holds the
-        self-align instruction instead of a list."""
-        candidate = next(extract_candidates(alignments, "["), None)
-        if not isinstance(candidate, list):
-            return None
-        sides: list[list[str]] = []
-        for element in candidate:
-            if not isinstance(element, list) or not all(isinstance(k, str) for k in element):
-                return None
-            sides.append(element)
-        if len(sides) % 2:
-            return None
-        return [(sides[i], sides[i + 1]) for i in range(0, len(sides), 2)]
-
     def _align_update(self, table_a: str, table_b: str, alignments: str, **_) -> str:
         rows_a, rows_b = parse_table(table_a), parse_table(table_b)
-        pairs = self._parse_alignment_slot(alignments)
-        if pairs is None:
-            pairs = [([a], [b]) for a, b in greedy_key_matches(
-                [r.key for r in rows_a], [r.key for r in rows_b]
-            )]
+        if alignments == prompts.SELF_ALIGN_INSTRUCTION:
+            keys_a, keys_b = [r.key for r in rows_a], [r.key for r in rows_b]
+            pairs = [([a], [b]) for a, b in greedy_key_matches(keys_a, keys_b)]
+        else:  # pipeline.format_alignment_slot: left keys, right keys spelled from table B, ...
+            sides = next(extract_candidates(alignments, "["))
+            pairs = zip(sides[::2], sides[1::2])
         value_b = {normalize_key(r.key): r.value for r in rows_b}
         replacement: dict[str, str] = {}
         covered_b: set[str] = set()
         for left_keys, right_keys in pairs:
-            for right in right_keys:
-                covered_b.add(normalize_key(right))
-            source_value = next(
-                (value_b[normalize_key(r)] for r in right_keys if normalize_key(r) in value_b),
-                None,
-            )
-            if source_value is None:
-                continue
+            covered_b.update(map(normalize_key, right_keys))
             for left in left_keys:
-                replacement[normalize_key(left)] = source_value
+                replacement[normalize_key(left)] = value_b[normalize_key(right_keys[0])]
         updated = [
             TableRow(r.key, replacement.get(normalize_key(r.key), r.value)) for r in rows_a
         ]
@@ -269,11 +244,9 @@ class StubBackend:
         return serialize_table(parse_table(table_a))
 
     def _decompose(self, language_a: str, language_b: str, table_a: str, table_b: str, **_) -> str:
-        rows_a, rows_b = parse_table(table_a), parse_table(table_b)
         lang_a, lang_b = language_code(language_a), language_code(language_b)
-        pivot = "en"
-        rows_a = self._swap_rows(rows_a, lang_a, pivot)
-        rows_b = self._swap_rows(rows_b, lang_b, pivot)
+        rows_a = translate_cells(parse_table(table_a), self.rules.lexicon(lang_a, DEFAULT_PIVOT))
+        rows_b = translate_cells(parse_table(table_b), self.rules.lexicon(lang_b, DEFAULT_PIVOT))
         merged: list[TableRow] = []
         by_norm: dict[str, int] = {}
         for row in rows_a:
@@ -285,7 +258,7 @@ class StubBackend:
                 merged[by_norm[norm]] = TableRow(merged[by_norm[norm]].key, row.value)
             else:
                 merged.append(row)
-        return serialize_table(self._swap_rows(merged, pivot, lang_a))
+        return serialize_table(translate_cells(merged, self.rules.lexicon(DEFAULT_PIVOT, lang_a)))
 
     def _evaluate(self, table_1: str, table_2: str, **_) -> str:
         # Row i of each table is one aligned pair; the answer is keyed by the gold row's key.

@@ -618,6 +618,34 @@ class TestRecordReplay:
         assert run_cli("transcripts", str(transcript)) == cli.EXIT_CONFIG
         assert f"t.jsonl:{len(lines)}: malformed transcript record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["response", "tag"])
+    def test_lone_surrogate_in_a_shown_field_is_config_error(self, corpus, lexicons, tmp_path, capsys, field):
+        # json reads a "\\ud800" escape as a lone surrogate, which print and replay cannot encode.
+        transcript = tmp_path / "t.jsonl"
+        assert run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "rec"), "--lexicons", lexicons,
+            "--strategy", "direct", "--transcripts", str(transcript), "--record", "--instance", "musterstadt",
+        ) == cli.EXIT_OK
+        lines = transcript.read_text("utf-8").splitlines()
+        record = json.loads(lines[0])
+        if field == "tag":
+            record["request"]["tag"] += "\ud800"
+        else:
+            record["response"] = "\ud800" + record["response"]
+        lines[0] = json.dumps(record)
+        transcript.write_text("\n".join(lines) + "\n", "utf-8")
+        capsys.readouterr()
+
+        shown = ("--digest", record["digest"][:12]) if field == "response" else ()
+        assert run_cli("transcripts", str(transcript), *shown) == cli.EXIT_CONFIG
+        assert "t.jsonl:1: malformed transcript record" in capsys.readouterr().err
+        assert run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "rep"), "--backend", "replay",
+            "--strategy", "direct", "--transcripts", str(transcript), "--instance", "musterstadt",
+        ) == cli.EXIT_CONFIG
+        assert "t.jsonl:1: malformed transcript record" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "City").exists()
+
     def test_record_onto_torn_transcript_is_refused(self, corpus, lexicons, tmp_path, capsys, monkeypatch):
         transcript = tmp_path / "t.jsonl"
         record = (
@@ -1144,6 +1172,27 @@ class TestErrors:
         assert code == cli.EXIT_CONFIG
         assert "translate_reference" in capsys.readouterr().err
 
+
+    def test_trace_holding_no_table_or_graph_is_config_error(self, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
+        )
+        traces = out / "City" / "musterstadt" / "traces.json"
+        docs = json.loads(traces.read_text("utf-8"))
+        (merge,) = (doc for doc in docs if doc["stage"] == "merge")
+        merge["output"] = merge["input"]  # the pair of graphs the stage merged
+        assert merge["output"]["kind"] == "pair"
+        traces.write_text(json.dumps(docs), "utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(traces),
+            "--lexicons", lexicons,
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "stage 'merge' trace holds a tuple, not a table or graph" in capsys.readouterr().err
 
     def test_config_file_settings_it_does_not_read_are_ignored(self, corpus, lexicons, tmp_path, capsys):
         out = tmp_path / "out"

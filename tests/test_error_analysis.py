@@ -13,7 +13,7 @@ from tablesync.gateway import Gateway
 from tablesync.metrics import AtomicComparison, token_compare
 from tablesync.pipeline import Pipeline, Strategy
 from tablesync.stub import StubBackend, StubRuleSet, translate_cells
-from tablesync.tables import KnowledgeGraph, SyncInstance, TableRow, normalize_key, parse_kg, serialize_kg
+from tablesync.tables import DEFAULT_PIVOT, KnowledgeGraph, SyncInstance, TableRow, normalize_key, parse_kg, serialize_kg
 from conftest import FaultBackend
 
 
@@ -86,10 +86,10 @@ class TestClassify:
 
 @pytest.fixture()
 def run_and_ledger(rules, mk_table):
-    def runner(instance: SyncInstance, run_rules: StubRuleSet, faults=None):
-        pipe = Pipeline(Gateway(FaultBackend(run_rules, faults)), "stub-model")
+    def runner(instance: SyncInstance, run_rules: StubRuleSet, faults=None, pivot=DEFAULT_PIVOT):
+        pipe = Pipeline(Gateway(FaultBackend(run_rules, faults)), "stub-model", pivot=pivot)
         result = pipe.run(instance, Strategy.HIERARCHICAL)
-        analyzer = ErrorAnalyzer(run_rules)
+        analyzer = ErrorAnalyzer(run_rules, pivot=pivot)
         return result, analyzer.stagewise_ledger(instance, result.traces)
 
     return runner
@@ -115,6 +115,16 @@ class TestLedger:
             result, ledger = run_and_ledger(instance, rules)
             final = ErrorAnalyzer(rules).classify(result.output, instance.gold)
             assert ledger.final == final
+
+    @pytest.mark.parametrize("side", ["source", "reference"])
+    def test_telescoping_with_the_pivot_in_a_table_language(self, instances, rules, run_and_ledger, side):
+        # Each column is compared with gold in its artifact's language, whichever the pivot.
+        for instance in instances:
+            pivot = getattr(instance, side).language
+            result, ledger = run_and_ledger(instance, rules, pivot=pivot)
+            assert ledger.final == ErrorAnalyzer(rules, pivot=pivot).classify(result.output, instance.gold)
+            for earlier, later in zip(ledger.entries, ledger.entries[1:]):
+                assert later.cumulative == earlier.cumulative + later.delta
 
     def test_missing_stage_named(self, instances, rules):
         pipe = Pipeline(Gateway(StubBackend(rules)), "stub-model")

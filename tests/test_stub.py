@@ -9,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablesync import prompts
+from tablesync.alignment import Alignment, greedy_key_matches
 from tablesync.errors import NoTableFound
 from tablesync.gateway import CompletionRequest
+from tablesync.pipeline import format_alignment_slot
 from tablesync.stub import LexiconPairs, StubBackend, StubRuleSet, _is_word, translate_cells
-from tablesync.tables import TableRow, serialize_table
+from tablesync.tables import (
+    InfoTable,
+    TableRow,
+    extract_candidates,
+    language_name,
+    normalize_key,
+    parse_table,
+    serialize_table,
+)
 
 TEMPLATES = sorted(
     entry.name.removesuffix(".txt")
@@ -303,3 +313,79 @@ class TestStubRecognition:
         prompt = evaluate_prompt(left, right)
         assert prompt.startswith("Compare these tables.")
         assert stub.complete(CompletionRequest(prompt, "stub-model"), 0) == expected
+
+
+def slot_checking_align_update(table_a: str, table_b: str, alignments: str, **_) -> str:
+    """The stub's align_update answer when it re-checked the alignments slot:
+    its former `_parse_alignment_slot` and value loop, kept as the reference."""
+
+    def _parse_alignment_slot(alignments: str) -> list[tuple[list[str], list[str]]] | None:
+        candidate = next(extract_candidates(alignments, "["), None)
+        if not isinstance(candidate, list):
+            return None
+        sides: list[list[str]] = []
+        for element in candidate:
+            if not isinstance(element, list) or not all(isinstance(k, str) for k in element):
+                return None
+            sides.append(element)
+        if len(sides) % 2:
+            return None
+        return [(sides[i], sides[i + 1]) for i in range(0, len(sides), 2)]
+
+    rows_a, rows_b = parse_table(table_a), parse_table(table_b)
+    pairs = _parse_alignment_slot(alignments)
+    if pairs is None:
+        pairs = [([a], [b]) for a, b in greedy_key_matches(
+            [r.key for r in rows_a], [r.key for r in rows_b]
+        )]
+    value_b = {normalize_key(r.key): r.value for r in rows_b}
+    replacement: dict[str, str] = {}
+    covered_b: set[str] = set()
+    for left_keys, right_keys in pairs:
+        for right in right_keys:
+            covered_b.add(normalize_key(right))
+        source_value = next(
+            (value_b[normalize_key(r)] for r in right_keys if normalize_key(r) in value_b),
+            None,
+        )
+        if source_value is None:
+            continue
+        for left in left_keys:
+            replacement[normalize_key(left)] = source_value
+    updated = [
+        TableRow(r.key, replacement.get(normalize_key(r.key), r.value)) for r in rows_a
+    ]
+    updated.extend(r for r in rows_b if normalize_key(r.key) not in covered_b)
+    return serialize_table(updated)
+
+
+class TestAlignUpdate:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_reads_the_slot_the_pipeline_writes(self, data):
+        # Keys full of what the slot's list syntax escapes or splits on, with
+        # non-ASCII letters and spellings that differ only in case.
+        piece = st.sampled_from(["'", '"', "\\", ",", "[", "]", " ", "a", "A", "b", "é", "É", "ß"])
+        key = st.lists(piece, min_size=1, max_size=4).map("".join).filter(str.strip)
+        value = st.lists(piece, max_size=3).map("".join)
+        left_keys = data.draw(st.lists(key, min_size=1, max_size=5))
+        right_key = st.one_of(key, st.sampled_from(left_keys).map(str.swapcase).filter(str.strip))
+        right_keys = data.draw(st.lists(right_key, min_size=1, max_size=5))
+        source = InfoTable("E", "de", "City", [TableRow(k, data.draw(value)) for k in left_keys])
+        reference = InfoTable("E", "en", "City", [TableRow(k, data.draw(value)) for k in right_keys])
+        left, right = sorted(source.normalized_keys()), sorted(reference.normalized_keys())
+        edges = data.draw(st.sets(st.tuples(st.sampled_from(left), st.sampled_from(right)), max_size=6))
+        slot = format_alignment_slot(Alignment.build(left, right, edges), source, reference)
+        for alignments in (slot, prompts.SELF_ALIGN_INSTRUCTION):
+            # Filled as Pipeline.update_table fills it.
+            prompt = prompts.fill(
+                prompts.ALIGN_UPDATE,
+                language_a=language_name(source.language),
+                language_b=language_name(reference.language),
+                category=source.category,
+                table_a=serialize_table(source),
+                table_b=serialize_table(reference),
+                alignments=alignments,
+            )
+            expected = slot_checking_align_update(**prompts.slots_of(prompts.ALIGN_UPDATE, prompt))
+            assert stub_answer(prompt) == expected
