@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import prompts
 from .errors import UniverseMismatch
 from .gateway import RETRY_ATTEMPT_OFFSET, CompletionRequest, Gateway  # noqa: F401 - offset re-exported
-from .tables import KEY_FEATURES_CACHED, InfoTable, language_name, normalize_key, parse_table, serialize_table
+from .tables import KEY_FEATURES_CACHED, InfoTable, Value, language_name, normalize_key, parse_table, serialize_table
 
 SIMILARITY_THRESHOLD = 0.5
 REANCHOR_MAX_DISTANCE = 0.2
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(Value):
     """Two key universes and the atomic edges asserted between them.
 
     Keys are normalized, and alignments with equal universes and edges are
@@ -25,9 +23,7 @@ class Alignment:
     groups, each right key's left keys and the leftovers are derived from them.
     """
 
-    left_universe: frozenset[str]
-    right_universe: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    __slots__ = ("left_universe", "right_universe", "edges", "__dict__")  # frozensets of keys and of key pairs
 
     @staticmethod
     def build(
@@ -82,11 +78,8 @@ class Alignment:
         return tuple(sorted((tuple(sorted(ls)), tuple(sorted(rs))) for ls, rs in groups.values()))
 
 
-@dataclass(frozen=True)
-class AlignmentScore:
-    precision: float
-    recall: float
-    f1: float
+class AlignmentScore(Value):
+    __slots__ = ("precision", "recall", "f1")  # floats
 
 
 def trigrams(text: str) -> frozenset[str]:

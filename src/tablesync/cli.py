@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from contextlib import suppress
-from dataclasses import Field, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Collection, Iterable
@@ -23,8 +22,7 @@ from .errors import ConfigError, StageFailed, TableSyncError
 from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
 from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
 from .stub import StubBackend, StubRuleSet
-from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, serialize_table
-from .wiki import DEFAULT_API_TEMPLATE, MediaWikiClient
+from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, Value, serialize_table
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -35,25 +33,18 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrup
 _FLAG_ONLY = ("record",)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run settings; precedence is flags > environment > config file."""
+class RunConfig(Value):
+    """Resolved run settings, assignable and so unhashable; precedence is flags > environment > config file."""
 
-    strategy: str = "hierarchical"
-    backend: str = "stub"
-    model: str = "stub-model"
-    models: tuple[str, ...] = ()
-    eval_models: tuple[str, ...] = ()
-    rounds: int = 1
-    pivot: str = DEFAULT_PIVOT
-    concurrency: int = 4
-    corpus: str = ""
-    out: str = ""
-    lexicons: str = ""
-    transcripts: str = ""
-    record: bool = False
-    endpoint: str = ""
-    api_key: str = ""
+    # Every setting and its default, in order: the one list of config keys.
+    SETTINGS = _defaults = dict(
+        strategy="hierarchical", backend="stub", model="stub-model", models=(), eval_models=(), rounds=1,
+        pivot=DEFAULT_PIVOT, concurrency=4, corpus="", out="", lexicons="", transcripts="", record=False,
+        endpoint="", api_key="",
+    )
+    __slots__ = tuple(SETTINGS)
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
     def snapshot_lines(self, names: Iterable[str]) -> list[str]:
         """`name = value` for the named settings, sorted, the API key masked."""
@@ -71,8 +62,9 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def _parse(name: str, text: str, default: object) -> object:
-    """Convert a flag, environment or config-file string to the field's type."""
+def _parse(name: str, text: str) -> object:
+    """Convert a flag, environment or config-file string to the setting's type."""
+    default = RunConfig.SETTINGS[name]
     if isinstance(default, tuple):
         return tuple(part.strip() for part in text.split(",") if part.strip())
     if isinstance(default, int):
@@ -118,35 +110,35 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def settings_read(args: argparse.Namespace) -> list[Field]:
-    """The settings a command reads: the RunConfig fields its parser declares."""
-    return [f for f in fields(RunConfig) if hasattr(args, f.name)]
+def settings_read(args: argparse.Namespace) -> list[str]:
+    """The settings a command reads: the RunConfig settings its parser declares."""
+    return [name for name in RunConfig.SETTINGS if hasattr(args, name)]
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The settings the command reads, merged and checked.
 
-    A command reads the RunConfig fields its parser declares as flags; the
+    A command reads the RunConfig settings its parser declares as flags; the
     others keep their defaults, which pass every check. A flag left out falls
     back to its SYNC_LLM_* environment variable (its default), then to the
     optional config file. A config-file key that is not a setting is an error;
     one the command does not read is ignored.
     """
     file_values = _read_config_file(args.config) if args.config else {}
-    settable = {f.name for f in fields(RunConfig)} - set(_FLAG_ONLY)
+    settable = RunConfig.SETTINGS.keys() - set(_FLAG_ONLY)
     for key in file_values:
         if key not in settable:
             raise ConfigError(f"unknown config key {key!r}")
 
     values: dict[str, object] = {}
-    for f in settings_read(args):
-        flag = getattr(args, f.name)
-        if f.name in _FLAG_ONLY:
-            values[f.name] = bool(flag)
+    for name in settings_read(args):
+        flag = getattr(args, name)
+        if name in _FLAG_ONLY:
+            values[name] = bool(flag)
         elif flag not in (None, ""):
-            values[f.name] = _parse(f.name, str(flag), f.default)
-        elif f.name in file_values:
-            values[f.name] = _parse(f.name, file_values[f.name], f.default)
+            values[name] = _parse(name, str(flag))
+        elif name in file_values:
+            values[name] = _parse(name, file_values[name])
     config = RunConfig(**values)
 
     if not config.eval_models:
@@ -222,10 +214,20 @@ def _encode(value: object, newline: str, chunks: list[str]) -> None:
         chunks.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        for i, item in enumerate(value):
-            chunks += ("," if i else "[", inner)
-            _encode(item, inner, chunks)
-        chunks.append(newline + "]" if value else "[]")
+        # A list of text, or of text pairs such as table rows, takes one join.
+        if value and all(isinstance(item, str) for item in value):
+            chunks += ("[", inner, ("," + inner).join(map(encode_basestring, value)), newline, "]")
+        elif value and all(
+            isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)
+            for item in value
+        ):
+            pairs = (f"[{inner}  {encode_basestring(k)},{inner}  {encode_basestring(v)}{inner}]" for k, v in value)
+            chunks += ("[", inner, ("," + inner).join(pairs), newline, "]")
+        else:
+            for i, item in enumerate(value):
+                chunks += ("," if i else "[", inner)
+                _encode(item, inner, chunks)
+            chunks.append(newline + "]" if value else "[]")
     else:
         chunks.append(json.dumps(value))
 
@@ -365,7 +367,7 @@ def _run_instances(
 
     reports = [report for report in gateway.map(run_one, instance_dirs) if report is not None]
     _write(out_root / "report.json", _json(aggregate_reports(reports)))
-    snapshot = config.snapshot_lines(f.name for f in settings_read(args))
+    snapshot = config.snapshot_lines(settings_read(args))
     _write(out_root / "config.snapshot", "\n".join(snapshot) + "\n")
     return EXIT_OK if len(reports) == len(instance_dirs) else EXIT_PARTIAL
 
@@ -483,6 +485,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         args.api_template.format(lang=args.lang)
     except (LookupError, ValueError, AttributeError) as exc:  # another placeholder, or a stray brace
         raise ConfigError(f"--api-template {args.api_template!r} is not a template over {{lang}}: {exc!r}") from None
+    from .wiki import MediaWikiClient  # imported by the one command that talks to a wiki
+
     client = MediaWikiClient(api_template=args.api_template)
     table = client.fetch_revision(args.title, args.lang, args.as_of, category=args.category)
     text = serialize_table(table) + "\n"
@@ -518,7 +522,7 @@ def _add_setting_flags(
     parser: argparse.ArgumentParser, *, corpus=False, backend=False, models=False, pivot=False, votes=False
 ) -> None:
     """Declare the flags of the settings parser's command reads: resolve_config
-    reads exactly the RunConfig fields these flags set. A flag's default is
+    reads exactly the RunConfig settings these flags set. A flag's default is
     its environment variable, if it has one."""
     add = parser.add_argument
     if corpus:
@@ -600,12 +604,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_stats.set_defaults(func=cmd_stats)
 
     if "fetch" in wanted:
+        from .wiki import DEFAULT_API_TEMPLATE
+
         p_fetch = sub.add_parser("fetch", help="fetch an infobox revision from a wiki")
         p_fetch.add_argument("--title", required=True)
         p_fetch.add_argument("--lang", required=True)
         p_fetch.add_argument("--as-of", dest="as_of", required=True, help="ISO timestamp upper bound")
         p_fetch.add_argument("--category", default="Uncategorized")
-        p_fetch.add_argument("--api-template", dest="api_template", default=DEFAULT_API_TEMPLATE)
+        p_fetch.add_argument("--api-template", default=DEFAULT_API_TEMPLATE, help="API URL over {lang} (%(default)s)")
         p_fetch.add_argument("--out", help="write the table file here")
         p_fetch.set_defaults(func=cmd_fetch)
 

@@ -7,7 +7,6 @@ Table files use the list-of-pairs wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -16,31 +15,23 @@ from .errors import (
     ParseError,
     TableSyncError,
 )
-from .tables import InfoTable, SyncInstance, TableRow, parse_table
+from .tables import InfoTable, SyncInstance, TableRow, Value, parse_table
 
 MANIFEST_NAME = "manifest"
 _REQUIRED_MANIFEST_KEYS = ("entity", "category", "source_lang", "reference_lang")
 
 
-@dataclass(frozen=True)
-class InstanceManifest:
-    entity: str
-    category: str
-    source_lang: str
-    reference_lang: str
-    source_revision: str | None
-    reference_revision: str | None
-    gold_revision: str | None
-    root: Path
+class InstanceManifest(Value):
+    __slots__ = (  # the manifest's text fields (a revision may be None) and the instance directory
+        "entity", "category", "source_lang", "reference_lang",
+        "source_revision", "reference_revision", "gold_revision", "root",
+    )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(Value):
     """Instance counts keyed by the (old, new) pair's language and by category."""
 
-    tables_by_language: dict[str, int]
-    tables_by_category: dict[str, int]
-    instance_count: int
+    __slots__ = ("tables_by_language", "tables_by_category", "instance_count")
 
 
 def read_manifest(directory: str | Path) -> InstanceManifest:

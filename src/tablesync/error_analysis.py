@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping
 
 from .alignment import Alignment, align_deterministic
 from .errors import ConfigError
 from .metrics import AtomicComparison, score_row, token_compare
 from .stub import StubRuleSet, translate_cells
-from .tables import DEFAULT_PIVOT, InfoTable, KnowledgeGraph, SyncInstance, flatten_kg
+from .tables import DEFAULT_PIVOT, InfoTable, KnowledgeGraph, SyncInstance, Value, flatten_kg
 from .pipeline import StageTrace
 
 REDUNDANCY_OVERLAP = 0.5
@@ -25,49 +25,32 @@ LEDGER_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ErrorCounts:
+class ErrorCounts(Value):
     """The four residual-error classes; total is their sum."""
 
-    missing: int = 0
-    outdated_full: int = 0
-    outdated_partial: int = 0
-    redundant: int = 0
+    __slots__ = ("missing", "outdated_full", "outdated_partial", "redundant")
+    _defaults = dict.fromkeys(__slots__, 0)
 
     @property
     def total(self) -> int:
         return self.missing + self.outdated_full + self.outdated_partial + self.redundant
 
     def __add__(self, other: ErrorCounts) -> ErrorCounts:
-        return ErrorCounts(
-            self.missing + other.missing,
-            self.outdated_full + other.outdated_full,
-            self.outdated_partial + other.outdated_partial,
-            self.redundant + other.redundant,
-        )
+        return ErrorCounts(*map(add, self._values(self), other._values(other)))
 
     def __sub__(self, other: ErrorCounts) -> ErrorCounts:
-        return ErrorCounts(
-            self.missing - other.missing,
-            self.outdated_full - other.outdated_full,
-            self.outdated_partial - other.outdated_partial,
-            self.redundant - other.redundant,
-        )
+        return ErrorCounts(*map(sub, self._values(self), other._values(other)))
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    stage: str
-    cumulative: ErrorCounts
-    delta: ErrorCounts
+class LedgerEntry(Value):
+    __slots__ = ("stage", "cumulative", "delta")  # the stage's label and two ErrorCounts
 
 
-@dataclass(frozen=True)
-class StageErrorLedger:
+class StageErrorLedger(Value):
     """Cumulative and per-stage error counts; entry k satisfies
     cumulative[k] == cumulative[k-1] + delta[k]."""
 
-    entries: tuple[LedgerEntry, ...]
+    __slots__ = ("entries",)  # a tuple of LedgerEntry
 
     @property
     def final(self) -> ErrorCounts:
@@ -144,6 +127,7 @@ class ErrorAnalyzer:
         stage's output artifact in that artifact's language: against the pivot
         view of gold when it is in the pivot, against gold otherwise. A graph
         artifact is flattened deterministically into a pivot-language table.
+        Traces made with another pivot (translate_reference's output language) are a ConfigError.
         """
         by_stage = {trace.stage: trace for trace in traces}
         missing = [stage for _, stage in LEDGER_COLUMNS if stage not in by_stage]
@@ -157,6 +141,8 @@ class ErrorAnalyzer:
                 artifact = InfoTable(gold.entity, self.pivot, gold.category, flatten_kg(artifact))
             elif not isinstance(artifact, InfoTable):
                 raise ConfigError(f"stage {stage!r} trace holds a {type(artifact).__name__}, not a table or graph")
+            elif stage == "translate_reference" and artifact.language != self.pivot:
+                raise ConfigError(f"the traces were made with pivot {artifact.language!r}, not {self.pivot!r}")
             columns.append((label, artifact))
         gold_pivot = self._to_pivot(gold)
 
@@ -172,13 +158,7 @@ class ErrorAnalyzer:
 
 def ledger_jsonable(ledger: StageErrorLedger) -> dict:
     def counts(c: ErrorCounts) -> dict:
-        return {
-            "missing": c.missing,
-            "outdated_full": c.outdated_full,
-            "outdated_partial": c.outdated_partial,
-            "redundant": c.redundant,
-            "total": c.total,
-        }
+        return {**dict(zip(c._fields, c._values(c))), "total": c.total}
 
     return {
         "stages": [
@@ -191,7 +171,7 @@ def ledger_jsonable(ledger: StageErrorLedger) -> dict:
 def render_ledger(ledger: StageErrorLedger) -> str:
     """Fixed-width text table: one row per error class, one column per stage."""
     labels = ("Missing", "Outdated (Full)", "Outdated (Partial)", "Redundant", "Total")
-    fields = ("missing", "outdated_full", "outdated_partial", "redundant", "total")
+    fields = (*ErrorCounts._fields, "total")
     header = ["Error Types"] + [e.stage for e in ledger.entries]
     rows = [header]
     for label, name in zip(labels, fields):

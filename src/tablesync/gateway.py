@@ -4,22 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError
+from .tables import Value, set_field
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-log = logging.getLogger(__name__)
 
 DEFAULT_PIPELINE_TEMPERATURE = 0.0
 DEFAULT_EVAL_TEMPERATURE = 0.2
@@ -34,23 +30,26 @@ HTTP_BACKOFF_CAP_S = 8.0
 HTTP_TIMEOUT_S = 60.0
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(Value):
     """One prompt for one model; tag labels the pipeline stage for the transcript."""
 
-    prompt: str
-    model_id: str
-    temperature: float = DEFAULT_PIPELINE_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    tag: str = ""
+    __slots__ = ("prompt", "model_id", "temperature", "max_tokens", "tag")
 
-    def __post_init__(self) -> None:
-        if not self.prompt:
+    def __init__(
+        self, prompt: str, model_id: str, temperature: float = DEFAULT_PIPELINE_TEMPERATURE,
+        max_tokens: int = DEFAULT_MAX_TOKENS, tag: str = "",
+    ) -> None:
+        if not prompt:
             raise ValueError("prompt is empty")
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError(f"temperature out of range: {self.temperature}")
-        if self.max_tokens <= 0:
+        if not 0.0 <= temperature <= 1.0:
+            raise ValueError(f"temperature out of range: {temperature}")
+        if max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
+        set_field(self, "prompt", prompt)
+        set_field(self, "model_id", model_id)
+        set_field(self, "temperature", temperature)
+        set_field(self, "max_tokens", max_tokens)
+        set_field(self, "tag", tag)
 
 
 def request_digest(request: CompletionRequest, attempt: int = 0) -> str:
@@ -159,6 +158,9 @@ class HttpBackend:
         rate_limited = False
         for retry in range(HTTP_ATTEMPTS):
             if retry:
+                import logging  # imported where a run warns: most never do
+
+                log = logging.getLogger(__name__)
                 log.warning("retrying completion (%d/%d): %s", retry, HTTP_ATTEMPTS, last_error)
                 time.sleep(min(HTTP_BACKOFF_S * 2 ** (retry - 1), HTTP_BACKOFF_CAP_S))
             try:
@@ -351,7 +353,9 @@ class Gateway:
         self._open: list[_Batch] = []  # batches of the map calls running, oldest first
         self._idle = 2 * (concurrency - 1)  # helpers not working on a batch
         self._helpers = None
-        if self._idle:
+        if self._idle:  # concurrency > 1; serial runs start without the executor module
+            from concurrent.futures import ThreadPoolExecutor
+
             self._helpers = ThreadPoolExecutor(self._idle, "tablesync-gateway")
 
     def __enter__(self) -> Gateway:
@@ -427,7 +431,9 @@ class Gateway:
         try:
             return parse(response), response
         except TableSyncError as exc:
-            log.warning("%s output unparseable (%s); reprompting once", request.tag, exc)
+            import logging
+
+            logging.getLogger(__name__).warning("%s output unparseable (%s); reprompting once", request.tag, exc)
         response = self.complete(request, attempt=attempt + RETRY_ATTEMPT_OFFSET)
         return parse(response), response
 

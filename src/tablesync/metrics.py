@@ -6,7 +6,6 @@ metric identities with zero tolerance; render as float only at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -16,33 +15,30 @@ from . import prompts
 from .alignment import Alignment, align_deterministic
 from .errors import ComparisonFailed, OverlappingFacts, TableSyncError
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
-from .tables import InfoTable, TableRow, language_name, normalize_key, parse_kg, serialize_table
+from .tables import InfoTable, TableRow, Value, language_name, normalize_key, parse_kg, serialize_table, set_field
 
 COMPARISON_KEYS = ("similar_consistent", "similar_contradictory", "table1_unique", "table2_unique")
 
 
-@dataclass(frozen=True)
-class AtomicComparison:
-    """Fact lists for one aligned row pair: consistent, contradictory, unique-left, unique-right."""
+class AtomicComparison(Value):
+    """Fact lists (tuples of text) for one aligned row pair: consistent, contradictory, unique-left, unique-right."""
 
-    sct: tuple[str, ...] = ()
-    scd: tuple[str, ...] = ()
-    t1u: tuple[str, ...] = ()
-    t2u: tuple[str, ...] = ()
+    __slots__ = ("sct", "scd", "t1u", "t2u")
 
-    def __post_init__(self) -> None:
-        groups = (set(self.sct), set(self.scd), set(self.t1u), set(self.t2u))
+    def __init__(self, sct: tuple = (), scd: tuple = (), t1u: tuple = (), t2u: tuple = ()) -> None:
+        groups = (set(sct), set(scd), set(t1u), set(t2u))
         union = set().union(*groups)
         if len(union) != sum(len(g) for g in groups):
             shared = min(fact for fact in union if sum(fact in g for g in groups) > 1)
             raise OverlappingFacts(f"comparison fact lists must be disjoint; {shared!r} is in two")
+        set_field(self, "sct", sct)
+        set_field(self, "scd", scd)
+        set_field(self, "t1u", t1u)
+        set_field(self, "t2u", t2u)
 
 
-@dataclass(frozen=True)
-class RowScore:
-    precision: Fraction
-    recall: Fraction
-    f1: Fraction
+class RowScore(Value):
+    __slots__ = ("precision", "recall", "f1")  # Fractions
 
 
 def score_row(c: AtomicComparison) -> RowScore:
@@ -178,23 +174,18 @@ def compare_rows(
     return [_comparison_from(entries.get(normalize_key(gold.key))) for _, gold in pairs]
 
 
-@dataclass(frozen=True)
-class AlignmentPartition:
+class AlignmentPartition(Value):
     """Gold-anchored decomposition over (source, output, gold) alignments.
 
     Each gold key lands in exactly one of: tri (aligned in both), bi_input_gold
     (source only), bi_gold_output (output only), or un_gold. Partner keys in
     tuples are the lexicographically smallest aligned key of a multi-alignment.
-    """
 
-    tri: frozenset[tuple[str, str, str]]
-    bi_input_gold: frozenset[tuple[str, str]]
-    bi_gold_output: frozenset[tuple[str, str]]
-    un_input: frozenset[str]
-    un_output: frozenset[str]
-    un_gold: frozenset[str]
-    input_len: int  # distinct normalized keys of the source table
-    output_len: int  # and of the output table
+    The groups are frozensets; input_len and output_len count the distinct
+    normalized keys of the source and the output table."""
+
+    __slots__ = (
+        "tri", "bi_input_gold", "bi_gold_output", "un_input", "un_output", "un_gold", "input_len", "output_len")
 
     @property
     def gold_len(self) -> int:
@@ -225,25 +216,18 @@ def partition_alignments(ig: Alignment, og: Alignment) -> AlignmentPartition:
     )
 
 
-@dataclass(frozen=True)
-class UpdateReport:
+class UpdateReport(Value):
     """Row-level synchronization quality, mirroring the report column layout.
 
     updated and added_pct are semantic sums of row F1 over the tri and
     gold-output bi groups, normalized by the gold key count and scaled to
-    percent; the remaining fields are structural counts.
+    percent, as Fractions; the remaining fields are structural counts.
     """
 
-    updated: Fraction
-    added_pct: Fraction
-    added_rows: int
-    missed_gold: int
-    deleted_input: int
-    gold_len: int
-    input_len: int
-    output_len: int
-    un_input: int
-    un_output: int
+    __slots__ = (
+        "updated", "added_pct", "added_rows", "missed_gold", "deleted_input",
+        "gold_len", "input_len", "output_len", "un_input", "un_output",
+    )
 
     def _over_gold(self, count: int) -> Fraction:
         return Fraction(count, self.gold_len) if self.gold_len else Fraction(0)
@@ -306,11 +290,8 @@ def build_report(
     )
 
 
-@dataclass(frozen=True)
-class InstanceEvaluation:
-    per_model: dict[str, UpdateReport]
-    ensemble: UpdateReport
-    flagged: tuple[tuple[str, str], ...]  # (model_id, gold_key) pairs scored 0 on failure
+class InstanceEvaluation(Value):
+    __slots__ = ("per_model", "ensemble", "flagged")  # flagged: (model_id, gold_key) pairs scored 0 on failure
 
 
 def evaluate_instance(
@@ -391,10 +372,11 @@ def evaluate_instance(
     }
     # Every report reads the one partition, so only the scores differ.
     reports = list(per_model.values())
-    ensemble = replace(
-        reports[0],
-        updated=sum((r.updated for r in reports), Fraction(0)) / len(reports),
-        added_pct=sum((r.added_pct for r in reports), Fraction(0)) / len(reports),
+    first = reports[0]
+    ensemble = UpdateReport(
+        sum((r.updated for r in reports), Fraction(0)) / len(reports),
+        sum((r.added_pct for r in reports), Fraction(0)) / len(reports),
+        *first._values(first)[2:],  # the counts
     )
     return InstanceEvaluation(per_model, ensemble, tuple(flagged))
 

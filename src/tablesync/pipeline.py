@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -15,12 +14,14 @@ from .tables import (
     InfoTable,
     KnowledgeGraph,
     TableRow,
+    Value,
     escape_text,
     language_name,
     parse_kg,
     parse_table,
     serialize_kg,
     serialize_table,
+    set_field,
 )
 
 
@@ -32,22 +33,25 @@ class Strategy(Enum):
     HIERARCHICAL = "hierarchical"
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(Value):
     """What one stage consumed and produced, for replay and error attribution."""
 
-    stage: str
-    input_artifact: object
-    prompt: str | None
-    response: str | None
-    output_artifact: object
-    diagnostics: tuple[str, ...] = ()
+    __slots__ = ("stage", "input_artifact", "prompt", "response", "output_artifact", "diagnostics")
+
+    def __init__(
+        self, stage: str, input_artifact: object, prompt: str | None, response: str | None,
+        output_artifact: object, diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "stage", stage)
+        set_field(self, "input_artifact", input_artifact)
+        set_field(self, "prompt", prompt)
+        set_field(self, "response", response)
+        set_field(self, "output_artifact", output_artifact)
+        set_field(self, "diagnostics", diagnostics)
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    output: InfoTable
-    traces: tuple[StageTrace, ...]
+class SyncResult(Value):
+    __slots__ = ("output", "traces")  # an InfoTable and a tuple of StageTrace
 
 
 class Pipeline:

@@ -10,7 +10,6 @@ names stay and no slot value contains the literal that follows it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Collection
@@ -24,6 +23,7 @@ from .tables import (
     DEFAULT_PIVOT,
     KnowledgeGraph,
     TableRow,
+    Value,
     extract_candidates,
     flatten_kg,
     language_code,
@@ -32,18 +32,21 @@ from .tables import (
     parse_table,
     serialize_kg,
     serialize_table,
+    set_field,
     table_to_flat_kg,
 )
 
 LexiconPairs = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class StubRuleSet:
+class StubRuleSet(Value):
     """Rules driving the stub: phrase lexicons per (source, target) language pair.
     No phrase is empty: `from_dir` checks each line."""
 
-    lexicons: dict[tuple[str, str], LexiconPairs] = field(default_factory=dict)
+    __slots__ = ("lexicons",)
+
+    def __init__(self, lexicons: dict[tuple[str, str], LexiconPairs] | None = None) -> None:
+        set_field(self, "lexicons", {} if lexicons is None else lexicons)
 
     @staticmethod
     def from_dir(path: str | Path, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:

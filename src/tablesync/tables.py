@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .errors import (
     EmptyKey,
@@ -72,42 +72,83 @@ def normalize_key(text: str) -> str:
     return stripped if stripped else out
 
 
-@dataclass(frozen=True)
-class TableRow:
+set_field = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value types, built with no generated code. A
+    subclass lists its fields in `__slots__`, in constructor order (a slot
+    named "_..." is not a field; "__dict__" holds cached properties), and the
+    defaults of some in `_defaults`. Values of one type with equal fields are
+    equal, hash alike and print alike; assigning an attribute raises. A
+    subclass with checks has its own `__init__`, which sets each field once
+    with `set_field`."""
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        given = dict(self._defaults, **dict(zip(self._fields, values)), **named)  # a field given twice raises
+        if len(values) > len(self._fields) or given.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(self._fields)}")
+        for name in self._fields:
+            set_field(self, name, given[name])
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+
+class TableRow(Value):
     """One key-value row. Keys are stored trimmed; values verbatim."""
 
-    key: str
-    value: str
+    __slots__ = ("key", "value")
 
-    def __post_init__(self) -> None:
-        trimmed = self.key.strip()
-        if not trimmed:
+    def __init__(self, key: str, value: str) -> None:
+        key = key.strip()
+        if not key:
             raise EmptyKey("row key is empty")
-        object.__setattr__(self, "key", trimmed)
+        set_field(self, "key", key)
+        set_field(self, "value", value)
 
     def as_pair(self) -> tuple[str, str]:
         return (self.key, self.value)
 
 
-@dataclass(frozen=True)
-class InfoTable:
+class InfoTable(Value):
     """An entity-centric key-value table tied to a language and category.
 
     Duplicate keys are preserved in order.
     """
 
-    entity: str
-    language: str
-    category: str
-    rows: tuple[TableRow, ...]
-    revision_tag: str | None = None
+    __slots__ = ("entity", "language", "category", "rows", "revision_tag", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.language not in LANGUAGE_NAMES:
-            raise ValueError(f"unregistered language code: {self.language!r}")
-        if not self.category.strip():
+    def __init__(
+        self, entity: str, language: str, category: str, rows: tuple[TableRow, ...], revision_tag: str | None = None
+    ) -> None:
+        if language not in LANGUAGE_NAMES:
+            raise ValueError(f"unregistered language code: {language!r}")
+        if not category.strip():
             raise ValueError("category is empty")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        set_field(self, "entity", entity)
+        set_field(self, "language", language)
+        set_field(self, "category", category)
+        set_field(self, "rows", tuple(rows))
+        set_field(self, "revision_tag", revision_tag)
 
     def keys(self) -> tuple[str, ...]:
         return tuple(row.key for row in self.rows)
@@ -131,10 +172,6 @@ class InfoTable:
         return InfoTable(self.entity, self.language, self.category, tuple(rows), self.revision_tag)
 
 
-# A knowledge-graph value is text, a list of values, or a nested map.
-KGValue = str | list["KGValue"] | dict[str, "KGValue"]
-
-
 def _check_kg_value(value, path: str) -> None:
     if isinstance(value, str):
         return
@@ -151,16 +188,16 @@ def _check_kg_value(value, path: str) -> None:
     raise InvalidValue(f"unsupported value of type {type(value).__name__} at {path!r}")
 
 
-@dataclass(frozen=True)
-class KnowledgeGraph:
+class KnowledgeGraph(Value):
     """Nested attribute tree: text leaves, lists, and maps. Treat as immutable."""
 
-    root: dict
+    __slots__ = ("root",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.root, dict):
+    def __init__(self, root: dict) -> None:
+        if not isinstance(root, dict):
             raise InvalidValue("graph root must be a map")
-        _check_kg_value(self.root, "$")
+        _check_kg_value(root, "$")
+        set_field(self, "root", root)
 
     def leaves(self) -> tuple[str, ...]:
         """All text leaves in depth-first order."""
@@ -180,8 +217,7 @@ class KnowledgeGraph:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SyncInstance:
+class SyncInstance(Value):
     """A (source, reference, gold) triple over one entity.
 
     Source is outdated and shares its language with gold; the reference is
@@ -189,9 +225,7 @@ class SyncInstance:
     `dataset.load_instance` builds them from one manifest and checks that.
     """
 
-    source: InfoTable
-    reference: InfoTable
-    gold: InfoTable
+    __slots__ = ("source", "reference", "gold")  # InfoTables
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +420,10 @@ def _rows_from_candidate(candidate: list) -> tuple[TableRow, ...]:
         key, value = element
         if not isinstance(key, str) or not isinstance(value, str):
             raise MalformedRow(f"element is not a pair of text: {element!r}")
-        if not key.strip():
-            raise MalformedRow("row key is empty")
-        rows.append(TableRow(key, value))
+        try:
+            rows.append(TableRow(key, value))
+        except EmptyKey:
+            raise MalformedRow("row key is empty") from None
     return tuple(rows)
 
 

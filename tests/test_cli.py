@@ -8,14 +8,13 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tablesync import cli, dataset, gateway as gw, prompts
+from tablesync import cli, dataset, gateway as gw, prompts, wiki
 from tablesync.alignment import align_deterministic, alignment_to_doc
 from tablesync.errors import BackendUnavailable, ConfigError
 from tablesync.pipeline import Pipeline, traces_jsonable
@@ -479,7 +478,7 @@ class TestConfig:
 
     def test_snapshot_lines(self):
         config = cli.RunConfig(models=("a", "b"), api_key="secret", record=True)
-        assert config.snapshot_lines(f.name for f in fields(cli.RunConfig)) == [
+        assert config.snapshot_lines(cli.RunConfig.SETTINGS) == [
             "api_key = ***",
             "backend = stub",
             "concurrency = 4",
@@ -1096,6 +1095,16 @@ class TestStartup:
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
+    def test_cli_import_leaves_first_use_modules_unloaded(self):
+        # The value types are plain classes, so neither dataclasses nor inspect; the executor
+        # serves concurrency > 1, logging a warning, and the wiki client fetch alone.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        modules = {"dataclasses", "inspect", "logging", "concurrent.futures", "tablesync.wiki"}
+        check = f"import sys, tablesync.cli; print(sorted({modules!r} & sys.modules.keys()))"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "[]\n")
+
 
 class TestErrors:
     def test_ledger_from_traces(self, corpus, lexicons, tmp_path, capsys):
@@ -1120,6 +1129,21 @@ class TestErrors:
         assert "in_reference" in capsys.readouterr().out
         doc = json.loads(ledger_out.read_text())
         assert doc["stages"][-1]["cumulative"]["total"] == 0
+
+    def test_pivot_other_than_the_traces_is_config_error(self, corpus, lexicons, tmp_path, capsys):
+        # The traces' pivot is the language translate_reference wrote the reference in.
+        out = tmp_path / "out"
+        run_cli("sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt")
+        capsys.readouterr()
+        code = run_cli(
+            "errors",
+            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+            "--lexicons", lexicons,
+            "--pivot", "de",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "made with pivot 'en', not 'de'" in capsys.readouterr().err
 
     def test_ledger_counts_a_lexicon_gap(self, corpus, lexicon_dir, tmp_path, capsys):
         # The traces are made with the full lexicons; the ledger reads them
@@ -1405,11 +1429,18 @@ WIKI_PAGE = {
 }
 
 
-json_scalars = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+# Text drawn with NUL, LINE SEPARATOR, quotes, backslashes and non-ASCII letters in plenty.
+json_texts = st.text(st.one_of(st.sampled_from("\x00\u2028\"\\éß"), st.characters()))
+json_scalars = st.one_of(json_texts, st.integers(), st.floats(), st.booleans(), st.none())
 json_documents = st.recursive(
     json_scalars,
     lambda children: st.one_of(
-        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children)
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(json_texts, children),
+        # The shapes the writer joins at once: lists of text and lists of text pairs.
+        st.lists(json_texts),
+        st.lists(st.lists(json_texts, min_size=2, max_size=2)),
     ),
     max_leaves=20,
 )
@@ -1476,7 +1507,7 @@ class TestFetch:
             def fetch_revision(self, title, lang, as_of, category="Uncategorized"):
                 return table
 
-        monkeypatch.setattr(cli, "MediaWikiClient", FakeClient)
+        monkeypatch.setattr(wiki, "MediaWikiClient", FakeClient)
         out = tmp_path / "ada.table"
         code = run_cli(
             "fetch", "--title", "Ada", "--lang", "en", "--as-of", "2018-01-01T00:00:00Z",
@@ -1503,3 +1534,9 @@ class TestFetch:
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert http_server.seen == []
+
+    def test_help_shows_the_default_api_template(self, capsys):
+        # The fetch parser imports wiki for this default: the CLI loads wiki only when fetch is built.
+        with pytest.raises(SystemExit):
+            run_cli("fetch", "--help")
+        assert f"({wiki.DEFAULT_API_TEMPLATE})" in capsys.readouterr().out.replace("\n", "").replace(" ", "")

@@ -17,6 +17,7 @@ from tablesync.gateway import (
 )
 from tablesync.errors import ConfigError
 from tablesync.stub import StubBackend, StubRuleSet
+from tablesync.tables import TableRow, parse_table
 from tablesync import gateway as gateway_module, prompts
 
 
@@ -50,6 +51,16 @@ class TestRequests:
         a = CompletionRequest(prompt="p", model_id="m", max_tokens=10)
         b = CompletionRequest(prompt="p", model_id="m", max_tokens=999)
         assert request_digest(a) == request_digest(b)
+
+    def test_reprompt_warns_under_the_gateway_logger(self, caplog):
+        # The gateway imports logging only when it warns; the warning keeps its logger name.
+        gateway = Gateway(ScriptedBackend("no table here", '[["k","v"]]'))
+        request = CompletionRequest(prompt="p", model_id="m", tag="translate")
+        with caplog.at_level("WARNING", logger="tablesync.gateway"):
+            parsed, response = gateway.complete_parsed(request, parse_table)
+        assert (parsed, response) == ((TableRow("k", "v"),), '[["k","v"]]')
+        assert [(r.name, r.levelname) for r in caplog.records] == [("tablesync.gateway", "WARNING")]
+        assert "translate output unparseable" in caplog.records[0].getMessage()
 
 
 class TestStubBackend:
@@ -160,6 +171,16 @@ class TestRecordReplay:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             list(Transcript(tmp_path / "absent.jsonl").records())
+
+
+class ScriptedBackend:
+    """Serves the given answers in order, whatever the request."""
+
+    def __init__(self, *answers: str) -> None:
+        self.answers = iter(answers)
+
+    def complete(self, request, attempt):
+        return next(self.answers)
 
 
 class CountingBackend:

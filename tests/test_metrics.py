@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from string import Template
 
@@ -19,6 +18,7 @@ from tablesync.metrics import (
     ZERO_ROW,
     AtomicComparison,
     InstanceEvaluation,
+    UpdateReport,
     build_report,
     compare_rows,
     evaluate_instance,
@@ -329,7 +329,7 @@ class TestEnsemble:
         merged = evaluation.ensemble
         assert merged.updated == (a.updated + b.updated) / 2
         assert merged.added_pct == (a.added_pct + b.added_pct) / 2
-        assert merged == replace(a, updated=merged.updated, added_pct=merged.added_pct)
+        assert merged == with_scores(a, updated=merged.updated, added_pct=merged.added_pct)
 
 
 class TestEvaluateInstance:
@@ -502,6 +502,12 @@ class ReferenceStub:
         return json.dumps({k: list(v) for k, v in doc.items()}, ensure_ascii=False)
 
 
+def with_scores(report: UpdateReport, *, updated: Fraction, added_pct: Fraction) -> UpdateReport:
+    """report with its two scores set to the ones given and its counts kept."""
+    counts = ("added_rows", "missed_gold", "deleted_input", "gold_len", "input_len", "output_len", "un_input", "un_output")
+    return UpdateReport(updated, added_pct, *(getattr(report, name) for name in counts))
+
+
 def reference_evaluate_instance(source, output, gold, *, gateway, evaluator_models):
     ig = align_deterministic(source, gold)
     og = align_deterministic(output, gold)
@@ -552,7 +558,7 @@ def reference_evaluate_instance(source, output, gold, *, gateway, evaluator_mode
     reports = list(per_model.values())
     if reports:
         n = len(reports)
-        ensemble = replace(
+        ensemble = with_scores(
             reports[0],
             updated=sum((r.updated for r in reports), Fraction(0)) / n,
             added_pct=sum((r.added_pct for r in reports), Fraction(0)) / n,
