@@ -1,7 +1,7 @@
 """Command-line workflow: sync, eval, align, errors, stats, fetch, transcripts.
 
 Exit codes are a stable contract: 0 success, 1 partial failure, 2 bad
-configuration or usage.
+configuration or usage, 130 interrupted, 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from typing import Collection, Iterable
 
 from . import dataset, gateway as gw
 from .alignment import alignment_from_doc, alignment_to_doc, multi_vote_align, score_alignment
-from .error_analysis import ErrorAnalyzer, ledger_jsonable, render_ledger
+from .error_analysis import ErrorAnalyzer, ledger_jsonable, ledger_traces, render_ledger
 from .errors import ConfigError, StageFailed, TableSyncError
 from .metrics import UpdateReport, aggregate_reports, evaluate_instance, report_jsonable
-from .pipeline import Pipeline, Strategy, traces_from_jsonable, traces_jsonable
+from .pipeline import Pipeline, Strategy, traces_jsonable
 from .stub import StubBackend, StubRuleSet
 from .tables import DEFAULT_PIVOT, LANGUAGE_NAMES, InfoTable, Value, serialize_table
 
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process that wrote to a closed pipe
 
 # Settings taken only from flags, never from a config file.
 _FLAG_ONLY = ("record",)
@@ -83,12 +84,14 @@ def _registered_language(code: str, flag: str) -> str:
 
 
 def _read_json(path: str, what: str, decode):
-    """decode() the JSON document at path; an unreadable or malformed file is a
-    ConfigError naming it."""
+    """decode() the JSON document at path; an unreadable or malformed file, or
+    a ConfigError that decode() raises, is a ConfigError naming it."""
     try:
         return decode(json.loads(Path(path).read_text("utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except (ValueError, LookupError, TypeError, AttributeError, RecursionError, TableSyncError) as exc:
         raise ConfigError(f"malformed {what} file {path}: {exc!r}") from exc
 
@@ -444,14 +447,10 @@ def cmd_errors(args: argparse.Namespace) -> int:
     if not (Path(args.instance_dir) / dataset.MANIFEST_NAME).is_file():
         raise ConfigError(f"not an instance directory (no {dataset.MANIFEST_NAME}): {args.instance_dir}")
     instance = dataset.load_instance(args.instance_dir)
-    traces = _read_json(args.traces, "traces", traces_from_jsonable)
+    pivot, outputs = _read_json(args.traces, "traces", ledger_traces)
     # The ledger translates the reference and the gold table into the pivot, nothing else.
-    pairs = {(instance.reference.language, config.pivot), (instance.gold.language, config.pivot)}
-    analyzer = ErrorAnalyzer(load_rules(config, pairs), pivot=config.pivot)
-    try:
-        ledger = analyzer.stagewise_ledger(instance, traces)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.traces}: {exc}") from exc
+    pairs = {(instance.reference.language, pivot), (instance.gold.language, pivot)}
+    ledger = ErrorAnalyzer(load_rules(config, pairs), pivot=pivot).stagewise_ledger(instance, outputs)
     print(render_ledger(ledger))
     if args.out_file:
         _write(Path(args.out_file), _json(ledger_jsonable(ledger)))
@@ -594,7 +593,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_errors.add_argument("--instance-dir", dest="instance_dir", required=True)
         p_errors.add_argument("--traces", required=True)
         p_errors.add_argument("--out", dest="out_file", help="write the ledger JSON here")
-        _add_setting_flags(p_errors, pivot=True)
+        _add_setting_flags(p_errors)
         p_errors.set_defaults(func=cmd_errors)
 
     if "stats" in wanted:
@@ -628,7 +627,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: what stdout holds, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except KeyboardInterrupt:
         # Raised through the command's `with build_gateway(...)`, which has closed.
         print("interrupted", file=sys.stderr)

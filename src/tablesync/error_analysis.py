@@ -9,8 +9,8 @@ from .alignment import Alignment, align_deterministic
 from .errors import ConfigError
 from .metrics import AtomicComparison, score_row, token_compare
 from .stub import StubRuleSet, translate_cells
-from .tables import DEFAULT_PIVOT, InfoTable, KnowledgeGraph, SyncInstance, Value, flatten_kg
-from .pipeline import StageTrace
+from .tables import InfoTable, KnowledgeGraph, SyncInstance, Value, flatten_kg
+from .pipeline import artifact_from_jsonable
 
 REDUNDANCY_OVERLAP = 0.5
 
@@ -23,6 +23,17 @@ LEDGER_COLUMNS = (
     ("table_conversion", "kg_to_table"),
     ("back_translate", "back_translate"),
 )
+
+
+def ledger_traces(docs: list[dict]) -> tuple[str, dict[str, object]]:
+    """The pivot (the language the reference was translated into) and the output of each stage
+    a ledger column scores, from a hierarchical run's trace records; no other record or input is read."""
+    stages = [stage for _, stage in LEDGER_COLUMNS]
+    outputs = {doc["stage"]: artifact_from_jsonable(doc["output"]) for doc in docs if doc["stage"] in stages}
+    missing = [stage for stage in stages if stage not in outputs]
+    if missing:
+        raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
+    return outputs["translate_reference"].language, outputs
 
 
 class ErrorCounts(Value):
@@ -101,7 +112,7 @@ class ErrorAnalyzer:
     the rule-set lexicons, never via a model.
     """
 
-    def __init__(self, rules: StubRuleSet, *, pivot: str = DEFAULT_PIVOT) -> None:
+    def __init__(self, rules: StubRuleSet, *, pivot: str) -> None:
         self.rules = rules
         self.pivot = pivot
 
@@ -119,30 +130,21 @@ class ErrorAnalyzer:
             )
         return classify_errors(alignment, comparisons)
 
-    def stagewise_ledger(self, instance: SyncInstance, traces: tuple[StageTrace, ...]) -> StageErrorLedger:
-        """Error compounding across the hierarchical stages.
+    def stagewise_ledger(self, instance: SyncInstance, outputs: Mapping[str, object]) -> StageErrorLedger:
+        """Error compounding across the hierarchical stages, from the output of each.
 
         The reference column is the deterministic-translation view of the
         reference table (the lower bound). Every other column classifies its
         stage's output artifact in that artifact's language: against the pivot
         view of gold when it is in the pivot, against gold otherwise. A graph
         artifact is flattened deterministically into a pivot-language table.
-        Traces made with another pivot (translate_reference's output language) are a ConfigError.
         """
-        by_stage = {trace.stage: trace for trace in traces}
-        missing = [stage for _, stage in LEDGER_COLUMNS if stage not in by_stage]
-        if missing:
-            raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
         gold = instance.gold
         columns = [("in_reference", self._to_pivot(instance.reference))]
         for label, stage in LEDGER_COLUMNS:
-            artifact = by_stage[stage].output_artifact
+            artifact = outputs[stage]
             if isinstance(artifact, KnowledgeGraph):
                 artifact = InfoTable(gold.entity, self.pivot, gold.category, flatten_kg(artifact))
-            elif not isinstance(artifact, InfoTable):
-                raise ConfigError(f"stage {stage!r} trace holds a {type(artifact).__name__}, not a table or graph")
-            elif stage == "translate_reference" and artifact.language != self.pivot:
-                raise ConfigError(f"the traces were made with pivot {artifact.language!r}, not {self.pivot!r}")
             columns.append((label, artifact))
         gold_pivot = self._to_pivot(gold)
 

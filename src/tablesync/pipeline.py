@@ -6,7 +6,7 @@ from enum import Enum
 from functools import partial
 
 from . import prompts
-from .alignment import Alignment, align_llm, alignment_from_doc, alignment_to_doc
+from .alignment import Alignment, align_llm, alignment_to_doc
 from .errors import StageFailed, TableSyncError
 from .gateway import CompletionRequest, Gateway
 from .tables import (
@@ -267,7 +267,7 @@ def artifact_jsonable(artifact: object) -> dict:
     raise TypeError(f"not a stage artifact: {type(artifact).__name__}")
 
 
-def artifact_from_jsonable(doc: dict) -> object:
+def artifact_from_jsonable(doc: dict) -> InfoTable | KnowledgeGraph:
     kind = doc["kind"]
     if kind == "table":
         return InfoTable(
@@ -279,10 +279,6 @@ def artifact_from_jsonable(doc: dict) -> object:
         )
     if kind == "kg":
         return KnowledgeGraph(doc["root"])
-    if kind == "alignment":
-        return alignment_from_doc(doc)
-    if kind == "pair":
-        return tuple(artifact_from_jsonable(item) for item in doc["items"])
     raise ValueError(f"unknown artifact kind: {kind!r}")
 
 
@@ -298,20 +294,6 @@ def traces_jsonable(traces) -> list[dict]:
         }
         for trace in traces
     ]
-
-
-def traces_from_jsonable(docs: list[dict]) -> tuple[StageTrace, ...]:
-    return tuple(
-        StageTrace(
-            doc["stage"],
-            artifact_from_jsonable(doc["input"]),
-            doc.get("prompt"),
-            doc.get("response"),
-            artifact_from_jsonable(doc["output"]),
-            tuple(doc.get("diagnostics", ())),
-        )
-        for doc in docs
-    )
 
 
 def format_alignment_slot(alignment: Alignment, left: InfoTable, right: InfoTable) -> str:

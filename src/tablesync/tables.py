@@ -234,7 +234,7 @@ class SyncInstance(Value):
 # takes the first balanced candidate that validates.
 # ---------------------------------------------------------------------------
 
-_ESCAPES = {"'": "'", '"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPES = {"'": "'", '"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "t": "\t", "r": "\r"}
 # Deepest list/map nesting a candidate may have; deeper candidates are skipped,
 # so model output cannot exhaust the parser's recursion.
 MAX_NESTING = 100
@@ -247,7 +247,11 @@ _SCALAR = re.compile(
     r"""|([^,\]}:"' \t\r\n][^,\]}: \t\r\n]*))[ \t\r\n]*""",  # group 3: bare token
     re.DOTALL,
 )
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# JSON's \uXXXX escape, a surrogate pair or one that is not a surrogate (group 1);
+# else a backslash and the character it escapes (group 2).
+_ESCAPE = re.compile(
+    r"\\(u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|u(?![dD][89a-fA-F])[0-9a-fA-F]{4})|\\(.)", re.DOTALL
+)
 
 
 class _Unbalanced(Exception):
@@ -259,8 +263,8 @@ class _TooDeep(Exception):
 
 
 def _unescape(match: re.Match) -> str:
-    char = match[1]
-    return _ESCAPES.get(char, "\\" + char)  # unknown escape kept verbatim
+    """An escape as JSON reads it; a lone surrogate, a malformed \\u or an unknown escape verbatim."""
+    return json.loads(f'"{match[0]}"') if match[1] else _ESCAPES.get(match[2], match[0])
 
 
 def _scalar(text: str, i: int) -> tuple[str, int]:
@@ -349,10 +353,10 @@ def _json_map(pairs: list) -> dict:
     return value
 
 
-# The plain-JSON fast path (_json_candidate), and the escapes that JSON decodes
-# but the grammar keeps verbatim.
+# The plain-JSON fast path (_json_candidate), and the escapes it leaves to the
+# grammar: JSON decodes a lone surrogate escape to a character no writer takes.
 _JSON = json.JSONDecoder(object_pairs_hook=_json_map)
-_JSON_ONLY_ESCAPE = re.compile(r"\\[/bfu]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _reads_alike(value, depth: int = 1) -> bool:
@@ -368,13 +372,13 @@ def _reads_alike(value, depth: int = 1) -> bool:
 
 def _json_candidate(text: str, i: int):
     """The JSON value that opens at text[i] when the grammar reads the same
-    value there, else None. A value holding an escape that JSON decodes and
-    the grammar keeps verbatim (a backslash before / b f or u) is refused."""
+    value there, else None. A value holding a surrogate escape is refused: the
+    grammar joins a pair as JSON does, but keeps a lone one verbatim."""
     try:
         value, end = _JSON.raw_decode(text, i)
     except (ValueError, RecursionError):
         return None
-    if _JSON_ONLY_ESCAPE.search(text, i, end) or not _reads_alike(value):
+    if _SURROGATE_ESCAPE.search(text, i, end) or not _reads_alike(value):
         return None
     return value
 

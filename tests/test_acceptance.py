@@ -31,6 +31,7 @@ from tablesync.metrics import (
 from tablesync.pipeline import Pipeline, Strategy
 from tablesync.stub import StubBackend, StubRuleSet, translate_cells
 from tablesync.tables import (
+    DEFAULT_PIVOT,
     KnowledgeGraph,
     TableRow,
     parse_kg,
@@ -311,11 +312,11 @@ def test_criterion_7_ledger_telescoping_and_lower_bound(fixture_paths):
         corpus, lexicons = fixture_paths
         rules = StubRuleSet.from_dir(lexicons)
         pipeline = Pipeline(Gateway(StubBackend(rules)), "stub-model")
-        analyzer = ErrorAnalyzer(rules)
+        analyzer = ErrorAnalyzer(rules, pivot=DEFAULT_PIVOT)
         for directory in iter_instance_dirs(corpus):
             instance = load_instance(directory)
             result = pipeline.run(instance, Strategy.HIERARCHICAL)
-            ledger = analyzer.stagewise_ledger(instance, result.traces)
+            ledger = analyzer.stagewise_ledger(instance, {t.stage: t.output_artifact for t in result.traces})
 
             assert ledger.final == analyzer.classify(result.output, instance.gold)
             for earlier, later in zip(ledger.entries, ledger.entries[1:]):

@@ -95,6 +95,35 @@ def test_spoiled_answers_fail_only_their_instance(corpus_dir, lexicon_dir, strat
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
+def ascii_escaped(request, attempt, answer):
+    """The answer re-encoded by json.dumps with ensure_ascii, as many APIs
+    write JSON, where it is a JSON document; any other answer as it is."""
+    try:
+        return json.dumps(json.loads(answer), ensure_ascii=True)
+    except ValueError:
+        return answer
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_ascii_escaped_answers_change_no_output(corpus_dir, lexicon_dir, tmp_path, monkeypatch, strategy):
+    outputs = []
+    for dressed in (False, True):
+        if dressed:
+            monkeypatch.setattr(cli, "StubBackend", lambda rules: FaultBackend(rules, {"*": ascii_escaped}))
+        out = tmp_path / f"dressed-{dressed}"
+        code = quiet_cli(
+            "sync", "--corpus", str(corpus_dir), "--lexicons", str(lexicon_dir), "--out", str(out),
+            "--strategy", strategy, "--concurrency", "1",
+        )
+        assert code == cli.EXIT_OK
+        # traces.json holds the raw answers, so it differs.
+        outputs.append({
+            path: data for path, data in output_files(out).items()
+            if path.suffix == ".table" or path.name == "report.json"
+        })
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 21
+
+
 def completion(content: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 

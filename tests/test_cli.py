@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from tablesync import cli, dataset, gateway as gw, prompts, wiki
 from tablesync.alignment import align_deterministic, alignment_to_doc
 from tablesync.errors import BackendUnavailable, ConfigError
-from tablesync.pipeline import Pipeline, traces_jsonable
-from tablesync.stub import StubBackend
+from tablesync.error_analysis import ErrorAnalyzer, ledger_jsonable
+from tablesync.pipeline import Pipeline, Strategy, traces_jsonable
+from tablesync.stub import StubBackend, StubRuleSet
 from tablesync.tables import InfoTable, TableRow, parse_table
 from conftest import output_files
 
@@ -745,11 +746,6 @@ ALIGN = ["align", "--left", "{tmp}/ok.table", "--right", "{tmp}/ok.table"]
 # "{tmp}" and "{corpus}" are filled in.
 INPUT_ERRORS = {
     "sync-pivot": ({}, ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--pivot", "xx"], "'xx'"),
-    "errors-pivot": (
-        {"traces.json": "[]"},
-        ["errors", "--instance-dir", "{corpus}/City/musterstadt", "--traces", "{tmp}/traces.json", "--pivot", "xx"],
-        "'xx'",
-    ),
     "align-language": ({"ok.table": TABLE}, [*ALIGN, "--language", "xx"], "'xx'"),
     "gold-alignment-missing": (
         {"ok.table": TABLE}, [*ALIGN, "--gold-alignment", "{tmp}/absent.json"], "{tmp}/absent.json"
@@ -840,11 +836,13 @@ UNREAD_FLAGS = [
     ("align", "--pivot", "de"),
     ("align", "--model", "m"),
     ("align", "--eval-models", "a,b"),
+    ("errors", "--pivot", "de"),
 ]
 COMMAND_ARGV = {
     "sync": ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o"],
     "eval": ["eval", "--corpus", "{corpus}", "--outputs", "{tmp}", "--out", "{tmp}/o"],
     "align": [*ALIGN, "--out", "{tmp}/o"],
+    "errors": ["errors", "--instance-dir", "{corpus}/City/musterstadt", "--traces", "{tmp}/t.json", "--out", "{tmp}/o"],
 }
 
 
@@ -869,7 +867,7 @@ REPRESENTATIVE_ARGV = {
     ],
     "eval": ["eval", "--corpus", "c", "--outputs", "p", "--out", "o", "--inst", "x", "--backend", "replay"],
     "align": ["align", "--left", "l", "--right", "r", "--out", "o", "--models", "a,b", "--rounds", "3"],
-    "errors": ["errors", "--instance-dir", "d", "--traces", "t", "--out", "o", "--pivot", "de"],
+    "errors": ["errors", "--instance-dir", "d", "--traces", "t", "--out", "o", "--lexicons", "l"],
     "stats": ["stats", "--corpus", "c", "--json"],
     "fetch": ["fetch", "--title", "T", "--lang", "en", "--as-of", "2018", "--api-template", "http://h/{lang}"],
     "transcripts": ["transcripts", "f.jsonl", "--digest", "ab"],
@@ -1106,6 +1104,27 @@ class TestStartup:
         assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["stats", "sync"])
+    def test_exit_141_without_traceback(self, command, corpus, lexicons, tmp_path):
+        # The reader of stdout is gone before the command writes its first line.
+        argv = {
+            "stats": ["stats", "--corpus", corpus],
+            "sync": ["sync", "--corpus", corpus, "--lexicons", lexicons, "--out", str(tmp_path / "out")],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "tablesync.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (cli.EXIT_PIPE_CLOSED, "")
+
+
 class TestErrors:
     def test_ledger_from_traces(self, corpus, lexicons, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1130,20 +1149,55 @@ class TestErrors:
         doc = json.loads(ledger_out.read_text())
         assert doc["stages"][-1]["cumulative"]["total"] == 0
 
-    def test_pivot_other_than_the_traces_is_config_error(self, corpus, lexicons, tmp_path, capsys):
+    def test_ledger_in_the_pivot_of_the_traces(self, corpus, lexicons, tmp_path, capsys):
         # The traces' pivot is the language translate_reference wrote the reference in.
+        instance_dir = Path(corpus) / "City" / "musterstadt"
+        rules = StubRuleSet.from_dir(lexicons)
+        instance = dataset.load_instance(instance_dir)
+        for pivot in ("de", "en", "fr"):
+            out = tmp_path / pivot
+            assert run_cli(
+                "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons,
+                "--instance", "musterstadt", "--pivot", pivot,
+            ) == cli.EXIT_OK
+            code = run_cli(
+                "errors",
+                "--instance-dir", str(instance_dir),
+                "--traces", str(out / "City" / "musterstadt" / "traces.json"),
+                "--lexicons", lexicons,
+                "--out", str(out / "ledger.json"),
+            )
+            assert code == cli.EXIT_OK, capsys.readouterr().err
+            result = Pipeline(gw.Gateway(StubBackend(rules)), "stub-model", pivot=pivot).run(
+                instance, Strategy.HIERARCHICAL
+            )
+            ledger = ErrorAnalyzer(rules, pivot=pivot).stagewise_ledger(
+                instance, {t.stage: t.output_artifact for t in result.traces}
+            )
+            assert json.loads((out / "ledger.json").read_text("utf-8")) == ledger_jsonable(ledger)
+
+    def test_records_the_ledger_does_not_score_are_not_read(self, corpus, lexicons, tmp_path, capsys):
         out = tmp_path / "out"
         run_cli("sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt")
-        capsys.readouterr()
-        code = run_cli(
-            "errors",
-            "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
-            "--traces", str(out / "City" / "musterstadt" / "traces.json"),
-            "--lexicons", lexicons,
-            "--pivot", "de",
-        )
-        assert code == cli.EXIT_CONFIG
-        assert "made with pivot 'en', not 'de'" in capsys.readouterr().err
+        traces = out / "City" / "musterstadt" / "traces.json"
+        ledgers = []
+        for damaged in (False, True):
+            if damaged:
+                docs = json.loads(traces.read_text("utf-8"))
+                (translate_source,) = (doc for doc in docs if doc["stage"] == "translate_source")
+                translate_source["input"] = translate_source["output"] = {"kind": "bogus"}
+                traces.write_text(json.dumps(docs), "utf-8")
+            ledger = tmp_path / f"ledger-{damaged}.json"
+            code = run_cli(
+                "errors",
+                "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+                "--traces", str(traces),
+                "--lexicons", lexicons,
+                "--out", str(ledger),
+            )
+            assert code == cli.EXIT_OK, capsys.readouterr().err
+            ledgers.append(ledger.read_bytes())
+        assert ledgers[0] == ledgers[1]
 
     def test_ledger_counts_a_lexicon_gap(self, corpus, lexicon_dir, tmp_path, capsys):
         # The traces are made with the full lexicons; the ledger reads them
@@ -1216,7 +1270,8 @@ class TestErrors:
             "--lexicons", lexicons,
         )
         assert code == cli.EXIT_CONFIG
-        assert "stage 'merge' trace holds a tuple, not a table or graph" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed traces file {traces}:") and "kind: 'pair'" in err
 
     def test_config_file_settings_it_does_not_read_are_ignored(self, corpus, lexicons, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1224,7 +1279,7 @@ class TestErrors:
             "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
         )
         config = tmp_path / "shared.cfg"
-        config.write_text(f"concurrency = 0\nbackend = http\nrounds = many\nlexicons = {lexicons}\n")
+        config.write_text(f"concurrency = 0\nbackend = http\nrounds = many\npivot = xx\nlexicons = {lexicons}\n")
         capsys.readouterr()
         code = run_cli(
             "errors",
@@ -1237,8 +1292,8 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "text",
-        [b"concurency = 2\n", b"pivot = xx\n", b"\xff\xfepivot = en\n"],
-        ids=["unknown-key", "bad-pivot", "not-utf8"],
+        [b"concurency = 2\n", b"\xff\xfepivot = en\n"],
+        ids=["unknown-key", "not-utf8"],
     )
     def test_config_file_errors_it_reads(self, corpus, tmp_path, capsys, text):
         config = tmp_path / "shared.cfg"

@@ -6,12 +6,13 @@ from tablesync.error_analysis import (
     ErrorCounts,
     classify_errors,
     ledger_jsonable,
+    ledger_traces,
     render_ledger,
 )
 from tablesync.errors import ConfigError, TableSyncError
 from tablesync.gateway import Gateway
 from tablesync.metrics import AtomicComparison, token_compare
-from tablesync.pipeline import Pipeline, Strategy
+from tablesync.pipeline import Pipeline, Strategy, traces_jsonable
 from tablesync.stub import StubBackend, StubRuleSet, translate_cells
 from tablesync.tables import DEFAULT_PIVOT, KnowledgeGraph, SyncInstance, TableRow, normalize_key, parse_kg, serialize_kg
 from conftest import FaultBackend
@@ -31,18 +32,18 @@ class TestErrorCounts:
 class TestClassify:
     def test_identical_tables_no_errors(self, mk_table):
         table = mk_table([("a", "1"), ("b", "2")])
-        counts = ErrorAnalyzer(StubRuleSet()).classify(table, table)
+        counts = ErrorAnalyzer(StubRuleSet(), pivot=DEFAULT_PIVOT).classify(table, table)
         assert counts == ErrorCounts()
 
     def test_extra_gold_row_is_missing(self, mk_table):
         candidate = mk_table([("a", "1")])
         gold = mk_table([("a", "1"), ("b", "2")])
-        assert ErrorAnalyzer(StubRuleSet()).classify(candidate, gold) == ErrorCounts(missing=1)
+        assert ErrorAnalyzer(StubRuleSet(), pivot=DEFAULT_PIVOT).classify(candidate, gold) == ErrorCounts(missing=1)
 
     def test_stale_value_token_is_partial(self, mk_table):
         candidate = mk_table([("a", "x, old")])
         gold = mk_table([("a", "x, new")])
-        counts = ErrorAnalyzer(StubRuleSet()).classify(candidate, gold)
+        counts = ErrorAnalyzer(StubRuleSet(), pivot=DEFAULT_PIVOT).classify(candidate, gold)
         assert counts == ErrorCounts(outdated_partial=1)
 
     def test_fact_in_two_lists_is_a_typed_error(self, mk_table):
@@ -50,12 +51,12 @@ class TestClassify:
         candidate = mk_table([("k", "a <> c, a")])
         gold = mk_table([("k", "a <> c, c")])
         with pytest.raises(TableSyncError, match="'k: a <> c' is in two"):
-            ErrorAnalyzer(StubRuleSet()).classify(candidate, gold)
+            ErrorAnalyzer(StubRuleSet(), pivot=DEFAULT_PIVOT).classify(candidate, gold)
 
     def test_fully_contradicting_value_is_full(self, mk_table):
         candidate = mk_table([("a", "old")])
         gold = mk_table([("a", "new")])
-        assert ErrorAnalyzer(StubRuleSet()).classify(candidate, gold) == ErrorCounts(outdated_full=1)
+        assert ErrorAnalyzer(StubRuleSet(), pivot=DEFAULT_PIVOT).classify(candidate, gold) == ErrorCounts(outdated_full=1)
 
     def test_redundant_rows_with_overlapping_facts(self, mk_table):
         # two candidate rows carry the same fact for one gold key
@@ -90,7 +91,7 @@ def run_and_ledger(rules, mk_table):
         pipe = Pipeline(Gateway(FaultBackend(run_rules, faults)), "stub-model", pivot=pivot)
         result = pipe.run(instance, Strategy.HIERARCHICAL)
         analyzer = ErrorAnalyzer(run_rules, pivot=pivot)
-        return result, analyzer.stagewise_ledger(instance, result.traces)
+        return result, analyzer.stagewise_ledger(instance, {t.stage: t.output_artifact for t in result.traces})
 
     return runner
 
@@ -113,7 +114,7 @@ class TestLedger:
     def test_telescoping_to_final_classification(self, instances, rules, run_and_ledger):
         for instance in instances[:4]:
             result, ledger = run_and_ledger(instance, rules)
-            final = ErrorAnalyzer(rules).classify(result.output, instance.gold)
+            final = ErrorAnalyzer(rules, pivot=DEFAULT_PIVOT).classify(result.output, instance.gold)
             assert ledger.final == final
 
     @pytest.mark.parametrize("side", ["source", "reference"])
@@ -130,7 +131,7 @@ class TestLedger:
         pipe = Pipeline(Gateway(StubBackend(rules)), "stub-model")
         result = pipe.run(instances[0], Strategy.DIRECT)
         with pytest.raises(ConfigError, match="translate_reference, table_to_kg_reference"):
-            ErrorAnalyzer(rules).stagewise_ledger(instances[0], result.traces)
+            ledger_traces(traces_jsonable(result.traces))
 
     def test_cumulative_equals_previous_plus_delta(self, instances, rules, run_and_ledger):
         _, ledger = run_and_ledger(instances[0], rules)

@@ -6,9 +6,9 @@ from tablesync.pipeline import (
     Pipeline,
     Strategy,
     format_alignment_slot,
-    traces_from_jsonable,
     traces_jsonable,
 )
+from tablesync.error_analysis import LEDGER_COLUMNS, ledger_traces
 from tablesync.stub import StubBackend, StubRuleSet, merge_graphs
 from tablesync.tables import KnowledgeGraph, SyncInstance, table_to_flat_kg
 from tablesync.alignment import Alignment
@@ -257,19 +257,21 @@ class TestStageAttribution:
 
 class TestTraceSerialization:
     def test_round_trip(self, de_instance, de_en_rules):
+        # The ledger reads back the output of each stage it scores, and the pivot.
         result = pipeline_for(de_en_rules).run(de_instance, Strategy.HIERARCHICAL)
-        docs = traces_jsonable(result.traces)
-        restored = traces_from_jsonable(docs)
-        assert [t.stage for t in restored] == [t.stage for t in result.traces]
-        assert restored[4].output_artifact == result.traces[4].output_artifact  # merge KG
-        assert restored[-1].output_artifact == result.output
+        pivot, outputs = ledger_traces(traces_jsonable(result.traces))
+        assert pivot == "en"
+        assert sorted(outputs) == sorted(stage for _, stage in LEDGER_COLUMNS)
+        assert outputs == {t.stage: t.output_artifact for t in result.traces if t.stage in outputs}
+        assert isinstance(outputs["merge"], KnowledgeGraph) and outputs["back_translate"] == result.output
 
-    @pytest.mark.parametrize("kind", ["none", "text", "bogus"])
+    @pytest.mark.parametrize("kind", ["none", "text", "bogus", "pair", "alignment"])
     def test_unknown_artifact_kind_rejected(self, de_instance, de_en_rules, kind):
-        docs = traces_jsonable(pipeline_for(de_en_rules).run(de_instance, Strategy.DIRECT).traces)
-        docs[0]["output"] = {"kind": kind, "text": "x"}
+        docs = traces_jsonable(pipeline_for(de_en_rules).run(de_instance, Strategy.HIERARCHICAL).traces)
+        (merge,) = (doc for doc in docs if doc["stage"] == "merge")
+        merge["output"] = {"kind": kind, "text": "x"}
         with pytest.raises(ValueError, match=kind):
-            traces_from_jsonable(docs)
+            ledger_traces(docs)
 
 
 class TestAlignmentSlot:
