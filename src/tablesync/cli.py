@@ -30,12 +30,9 @@ EXIT_CONFIG = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a process that wrote to a closed pipe
 
-# Settings taken only from flags, never from a config file.
-_FLAG_ONLY = ("record",)
-
 
 class RunConfig(Value):
-    """Resolved run settings, assignable and so unhashable; precedence is flags > environment > config file."""
+    """Resolved run settings; precedence is flags > environment > config file."""
 
     # Every setting and its default, in order: the one list of config keys.
     SETTINGS = _defaults = dict(
@@ -44,8 +41,6 @@ class RunConfig(Value):
         endpoint="", api_key="",
     )
     __slots__ = tuple(SETTINGS)
-    __setattr__ = object.__setattr__
-    __hash__ = None
 
     def snapshot_lines(self, names: Iterable[str]) -> list[str]:
         """`name = value` for the named settings, sorted, the API key masked."""
@@ -128,7 +123,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     one the command does not read is ignored.
     """
     file_values = _read_config_file(args.config) if args.config else {}
-    settable = RunConfig.SETTINGS.keys() - set(_FLAG_ONLY)
+    settable = RunConfig.SETTINGS.keys() - {"record"}  # a flag only, never a config key
     for key in file_values:
         if key not in settable:
             raise ConfigError(f"unknown config key {key!r}")
@@ -136,16 +131,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     for name in settings_read(args):
         flag = getattr(args, name)
-        if name in _FLAG_ONLY:
+        if name == "record":
             values[name] = bool(flag)
         elif flag not in (None, ""):
             values[name] = _parse(name, str(flag))
         elif name in file_values:
             values[name] = _parse(name, file_values[name])
+    if not values.get("eval_models"):
+        values["eval_models"] = (values.get("model", RunConfig.SETTINGS["model"]),)
     config = RunConfig(**values)
 
-    if not config.eval_models:
-        config.eval_models = (config.model,)
     if config.rounds < 1:
         raise ConfigError("rounds must be >= 1")
     if config.concurrency < 1:

@@ -33,6 +33,8 @@ def ledger_traces(docs: list[dict]) -> tuple[str, dict[str, object]]:
     missing = [stage for stage in stages if stage not in outputs]
     if missing:
         raise ConfigError(f"traces lack the hierarchical stage(s) {', '.join(missing)}")
+    if not isinstance(outputs["translate_reference"], InfoTable):
+        raise ConfigError("the translate_reference output is not a table")
     return outputs["translate_reference"].language, outputs
 
 
@@ -55,17 +57,6 @@ class ErrorCounts(Value):
 
 class LedgerEntry(Value):
     __slots__ = ("stage", "cumulative", "delta")  # the stage's label and two ErrorCounts
-
-
-class StageErrorLedger(Value):
-    """Cumulative and per-stage error counts; entry k satisfies
-    cumulative[k] == cumulative[k-1] + delta[k]."""
-
-    __slots__ = ("entries",)  # a tuple of LedgerEntry
-
-    @property
-    def final(self) -> ErrorCounts:
-        return self.entries[-1].cumulative
 
 
 def _sct_overlap(a: AtomicComparison, b: AtomicComparison) -> float:
@@ -130,8 +121,10 @@ class ErrorAnalyzer:
             )
         return classify_errors(alignment, comparisons)
 
-    def stagewise_ledger(self, instance: SyncInstance, outputs: Mapping[str, object]) -> StageErrorLedger:
-        """Error compounding across the hierarchical stages, from the output of each.
+    def stagewise_ledger(self, instance: SyncInstance, outputs: Mapping[str, object]) -> tuple[LedgerEntry, ...]:
+        """Error compounding across the hierarchical stages, from the output of
+        each: one entry per column, whose cumulative counts are the previous
+        entry's plus its delta (the first entry's delta is zero).
 
         The reference column is the deterministic-translation view of the
         reference table (the lower bound). Every other column classifies its
@@ -148,37 +141,32 @@ class ErrorAnalyzer:
             columns.append((label, artifact))
         gold_pivot = self._to_pivot(gold)
 
-        entries: list[LedgerEntry] = []
-        previous: ErrorCounts | None = None
-        for stage, candidate in columns:
-            counts = self.classify(candidate, gold_pivot if candidate.language == self.pivot else gold)
-            delta = counts - previous if previous is not None else ErrorCounts()
-            entries.append(LedgerEntry(stage, counts, delta))
-            previous = counts
-        return StageErrorLedger(tuple(entries))
+        counts = [self.classify(table, gold_pivot if table.language == self.pivot else gold) for _, table in columns]
+        deltas = [ErrorCounts()] + [later - earlier for earlier, later in zip(counts, counts[1:])]
+        return tuple(LedgerEntry(label, count, delta) for (label, _), count, delta in zip(columns, counts, deltas))
 
 
-def ledger_jsonable(ledger: StageErrorLedger) -> dict:
+def ledger_jsonable(ledger: tuple[LedgerEntry, ...]) -> dict:
     def counts(c: ErrorCounts) -> dict:
         return {**dict(zip(c._fields, c._values(c))), "total": c.total}
 
     return {
         "stages": [
             {"stage": e.stage, "cumulative": counts(e.cumulative), "delta": counts(e.delta)}
-            for e in ledger.entries
+            for e in ledger
         ]
     }
 
 
-def render_ledger(ledger: StageErrorLedger) -> str:
+def render_ledger(ledger: tuple[LedgerEntry, ...]) -> str:
     """Fixed-width text table: one row per error class, one column per stage."""
     labels = ("Missing", "Outdated (Full)", "Outdated (Partial)", "Redundant", "Total")
     fields = (*ErrorCounts._fields, "total")
-    header = ["Error Types"] + [e.stage for e in ledger.entries]
+    header = ["Error Types"] + [e.stage for e in ledger]
     rows = [header]
     for label, name in zip(labels, fields):
         cells = [label]
-        for i, entry in enumerate(ledger.entries):
+        for i, entry in enumerate(ledger):
             value = getattr(entry.cumulative, name)
             delta = getattr(entry.delta, name)
             cells.append(f"{value} ({delta:+d})" if i and delta else str(value))

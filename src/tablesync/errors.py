@@ -45,6 +45,10 @@ class ReplayMiss(TableSyncError):
     """Replay backend has no recorded response for the request digest."""
 
 
+class Truncated(TableSyncError):
+    """The backend cut the answer at the request's max_tokens."""
+
+
 # alignment and evaluation
 
 

@@ -11,7 +11,7 @@ import urllib.parse
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
-from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError
+from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError, Truncated
 from .tables import Value, set_field
 
 T = TypeVar("T")
@@ -84,6 +84,8 @@ class HttpBackend:
 
     Transient failures (connection errors, 429, 5xx) are retried with capped
     exponential backoff (HTTP_ATTEMPTS, HTTP_BACKOFF_S, HTTP_BACKOFF_CAP_S).
+    An answer cut at max_tokens (finish_reason "length") is Truncated, not
+    retried: the same request would be cut again.
     """
 
     def __init__(self, endpoint: str, api_key: str = "") -> None:
@@ -179,11 +181,14 @@ class HttpBackend:
                 text = data[:200].decode("utf-8", "replace")
                 raise BackendUnavailable(f"HTTP {status}: {text}")
             try:
-                content = json.loads(data)["choices"][0]["message"]["content"]
+                choice = json.loads(data)["choices"][0]
+                content = choice["message"]["content"]
             except (ValueError, LookupError, TypeError, RecursionError) as exc:  # too deeply nested
                 raise BackendUnavailable(f"malformed completion body: {exc!r}") from exc
             if not isinstance(content, str):
                 raise BackendUnavailable(f"completion content is not text: {content!r}")
+            if choice.get("finish_reason") == "length":
+                raise Truncated(f"answer cut at max_tokens {request.max_tokens}")
             return content
         if rate_limited:
             raise RateLimited(f"rate limited after {HTTP_ATTEMPTS} attempts")

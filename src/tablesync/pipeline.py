@@ -21,7 +21,6 @@ from .tables import (
     parse_table,
     serialize_kg,
     serialize_table,
-    set_field,
 )
 
 
@@ -37,17 +36,7 @@ class StageTrace(Value):
     """What one stage consumed and produced, for replay and error attribution."""
 
     __slots__ = ("stage", "input_artifact", "prompt", "response", "output_artifact", "diagnostics")
-
-    def __init__(
-        self, stage: str, input_artifact: object, prompt: str | None, response: str | None,
-        output_artifact: object, diagnostics: tuple[str, ...] = (),
-    ) -> None:
-        set_field(self, "stage", stage)
-        set_field(self, "input_artifact", input_artifact)
-        set_field(self, "prompt", prompt)
-        set_field(self, "response", response)
-        set_field(self, "output_artifact", output_artifact)
-        set_field(self, "diagnostics", diagnostics)
+    _defaults = {"diagnostics": ()}
 
 
 class SyncResult(Value):

@@ -32,7 +32,6 @@ from .tables import (
     parse_table,
     serialize_kg,
     serialize_table,
-    set_field,
     table_to_flat_kg,
 )
 
@@ -43,10 +42,8 @@ class StubRuleSet(Value):
     """Rules driving the stub: phrase lexicons per (source, target) language pair.
     No phrase is empty: `from_dir` checks each line."""
 
-    __slots__ = ("lexicons",)
-
-    def __init__(self, lexicons: dict[tuple[str, str], LexiconPairs] | None = None) -> None:
-        set_field(self, "lexicons", {} if lexicons is None else lexicons)
+    __slots__ = ("lexicons",)  # (source, target) language pair -> LexiconPairs
+    _defaults = {"lexicons": {}}
 
     @staticmethod
     def from_dir(path: str | Path, pairs: Collection[tuple[str, str]] | None = None) -> StubRuleSet:

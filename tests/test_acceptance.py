@@ -318,12 +318,12 @@ def test_criterion_7_ledger_telescoping_and_lower_bound(fixture_paths):
             result = pipeline.run(instance, Strategy.HIERARCHICAL)
             ledger = analyzer.stagewise_ledger(instance, {t.stage: t.output_artifact for t in result.traces})
 
-            assert ledger.final == analyzer.classify(result.output, instance.gold)
-            for earlier, later in zip(ledger.entries, ledger.entries[1:]):
+            assert ledger[-1].cumulative == analyzer.classify(result.output, instance.gold)
+            for earlier, later in zip(ledger, ledger[1:]):
                 assert later.cumulative == earlier.cumulative + later.delta
-            baseline = ledger.entries[0].cumulative.missing
-            assert all(e.cumulative.missing >= baseline for e in ledger.entries)
-            assert ledger.entries[1].delta == ErrorCounts()  # lossless translation column
+            baseline = ledger[0].cumulative.missing
+            assert all(e.cumulative.missing >= baseline for e in ledger)
+            assert ledger[1].delta == ErrorCounts()  # lossless translation column
 
 
 # 8. Round-trip invariants ---------------------------------------------------

@@ -95,21 +95,45 @@ def test_spoiled_answers_fail_only_their_instance(corpus_dir, lexicon_dir, strat
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
-def ascii_escaped(request, attempt, answer):
-    """The answer re-encoded by json.dumps with ensure_ascii, as many APIs
-    write JSON, where it is a JSON document; any other answer as it is."""
-    try:
-        return json.dumps(json.loads(answer), ensure_ascii=True)
-    except ValueError:
-        return answer
+def reencoded(dump):
+    """An edit that writes an answer that is a JSON document anew with
+    dump(value), as APIs write JSON in different ways; any other answer stays
+    as it is."""
+
+    def edit(request, attempt, answer):
+        try:
+            value = json.loads(answer)
+        except ValueError:
+            return answer
+        return dump(value)
+
+    return edit
 
 
-@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
-def test_ascii_escaped_answers_change_no_output(corpus_dir, lexicon_dir, tmp_path, monkeypatch, strategy):
+# Ways to dress an answer that keep its meaning.
+DRESSINGS = {
+    "ensure-ascii": reencoded(lambda value: json.dumps(value, ensure_ascii=True)),
+    "indent": reencoded(lambda value: json.dumps(value, ensure_ascii=False, indent=2)),
+    "escaped-slash": reencoded(lambda value: json.dumps(value, ensure_ascii=False).replace("/", "\\/")),
+    "fenced": lambda request, attempt, answer: f"Here is the result.\n```json\n{answer}\n```\nAnything else?",
+}
+
+
+# The ensure-ascii cases keep the ids they had before the other dressings came.
+@pytest.mark.parametrize(
+    "strategy, dressing",
+    [
+        pytest.param(s.value, dressing, id=s.value if dressing == "ensure-ascii" else f"{s.value}-{dressing}")
+        for dressing in DRESSINGS
+        for s in Strategy
+    ],
+)
+def test_ascii_escaped_answers_change_no_output(corpus_dir, lexicon_dir, tmp_path, monkeypatch, strategy, dressing):
     outputs = []
     for dressed in (False, True):
         if dressed:
-            monkeypatch.setattr(cli, "StubBackend", lambda rules: FaultBackend(rules, {"*": ascii_escaped}))
+            edit = DRESSINGS[dressing]
+            monkeypatch.setattr(cli, "StubBackend", lambda rules: FaultBackend(rules, {"*": edit}))
         out = tmp_path / f"dressed-{dressed}"
         code = quiet_cli(
             "sync", "--corpus", str(corpus_dir), "--lexicons", str(lexicon_dir), "--out", str(out),
@@ -124,8 +148,8 @@ def test_ascii_escaped_answers_change_no_output(corpus_dir, lexicon_dir, tmp_pat
     assert outputs[0] == outputs[1] and len(outputs[0]) == 21
 
 
-def completion(content: str) -> bytes:
-    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+def completion(content: str, **choice) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}, **choice}]}).encode()
 
 
 SOURCE_TABLE = '[["Name","Musterstadt"],["Land","Deutschland"],["Einwohner","210000"],["Bürgermeister","Hans Alt"]]'
@@ -137,6 +161,12 @@ STORMS = {
     "empty-body": ([(200, b"")], "direct", "malformed completion body"),
     "nested-body": ([(200, b"[" * 100_000 + b"]" * 100_000)], "direct", "malformed completion body"),
     "nested-answer": ([(200, completion("[" * 1500))] * 2, "direct", "no balanced list-of-pairs candidate"),
+    # An answer cut at the token limit fails its stage at once: the same request would be cut again.
+    "cut-answer": (
+        [(200, completion(SOURCE_TABLE[:40], finish_reason="length"))],
+        "direct",
+        "answer cut at max_tokens 2048",
+    ),
     # One answer only: an answer UTF-8 cannot encode fails its stage without a reprompt.
     "lone-surrogate": (
         [(200, completion(SOURCE_TABLE.replace("Hans Alt", "Hans \ud800Alt")))],

@@ -21,7 +21,7 @@ from tablesync.error_analysis import ErrorAnalyzer, ledger_jsonable
 from tablesync.pipeline import Pipeline, Strategy, traces_jsonable
 from tablesync.stub import StubBackend, StubRuleSet
 from tablesync.tables import InfoTable, TableRow, parse_table
-from conftest import output_files
+from conftest import FaultBackend, output_files
 
 
 def run_cli(*argv) -> int:
@@ -188,6 +188,27 @@ class TestOverlap:
         # No instance worker or gateway helper outlives the command.
         names = [thread.name for thread in threading.enumerate()]
         assert not [name for name in names if name.startswith(("ThreadPoolExecutor", "tablesync-gateway"))]
+
+    @pytest.mark.parametrize(
+        "strategy, rounds", [("hierarchical", 6), ("two", 3), ("direct", 2), ("joint", 2), ("decompose", 2)]
+    )
+    def test_serial_rounds_per_strategy(self, corpus, lexicons, tmp_path, monkeypatch, strategy, rounds):
+        # One instance with every call taking 100 ms and enough slots for all
+        # of a round's calls: the wall time, evaluation included, counts the
+        # calls that must run one after another.
+        def slow(request, attempt, answer):
+            time.sleep(0.1)
+            return answer
+
+        monkeypatch.setattr(cli, "StubBackend", lambda rules: FaultBackend(rules, {"*": slow}))
+        started = time.perf_counter()
+        code = run_cli(
+            "sync", "--corpus", corpus, "--out", str(tmp_path / "o"), "--lexicons", lexicons,
+            "--strategy", strategy, "--concurrency", "8", "--instance", "musterstadt",
+        )
+        wall = time.perf_counter() - started
+        assert code == cli.EXIT_OK
+        assert round(wall / 0.1) == rounds, f"{wall:.3f} s"
 
 
 class TestFailureIsolation:
@@ -470,6 +491,15 @@ class TestConfig:
         assert (synced.model, aligned.models, synced.eval_models) == ("from-env", ("a", "b"), ("from-env",))
         assert (aligned.concurrency, aligned.rounds, aligned.endpoint) == (3, 2, "file-url")
         assert self.resolve("--config", str(config), "--model", "flag").model == "flag"
+
+    def test_resolved_config_is_an_immutable_value(self):
+        # An empty evaluator list falls back to the pipeline model, as an unset one does.
+        config = self.resolve("--model", "m", "--eval-models", " , ")
+        assert config.eval_models == ("m",)
+        with pytest.raises(AttributeError):
+            config.model = "other"
+        same = self.resolve("--model", "m")
+        assert config == same and hash(config) == hash(same)
 
     def test_config_file_settings_the_command_does_not_read_are_ignored(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -1291,11 +1321,11 @@ class TestErrors:
         assert "in_reference" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "text",
-        [b"concurency = 2\n", b"\xff\xfepivot = en\n"],
+        "text, fault",
+        [(b"concurency = 2\n", "unknown config key 'concurency'"), (b"\xff\xfepivot = en\n", "cannot read config file")],
         ids=["unknown-key", "not-utf8"],
     )
-    def test_config_file_errors_it_reads(self, corpus, tmp_path, capsys, text):
+    def test_config_file_errors_it_reads(self, corpus, tmp_path, capsys, text, fault):
         config = tmp_path / "shared.cfg"
         config.write_bytes(text)
         code = run_cli(
@@ -1305,7 +1335,8 @@ class TestErrors:
             "--config", str(config),
         )
         assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        # The traces file does not exist either: the error must name the config file's fault.
+        assert capsys.readouterr().err.startswith(f"config error: {fault}")
 
     @pytest.mark.parametrize("flag", [["--concurrency", "2"], ["--backend", "http"]])
     def test_unread_run_flags_are_usage_errors(self, corpus, tmp_path, flag):
@@ -1347,24 +1378,36 @@ class TestErrors:
         # sync reads every lexicon file.
         assert run_cli("sync", *selected, "--out", str(tmp_path / "again")) == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '[{"stage": ',  # truncated
-            '{"stage": "merge"}',  # an object, not a list
-            '[{"stage": "merge"}]',  # a trace without artifacts
-            json.dumps([  # every ledger stage, none holding a table or graph
-                {"stage": stage, "input": {"kind": "none"}, "output": {"kind": "none"}}
-                for stage in (
-                    "translate_source", "translate_reference", "table_to_kg_source",
-                    "table_to_kg_reference", "merge", "kg_to_table", "back_translate",
-                )
-            ]),
-            "[" * 100_000 + "]" * 100_000,  # nested beyond the JSON decoder's depth
-        ],
-        ids=["truncated", "object", "no-artifacts", "no-tables", "deeply-nested"],
+    LEDGER_STAGES = (
+        "translate_source", "translate_reference", "table_to_kg_source",
+        "table_to_kg_reference", "merge", "kg_to_table", "back_translate",
     )
-    def test_malformed_traces_file(self, corpus, lexicons, tmp_path, capsys, text):
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ('[{"stage": ', "JSONDecodeError"),  # truncated
+            ('{"stage": "merge"}', "TypeError"),  # an object, not a list
+            ('[{"stage": "merge"}]', "KeyError('output')"),  # a trace without artifacts
+            (
+                json.dumps([  # every ledger stage, none holding a table or graph
+                    {"stage": stage, "input": {"kind": "none"}, "output": {"kind": "none"}}
+                    for stage in LEDGER_STAGES
+                ]),
+                "unknown artifact kind: 'none'",
+            ),
+            ("[" * 100_000 + "]" * 100_000, "RecursionError"),  # nested beyond the JSON decoder's depth
+            (
+                json.dumps([  # every ledger stage holding a graph, the pivot table's too
+                    {"stage": stage, "output": {"kind": "kg", "root": {"Name": "Musterstadt"}}}
+                    for stage in LEDGER_STAGES
+                ]),
+                "the translate_reference output is not a table",
+            ),
+        ],
+        ids=["truncated", "object", "no-artifacts", "no-tables", "deeply-nested", "graph-pivot"],
+    )
+    def test_malformed_traces_file(self, corpus, lexicons, tmp_path, capsys, text, fault):
         traces = tmp_path / "traces.json"
         traces.write_text(text, "utf-8")
         code = run_cli(
@@ -1375,7 +1418,7 @@ class TestErrors:
         )
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(traces) in err
+        assert err.startswith("config error:") and str(traces) in err and fault in err
 
 
 class TestUnwritableOut:

@@ -100,7 +100,7 @@ class TestLedger:
     def test_lossless_run_all_deltas_zero(self, instances, rules, run_and_ledger):
         instance = instances[0]
         _, ledger = run_and_ledger(instance, rules)
-        assert [e.stage for e in ledger.entries] == [
+        assert [e.stage for e in ledger] == [
             "in_reference",
             "translate_en",
             "kg_construction",
@@ -108,14 +108,14 @@ class TestLedger:
             "table_conversion",
             "back_translate",
         ]
-        for entry in ledger.entries:
+        for entry in ledger:
             assert entry.delta == ErrorCounts()
 
     def test_telescoping_to_final_classification(self, instances, rules, run_and_ledger):
         for instance in instances[:4]:
             result, ledger = run_and_ledger(instance, rules)
             final = ErrorAnalyzer(rules, pivot=DEFAULT_PIVOT).classify(result.output, instance.gold)
-            assert ledger.final == final
+            assert ledger[-1].cumulative == final
 
     @pytest.mark.parametrize("side", ["source", "reference"])
     def test_telescoping_with_the_pivot_in_a_table_language(self, instances, rules, run_and_ledger, side):
@@ -123,8 +123,8 @@ class TestLedger:
         for instance in instances:
             pivot = getattr(instance, side).language
             result, ledger = run_and_ledger(instance, rules, pivot=pivot)
-            assert ledger.final == ErrorAnalyzer(rules, pivot=pivot).classify(result.output, instance.gold)
-            for earlier, later in zip(ledger.entries, ledger.entries[1:]):
+            assert ledger[-1].cumulative == ErrorAnalyzer(rules, pivot=pivot).classify(result.output, instance.gold)
+            for earlier, later in zip(ledger, ledger[1:]):
                 assert later.cumulative == earlier.cumulative + later.delta
 
     def test_missing_stage_named(self, instances, rules):
@@ -135,7 +135,7 @@ class TestLedger:
 
     def test_cumulative_equals_previous_plus_delta(self, instances, rules, run_and_ledger):
         _, ledger = run_and_ledger(instances[0], rules)
-        for earlier, later in zip(ledger.entries, ledger.entries[1:]):
+        for earlier, later in zip(ledger, ledger[1:]):
             assert later.cumulative == earlier.cumulative + later.delta
 
     def test_merge_drop_adds_missing_at_merge_column(self, instances, rules, run_and_ledger):
@@ -154,16 +154,16 @@ class TestLedger:
             return serialize_kg(KnowledgeGraph({k: v for k, v in graph.root.items() if normalize_key(k) != dropped}))
 
         _, ledger = run_and_ledger(instance, rules, {"merge": drop})
-        by_stage = {e.stage: e for e in ledger.entries}
+        by_stage = {e.stage: e for e in ledger}
         assert by_stage["merge"].delta.missing == 1
         assert by_stage["kg_construction"].delta.missing == 0
-        assert ledger.final.missing == 1
+        assert ledger[-1].cumulative.missing == 1
 
     def test_reference_column_is_lower_bound(self, instances, rules, run_and_ledger):
         for instance in instances:
             _, ledger = run_and_ledger(instance, rules)
-            baseline = ledger.entries[0].cumulative.missing
-            assert all(e.cumulative.missing >= baseline for e in ledger.entries)
+            baseline = ledger[0].cumulative.missing
+            assert all(e.cumulative.missing >= baseline for e in ledger)
 
     def test_render_and_jsonable(self, instances, rules, run_and_ledger):
         _, ledger = run_and_ledger(instances[0], rules)

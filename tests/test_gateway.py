@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tablesync.errors import BackendUnavailable, RateLimited, ReplayMiss
+from tablesync.errors import BackendUnavailable, RateLimited, ReplayMiss, Truncated
 from tablesync.gateway import (
     CompletionRequest,
     Gateway,
@@ -386,6 +386,14 @@ class TestHttpBackend:
         http_server.script = [(200, body)]
         with pytest.raises(BackendUnavailable):
             backend().complete(REQUEST, 0)
+        assert len(http_server.seen) == 1
+
+    def test_answer_cut_at_max_tokens_is_truncated_without_retry_or_reprompt(self, backend, http_server):
+        cut = {"choices": [{"message": {"content": '[["Pays","Fra'}, "finish_reason": "length"}]}
+        http_server.script = [(200, json.dumps(cut).encode()), (200, completion_body('[["Pays","France"]]'))]
+        request = CompletionRequest(prompt="p", model_id="m", max_tokens=64)
+        with pytest.raises(Truncated, match="max_tokens 64"):
+            Gateway(backend()).complete_parsed(request, parse_table)
         assert len(http_server.seen) == 1
 
     def test_calls_from_one_thread_share_one_connection(self, backend, http_server):
