@@ -110,7 +110,7 @@ def reencoded(dump):
     return edit
 
 
-# Ways to dress an answer that keep its meaning.
+# Ways to dress an answer that keep its meaning; many APIs escape non-ASCII text as ensure_ascii does.
 DRESSINGS = {
     "ensure-ascii": reencoded(lambda value: json.dumps(value, ensure_ascii=True)),
     "indent": reencoded(lambda value: json.dumps(value, ensure_ascii=False, indent=2)),
@@ -119,7 +119,7 @@ DRESSINGS = {
 }
 
 
-# The ensure-ascii cases keep the ids they had before the other dressings came.
+# An ensure-ascii case is named by its strategy alone, so that its test id stays stable.
 @pytest.mark.parametrize(
     "strategy, dressing",
     [
