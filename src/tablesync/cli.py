@@ -81,31 +81,13 @@ def _registered_language(code: str, flag: str) -> str:
 def _read_json(path: str, what: str, decode):
     """decode() the JSON document at path; an unreadable or malformed file, or
     a ConfigError that decode() raises, is a ConfigError naming it."""
+    text = dataset.read_text(Path(path), what, ConfigError)
     try:
-        return decode(json.loads(Path(path).read_text("utf-8")))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        return decode(json.loads(text))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except (ValueError, LookupError, TypeError, AttributeError, RecursionError, TableSyncError) as exc:
         raise ConfigError(f"malformed {what} file {path}: {exc!r}") from exc
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text("utf-8")
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"malformed config line: {line!r}")
-        values[key.strip()] = value.strip()
-    return values
 
 
 def settings_read(args: argparse.Namespace) -> list[str]:
@@ -122,7 +104,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     optional config file. A config-file key that is not a setting is an error;
     one the command does not read is ignored.
     """
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = dict(dataset.read_entries(Path(args.config), "config file", "=", ConfigError)) if args.config else {}
     settable = RunConfig.SETTINGS.keys() - {"record"}  # a flag only, never a config key
     for key in file_values:
         if key not in settable:

@@ -2,7 +2,8 @@
 
 Layout: `<root>/<category>/<entity-slug>/` holding `manifest`,
 `source.<lang>.table`, `reference.<lang>.table`, and `gold.<lang>.table`.
-Table files use the list-of-pairs wire format.
+Table files use the list-of-pairs wire format. Every input file but a
+transcript is read through `read_text`, and each line-based one through `read_entries`.
 """
 
 from __future__ import annotations
@@ -34,23 +35,37 @@ class CorpusStats(Value):
     __slots__ = ("tables_by_language", "tables_by_category", "instance_count")
 
 
+def read_text(path: Path, what: str, error: type[Exception]) -> str:
+    """The text of a UTF-8 file, one leading byte-order mark dropped; a file that
+    cannot be read or decoded is error("cannot read {what} {path}: ...")."""
+    try:
+        return path.read_text("utf-8-sig")
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_entries(path: Path, what: str, sep: str, error: type[Exception]) -> list[tuple[str, str]]:
+    """The stripped key and value of each line of read_text(path) that is
+    neither blank nor a `#` comment, split at the first sep; a line without sep
+    is an error naming path:line. A line is stripped before it is split, so a
+    whitespace sep (a tab) has text on both sides."""
+    entries = []
+    for number, line in enumerate(read_text(path, what, error).splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, found, value = line.partition(sep)
+        if not found:
+            raise error(f"{path}:{number}: malformed {what} line {line!r}, no {sep!r}")
+        entries.append((key.strip(), value.strip()))
+    return entries
+
+
 def read_manifest(directory: str | Path) -> InstanceManifest:
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise MissingFile(f"no manifest in {directory}")
-    try:
-        text = path.read_text("utf-8")
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"{path}: malformed manifest line {line!r}")
-        values[key.strip()] = value.strip()
+    values = dict(read_entries(path, "manifest", ":", ParseError))
     for key in _REQUIRED_MANIFEST_KEYS:
         if not values.get(key):
             raise ParseError(f"{path}: manifest misses {key!r}")
@@ -71,9 +86,10 @@ def read_table(path: Path) -> tuple[TableRow, ...]:
     naming it when it cannot be read, decoded or parsed."""
     if not path.is_file():
         raise MissingFile(f"missing table file {path}")
+    text = read_text(path, "table", ParseError)
     try:
-        return parse_table(path.read_text("utf-8"))
-    except (OSError, ValueError, TableSyncError) as exc:  # UnicodeDecodeError is a ValueError
+        return parse_table(text)
+    except TableSyncError as exc:
         raise ParseError(f"cannot read table {path}: {exc}") from exc
 
 

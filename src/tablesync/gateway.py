@@ -263,11 +263,12 @@ class Transcript:
         self._handle = None  # opened by the first append
 
     def records(self) -> Iterator[dict]:
-        """Records in file order, read one line at a time; a malformed line, or
-        one whose digest, response, tag or latency UTF-8 cannot encode, is a
+        """Records in file order, read one line at a time (a leading byte-order
+        mark dropped, as dataset.read_text drops it); a malformed line, or one
+        whose digest, response, tag or latency UTF-8 cannot encode, is a
         ConfigError naming it."""
         try:
-            with open(self.path, encoding="utf-8") as handle:
+            with open(self.path, encoding="utf-8-sig") as handle:
                 for number, line in enumerate(handle, 1):
                     if not line.strip():
                         continue

@@ -16,6 +16,7 @@ from typing import Collection
 
 from . import prompts
 from .alignment import greedy_key_matches
+from .dataset import read_entries
 from .errors import ConfigError, NoTableFound
 from .gateway import CompletionRequest
 from .metrics import COMPARISON_KEYS, token_compare
@@ -40,7 +41,7 @@ LexiconPairs = tuple[tuple[str, str], ...]
 
 class StubRuleSet(Value):
     """Rules driving the stub: phrase lexicons per (source, target) language pair.
-    No phrase is empty: `from_dir` checks each line."""
+    No phrase is empty: `from_dir` splits each stripped line at a tab."""
 
     __slots__ = ("lexicons",)  # (source, target) language pair -> LexiconPairs
     _defaults = {"lexicons": {}}
@@ -59,21 +60,7 @@ class StubRuleSet(Value):
             src, tgt = file.stem.split("-", 1)
             if pairs is not None and (src, tgt) not in pairs:
                 continue
-            try:
-                lines = file.read_text("utf-8").splitlines()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read lexicon {file}: {exc}") from exc
-            entries: list[tuple[str, str]] = []
-            for number, line in enumerate(lines, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                left, _, right = line.partition("\t")
-                left, right = left.rstrip(), right.lstrip()
-                if not left or not right:
-                    raise ConfigError(f"{file}:{number}: expected 'source<TAB>target', got {line!r}")
-                entries.append((left, right))
-            lexicons[(src, tgt)] = tuple(entries)
+            lexicons[(src, tgt)] = tuple(read_entries(file, "lexicon", "\t", ConfigError))
         return StubRuleSet(lexicons=lexicons)
 
     def lexicon(self, src: str, tgt: str) -> LexiconPairs:

@@ -1,12 +1,15 @@
 import importlib.util
+import io
 import os
 import socket
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from tablesync import cli
 from tablesync.dataset import iter_instance_dirs, load_instance
 from tablesync.gateway import Gateway
 from tablesync.stub import StubBackend, StubRuleSet
@@ -59,6 +62,12 @@ class FaultBackend(StubBackend):
             return fault
         answer = super().complete(request, attempt)
         return answer if fault is None else fault(request, attempt, answer)
+
+
+def quiet_cli(*argv) -> int:
+    """cli.main(argv) with what it prints discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
 
 
 def output_files(root: Path) -> dict[Path, bytes]:

@@ -1,12 +1,10 @@
 """Whole runs under spoiled model answers: every failure stays typed and
 scoped to its own instance, and the outputs do not depend on --concurrency."""
 
-import io
 import json
 import random
 import string
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 from tablesync import cli, gateway as gw
 from tablesync.gateway import request_digest
 from tablesync.pipeline import Strategy
-from conftest import FaultBackend, output_files
+from conftest import FaultBackend, output_files, quiet_cli
 
 STAGES = {
     "load", "evaluate", "translate_source", "translate_reference", "table_to_kg_source",
@@ -54,11 +52,6 @@ def chaos(seed: int):
         return spoil(rng, answer) if rng.randrange(3) == 0 else answer
 
     return edit
-
-
-def quiet_cli(*argv) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return cli.main(list(argv))
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])

@@ -481,6 +481,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rounds"):
             self.resolve("--config", str(config), command=self.ALIGN_COMMAND)
 
+    def test_byte_order_mark_before_the_config_file(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("\ufeffstrategy = direct\n", "utf-8")
+        assert self.resolve("--config", str(config)).strategy == "direct"
+
     def test_config_file_env_and_flag_precedence(self, tmp_path, monkeypatch):
         config = tmp_path / "run.conf"
         config.write_text("model = from-file\nmodels = a, b\nconcurrency = 3\nendpoint = file-url\n")
@@ -803,6 +808,11 @@ INPUT_ERRORS = {
         {"lex/de-en.tsv": "# de to en\nLand Country\n"},
         ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--lexicons", "{tmp}/lex"],
         "{tmp}/lex/de-en.tsv:2",
+    ),
+    "config-line-without-equals": (
+        {"run.conf": "model = m\n\nrounds 2\n"},
+        ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--config", "{tmp}/run.conf"],
+        "{tmp}/run.conf:3: malformed config file line 'rounds 2'",
     ),
     "transcripts-unread-stub": (
         {}, ["sync", "--corpus", "{corpus}", "--out", "{tmp}/o", "--transcripts", "{tmp}/t.jsonl"],
@@ -1178,6 +1188,26 @@ class TestErrors:
         assert "in_reference" in capsys.readouterr().out
         doc = json.loads(ledger_out.read_text())
         assert doc["stages"][-1]["cumulative"]["total"] == 0
+
+    def test_byte_order_mark_before_the_traces(self, corpus, lexicons, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(
+            "sync", "--corpus", corpus, "--out", str(out), "--lexicons", lexicons, "--instance", "musterstadt"
+        ) == cli.EXIT_OK
+        traces = out / "City" / "musterstadt" / "traces.json"
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + traces.read_bytes())
+        ledgers = []
+        for path in (traces, marked):
+            capsys.readouterr()
+            code = run_cli(
+                "errors", "--instance-dir", str(Path(corpus) / "City" / "musterstadt"),
+                "--traces", str(path), "--lexicons", lexicons,
+            )
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_OK, captured.err
+            ledgers.append(captured.out)
+        assert ledgers[0] == ledgers[1]
 
     def test_ledger_in_the_pivot_of_the_traces(self, corpus, lexicons, tmp_path, capsys):
         # The traces' pivot is the language translate_reference wrote the reference in.

@@ -4,9 +4,11 @@ from tablesync.dataset import (
     corpus_stats,
     iter_instance_dirs,
     load_instance,
+    read_entries,
     read_manifest,
+    read_text,
 )
-from tablesync.errors import LanguageConstraintViolation, MissingFile, ParseError
+from tablesync.errors import ConfigError, LanguageConstraintViolation, MissingFile, ParseError
 from tablesync.tables import SyncInstance
 from conftest import output_files
 
@@ -79,6 +81,46 @@ class TestLoadInstance:
         directory = write_fixture(tmp_path, manifest, GOOD_TABLES)
         with pytest.raises(ParseError):
             load_instance(directory)
+
+    def test_byte_order_mark_before_the_manifest(self, tmp_path):
+        directory = write_fixture(tmp_path, GOOD_MANIFEST, GOOD_TABLES)
+        expected = load_instance(directory)
+        manifest = directory / "manifest"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert load_instance(directory) == expected
+
+    def test_manifest_line_without_colon_names_file_and_line(self, tmp_path):
+        directory = write_fixture(tmp_path, GOOD_MANIFEST, GOOD_TABLES)
+        with (directory / "manifest").open("a", encoding="utf-8") as handle:
+            handle.write("# a comment\nno colon here\n")
+        with pytest.raises(ParseError, match=r"manifest:6: malformed manifest line 'no colon here'"):
+            load_instance(directory)
+
+
+class TestReaders:
+    def test_read_text_drops_one_byte_order_mark(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes("\ufeff\ufeffx".encode("utf-8"))
+        assert read_text(path, "thing", ConfigError) == "\ufeffx"
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8"], ids=["absent", "not-utf8"])
+    def test_read_text_failure_is_the_given_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "f"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"cannot read thing {path}: "):
+            read_text(path, "thing", ConfigError)
+
+    def test_read_entries_skips_blanks_and_comments_and_strips(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("# head\n\n  a = 1 \n\tb=\n  # indented comment\nc = x = y\n", "utf-8")
+        assert read_entries(path, "thing", "=", ConfigError) == [("a", "1"), ("b", ""), ("c", "x = y")]
+
+    def test_read_entries_line_without_separator_names_file_and_line(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("a = 1\n\nb 2\n", "utf-8")
+        with pytest.raises(ParseError, match=rf"{path}:3: malformed thing line 'b 2', no '='"):
+            read_entries(path, "thing", "=", ParseError)
 
 
 class TestStats:

@@ -85,6 +85,34 @@ class TestClassify:
         assert counts.redundant == 0
 
 
+    @staticmethod
+    def classify_on_one_gold_key(*comparisons: AtomicComparison) -> ErrorCounts:
+        keys = [f"c{i}" for i in range(len(comparisons))]
+        alignment = Alignment.build(keys, ["g"], [(key, "g") for key in keys])
+        return classify_errors(alignment, {(key, "g"): c for key, c in zip(keys, comparisons)})
+
+    def test_overlap_of_exactly_half_the_smaller_set_is_redundant(self):
+        # {one, two} and {one, three}: one shared fact of two, at REDUNDANCY_OVERLAP itself.
+        counts = self.classify_on_one_gold_key(
+            AtomicComparison(sct=("g: one", "g: two")), AtomicComparison(sct=("g: one", "g: three"))
+        )
+        assert counts == ErrorCounts(redundant=1)
+
+    def test_overlap_is_measured_against_the_smaller_set(self):
+        # One shared fact: all of the smaller set, a third of the larger.
+        counts = self.classify_on_one_gold_key(
+            AtomicComparison(sct=("g: one",)), AtomicComparison(sct=("g: one", "g: two", "g: three"))
+        )
+        assert counts == ErrorCounts(redundant=1)
+
+    def test_best_f1_of_exactly_one_half_is_partial(self):
+        # One consistent fact, one unique to each side: precision = recall = F1 = 1/2.
+        counts = self.classify_on_one_gold_key(
+            AtomicComparison(sct=("g: one",), t1u=("g: two",), t2u=("g: three",))
+        )
+        assert counts == ErrorCounts(outdated_partial=1)
+
+
 @pytest.fixture()
 def run_and_ledger(rules, mk_table):
     def runner(instance: SyncInstance, run_rules: StubRuleSet, faults=None, pivot=DEFAULT_PIVOT):

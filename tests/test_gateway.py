@@ -168,6 +168,11 @@ class TestRecordReplay:
         with pytest.raises(ConfigError, match=r"t\.jsonl:3: malformed"):
             Transcript(path).responses()
 
+    def test_byte_order_mark_before_the_first_record(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\ufeff" + json.dumps({"digest": "d1", "response": "ok"}) + "\n", "utf-8")
+        assert Transcript(path).responses() == {"d1": "ok"}
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             list(Transcript(tmp_path / "absent.jsonl").records())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tablesync import prompts
 from tablesync.alignment import Alignment, greedy_key_matches
-from tablesync.errors import NoTableFound
+from tablesync.errors import ConfigError, NoTableFound
 from tablesync.gateway import CompletionRequest
 from tablesync.pipeline import format_alignment_slot
 from tablesync.stub import LexiconPairs, StubBackend, StubRuleSet, _is_word, translate_cells
@@ -79,6 +79,20 @@ def longest_first(pairs):
 
 def swap_one(text: str, entries) -> str:
     return translate_cells((TableRow("k", text),), lexicon(entries))[0].value
+
+
+class TestFromDir:
+    def test_byte_order_mark_is_not_part_of_the_first_phrase(self, tmp_path):
+        (tmp_path / "de-en.tsv").write_text("\ufeffEinwohner\tPopulation\nLand\tCountry\n", "utf-8")
+        pairs = StubRuleSet.from_dir(tmp_path).lexicon("de", "en")
+        assert pairs == (("Einwohner", "Population"), ("Land", "Country"))
+        assert swap_one("Einwohner", pairs) == "Population"
+
+    @pytest.mark.parametrize("line", ["Land\t", "\tCountry"], ids=["no-target", "no-source"])
+    def test_empty_phrase_names_file_and_line(self, tmp_path, line):
+        (tmp_path / "de-en.tsv").write_text(f"# de to en\n\nEinwohner\tPopulation\n{line}\n", "utf-8")
+        with pytest.raises(ConfigError, match=r"de-en\.tsv:4: malformed lexicon line"):
+            StubRuleSet.from_dir(tmp_path)
 
 
 class TestTranslateCells:
