@@ -221,8 +221,8 @@ def align_deterministic(a: InfoTable, b: InfoTable) -> Alignment:
     return Alignment.build(a.normalized_keys(), b.normalized_keys(), edges)
 
 
-def _reanchor(echoed: str, table: InfoTable, diagnostics: list[str] | None) -> str | None:
-    """Map a model-echoed key onto a real table key, or drop it."""
+def _reanchor(echoed: str, table: InfoTable, diagnostics: list[str]) -> str | None:
+    """Map a model-echoed key onto a real table key, or drop it, noting either in diagnostics."""
     norm = normalize_key(echoed)
     real = table.normalized_keys()
     if norm in real:
@@ -232,11 +232,9 @@ def _reanchor(echoed: str, table: InfoTable, diagnostics: list[str] | None) -> s
         default=(None, None),
     )
     if best is not None and distance <= REANCHOR_MAX_DISTANCE:
-        if diagnostics is not None:
-            diagnostics.append(f"re-anchored {echoed!r} -> {best!r}")
+        diagnostics.append(f"re-anchored {echoed!r} -> {best!r}")
         return best
-    if diagnostics is not None:
-        diagnostics.append(f"dropped unanchorable key {echoed!r}")
+    diagnostics.append(f"dropped unanchorable key {echoed!r}")
     return None
 
 
@@ -247,9 +245,10 @@ def align_llm(
     gateway: Gateway,
     *,
     attempt: int = 0,
-    diagnostics: list[str] | None = None,
+    diagnostics: list[str],
 ) -> Alignment:
-    """Prompted alignment of table A against table G(=b), with fuzzy re-anchoring."""
+    """Prompted alignment of table A against table G(=b), with fuzzy re-anchoring noted in
+    diagnostics, the list `Pipeline.align_tables` traces and `multi_vote_align` drops."""
     if a.language == b.language:
         language = language_name(a.language)
     else:
@@ -295,7 +294,7 @@ def multi_vote_align(
     includes the deterministic aligner's vote. The models x rounds runs are
     independent and overlap through `gateway.map`. `cli.resolve_config` checks rounds >= 1."""
     jobs = [(model_id, r) for model_id in models for r in range(rounds)]
-    runs = gateway.map(lambda job: align_llm(a, b, job[0], gateway, attempt=job[1]), jobs)
+    runs = gateway.map(lambda job: align_llm(a, b, job[0], gateway, attempt=job[1], diagnostics=[]), jobs)
     votes = [align_deterministic(a, b)]
     votes += [majority_vote(runs[i : i + rounds]) for i in range(0, len(runs), rounds)]
     return majority_vote(votes)

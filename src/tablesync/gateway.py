@@ -74,13 +74,13 @@ class Backend(Protocol):
 class HttpBackend:
     """Generic chat-completion client on the standard library.
 
-    Each thread keeps one keep-alive connection (http.client, TCP_NODELAY) and
-    sends each request's header block and body in one write. A connection the
-    server closed while idle is found before the write and reopened at once;
-    a request is never sent twice on one attempt. Proxies come from the
-    environment (http_proxy, https_proxy, no_proxy): an http endpoint is
-    reached by absolute URI through the proxy, an https endpoint through a
-    CONNECT tunnel. https verifies against the system CA store.
+    Each thread keeps one keep-alive connection and sends through http.client's
+    request path (TCP_NODELAY; header block and body in two writes). A
+    connection the server closed while idle is found before the write and
+    reopened at once; a request is never sent twice on one attempt. Proxies
+    come from the environment (http_proxy, https_proxy, no_proxy): an http
+    endpoint is reached by absolute URI through the proxy, an https endpoint
+    through a CONNECT tunnel. https verifies against the system CA store.
 
     Transient failures (connection errors, 429, 5xx) are retried with capped
     exponential backoff (HTTP_ATTEMPTS, HTTP_BACKOFF_S, HTTP_BACKOFF_CAP_S).
@@ -99,9 +99,8 @@ class HttpBackend:
             raise ConfigError(f"endpoint is not an http or https URL: {endpoint!r}")
         https = url.scheme == "https"
         port = url.port or (443 if https else 80)
-        host = url.netloc.rpartition("@")[2]
         target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
-        headers = {"Host": host, "Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
@@ -121,6 +120,7 @@ class HttpBackend:
             if https:
                 self._tunnel = (url.hostname, port, proxy_headers)
             else:
+                host = url.netloc.rpartition("@")[2]  # http.client sends it as Host
                 target = urllib.parse.urlunsplit((url.scheme, host, url.path or "/", url.query, ""))
                 headers.update(proxy_headers)
         if https:
@@ -132,13 +132,12 @@ class HttpBackend:
             self._connection_class = http.client.HTTPConnection
             self._connection_args = {}
 
-        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
-        if any(ch in line for line in lines for ch in "\r\n"):
-            raise ConfigError("endpoint, API key and proxy settings must not hold line breaks")
-        try:
-            self._head = ("\r\n".join(lines) + "\r\n").encode("latin-1")
-        except UnicodeEncodeError as exc:
-            raise ConfigError(f"endpoint or API key is not Latin-1 text: {exc}") from None
+        # http.client refuses these only when it sends, and not as errors a caller types.
+        if not (target.isascii() and target.isprintable()) or " " in target:
+            raise ConfigError(f"endpoint path holds a space, a control or a non-ASCII character: {endpoint!r}")
+        if "\r" in api_key or "\n" in api_key or max(api_key, default="") > "\xff":
+            raise ConfigError("API key holds a line break or a character outside Latin-1")
+        self._target, self._headers = target, headers
         self._local = threading.local()
         self._connections: list = []  # every thread's connection, for close()
         self._lock = threading.Lock()
@@ -154,7 +153,6 @@ class HttpBackend:
                 "max_tokens": request.max_tokens,
             }
         ).encode("utf-8")
-        message = self._head + b"Content-Length: %d\r\n\r\n" % len(body) + body
 
         last_error: Exception | None = None
         rate_limited = False
@@ -166,7 +164,7 @@ class HttpBackend:
                 log.warning("retrying completion (%d/%d): %s", retry, HTTP_ATTEMPTS, last_error)
                 time.sleep(min(HTTP_BACKOFF_S * 2 ** (retry - 1), HTTP_BACKOFF_CAP_S))
             try:
-                status, data = self._exchange(message)
+                status, data = self._exchange(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
@@ -194,8 +192,9 @@ class HttpBackend:
             raise RateLimited(f"rate limited after {HTTP_ATTEMPTS} attempts")
         raise BackendUnavailable(f"no response after {HTTP_ATTEMPTS} attempts: {last_error}")
 
-    def _exchange(self, message: bytes) -> tuple[int, bytes]:
-        """Send one request on this thread's connection; (status, body)."""
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """Send one request on this thread's connection; (status, body). Any exception
+        closes the connection; http.client closes it when the answer says it will."""
         import select
 
         connection = getattr(self._local, "connection", None)
@@ -213,19 +212,13 @@ class HttpBackend:
             # An idle keep-alive socket is readable only when the server
             # closed it (or sent bytes nobody asked for): reopen before writing.
             connection.close()
-        keep = False
         try:
-            if connection.sock is None:
-                connection.connect()
-            connection.sock.sendall(message)
-            response = connection.response_class(connection.sock, method="POST")
-            response.begin()
-            data = response.read()
-            keep = not response.will_close
-            return response.status, data
-        finally:
-            if not keep:
-                connection.close()
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
 
     def close(self) -> None:
         """Close every thread's connection; call when no completion is running."""

@@ -286,11 +286,11 @@ def traces_jsonable(traces) -> list[dict]:
 
 
 def format_alignment_slot(alignment: Alignment, left: InfoTable, right: InfoTable) -> str:
-    """Render an alignment in the update prompt's interleaved list format,
-    echoing the tables' original key spellings."""
+    """Render an alignment in the update prompt's interleaved list format, echoing the
+    tables' original key spellings: `align_llm` re-anchors every edge onto their keys."""
 
     def originals(table: InfoTable, norm_keys) -> list[str]:
-        return [row.key if (row := table.row_for(k)) else k for k in norm_keys]
+        return [table.row_for(k).key for k in norm_keys]
 
     lines: list[str] = []
     for left_group, right_group in alignment.pairs:

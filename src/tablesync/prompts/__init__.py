@@ -32,20 +32,16 @@ def template_text(name: str) -> str:
 
 
 def fill(name: str, **slots: str) -> str:
-    """Fill a template's named slots: the text of `string.Template.substitute`.
-    A missing slot raises KeyError; a slot the template does not name is ignored."""
-    literals, names = _split(template_text(name))
-    parts = [literals[0]]
-    for slot, literal in zip(names, literals[1:]):
-        parts += (slots[slot], literal)
-    return "".join(parts)
+    """Fill a template's named slots with `string.Template.substitute`. A
+    missing slot raises KeyError; a slot the template does not name is ignored."""
+    return Template(template_text(name)).substitute(slots)
 
 
 @lru_cache(maxsize=None)
 def _split(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Template text cut at its slots: the literals, one more than the slot
-    names, and the slot names in order. A `$` that starts no slot and is not
-    `$$` is a ValueError, as in `string.Template`."""
+    """Template text cut at its slots by `Template.pattern`: the literals, one
+    more than the slot names, and the slot names in order. A `$` that starts no
+    slot and is not `$$` is a ValueError, as in `string.Template`."""
     literals, names, start = [""], [], 0
     for match in Template.pattern.finditer(text):
         if match.group("invalid") is not None:

@@ -44,10 +44,9 @@ _WS_RUN = re.compile(r"\s+")
 
 
 def language_name(code: str) -> str:
-    try:
-        return LANGUAGE_NAMES[code]
-    except KeyError:
-        raise ValueError(f"unregistered language code: {code!r}") from None
+    """The name prompts give a registered code: an `InfoTable.language`, which
+    the table checks, or the pivot, which `cli.resolve_config` checks."""
+    return LANGUAGE_NAMES[code]
 
 
 def language_code(name: str) -> str | None:

@@ -101,9 +101,10 @@ def mk_table():
 class ScriptedServer(ThreadingHTTPServer):
     """Loopback HTTP/1.1 server answering from a script, recording each request.
 
-    `script` holds (status, body) or (status, body, "close") entries served in
-    order; "close" drops the connection after the response without saying so
-    in a header, as a server closing an idle keep-alive connection does.
+    `script` holds (status, body), (status, body, "close") or (status, body,
+    "announce") entries served in order. "close" drops the connection after the
+    response without saying so in a header, as a server closing an idle
+    keep-alive connection does; "announce" sends `Connection: close` first.
     `seen` holds (method, path, headers, body, client address) per request,
     and `closed` is set each time the server closes a connection.
     """
@@ -144,6 +145,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close == ["announce"]:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
         self.close_connection = bool(close)

@@ -321,7 +321,7 @@ class TestLlmAlign:
     def test_stub_alignment_on_same_language_tables(self, mk_table, stub_gateway):
         a = mk_table([("Name", "x"), ("Country", "y"), ("Extra", "z")])
         b = mk_table([("Name", "x"), ("Country", "y")])
-        alignment = align_llm(a, b, "stub-model", stub_gateway)
+        alignment = align_llm(a, b, "stub-model", stub_gateway, diagnostics=[])
         assert alignment.edges == {("name", "name"), ("country", "country")}
         assert alignment.unaligned_left == {"extra"}
 
@@ -354,7 +354,7 @@ class TestLlmAlign:
         assert any("dropped" in d for d in diagnostics)
 
     def test_empty_tables_empty_alignment(self, mk_table, stub_gateway):
-        alignment = align_llm(mk_table([]), mk_table([]), "stub-model", stub_gateway)
+        alignment = align_llm(mk_table([]), mk_table([]), "stub-model", stub_gateway, diagnostics=[])
         assert not alignment.pairs
 
 

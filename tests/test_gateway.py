@@ -421,6 +421,50 @@ class TestHttpBackend:
         assert client.complete(REQUEST, 0) == "second"
         assert len(http_server.seen) == 2 and len(http_server.clients()) == 2
 
+    def test_connection_close_header_makes_the_next_call_reconnect_without_sleep(
+        self, backend, http_server, monkeypatch
+    ):
+        monkeypatch.setattr(gateway_module.time, "sleep", lambda seconds: pytest.fail(f"slept {seconds} s"))
+        client = backend()
+        http_server.script = [(200, completion_body("first"), "announce"), (200, completion_body("second"))]
+        assert client.complete(REQUEST, 0) == "first"
+        assert client.complete(REQUEST, 0) == "second"
+        assert len(http_server.seen) == 2 and len(http_server.clients()) == 2
+
+    def test_request_framing_the_server_sees(self, backend, http_server):
+        # Only these headers are checked: http.client adds Accept-Encoding.
+        http_server.script = [(200, completion_body("ok"))]
+        request = CompletionRequest(prompt="p", model_id="m", temperature=0.5, max_tokens=64)
+        assert backend().complete(request, 0) == "ok"
+        ((method, path, headers, body, _),) = http_server.seen
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        assert headers["Host"] == f"127.0.0.1:{http_server.server_address[1]}"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Content-Length"] == str(len(body))
+        assert json.loads(body) == {
+            "model": "m", "messages": [{"role": "user", "content": "p"}], "temperature": 0.5, "max_tokens": 64,
+        }
+
+    @pytest.mark.parametrize("api_key", ["", "k3y"])
+    def test_authorization_only_with_an_api_key_and_no_proxy_authorization(self, backend, http_server, api_key):
+        http_server.script = [(200, completion_body("ok"))]
+        backend(api_key=api_key).complete(REQUEST, 0)
+        ((_, _, headers, _, _),) = http_server.seen
+        assert headers.get("Authorization") == (f"Bearer {api_key}" if api_key else None)
+        assert "Proxy-Authorization" not in headers
+
+    @pytest.mark.parametrize("api_key", ["k3y\nX-Injected: 1", "k\u0101y"])
+    def test_unsendable_api_key_is_refused_when_built(self, http_server, api_key):
+        with pytest.raises(ConfigError, match="API key"):
+            HttpBackend(f"{http_server.base}/v1/chat/completions", api_key=api_key)
+        assert not http_server.seen
+
+    @pytest.mark.parametrize("path", ["/v1 x", "/\u00fc"])
+    def test_unsendable_endpoint_path_is_refused_when_built(self, http_server, path):
+        with pytest.raises(ConfigError, match="endpoint path"):
+            HttpBackend(f"{http_server.base}{path}")
+        assert not http_server.seen
+
     def test_http_proxy_from_environment(self, http_server, closed_port, monkeypatch):
         monkeypatch.setenv("http_proxy", http_server.base)
         endpoint = f"http://127.0.0.1:{closed_port}/v1/chat/completions"
