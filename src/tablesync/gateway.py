@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, RateLimited, ReplayMiss, TableSyncError, Truncated
-from .tables import Value, set_field
+from .tables import Value
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -31,25 +31,12 @@ HTTP_TIMEOUT_S = 60.0
 
 
 class CompletionRequest(Value):
-    """One prompt for one model; tag labels the pipeline stage for the transcript."""
+    """One prompt for one model; tag labels the pipeline stage for the transcript.
+    Unchecked: every prompt is a package template filled by `prompts.fill`, so
+    never empty, and every temperature and max_tokens is one of the constants above."""
 
     __slots__ = ("prompt", "model_id", "temperature", "max_tokens", "tag")
-
-    def __init__(
-        self, prompt: str, model_id: str, temperature: float = DEFAULT_PIPELINE_TEMPERATURE,
-        max_tokens: int = DEFAULT_MAX_TOKENS, tag: str = "",
-    ) -> None:
-        if not prompt:
-            raise ValueError("prompt is empty")
-        if not 0.0 <= temperature <= 1.0:
-            raise ValueError(f"temperature out of range: {temperature}")
-        if max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        set_field(self, "prompt", prompt)
-        set_field(self, "model_id", model_id)
-        set_field(self, "temperature", temperature)
-        set_field(self, "max_tokens", max_tokens)
-        set_field(self, "tag", tag)
+    _defaults = {"temperature": DEFAULT_PIPELINE_TEMPERATURE, "max_tokens": DEFAULT_MAX_TOKENS, "tag": ""}
 
 
 def request_digest(request: CompletionRequest, attempt: int = 0) -> str:
@@ -69,6 +56,20 @@ def request_digest(request: CompletionRequest, attempt: int = 0) -> str:
 
 class Backend(Protocol):
     def complete(self, request: CompletionRequest, attempt: int) -> str: ...
+
+
+def _http_url(text: str, schemes: tuple[str, ...], refusal: str) -> tuple[urllib.parse.SplitResult, tuple[str, int]]:
+    """The URL split, and its (host in IDNA form, port). ConfigError(refusal) when its scheme is
+    not in schemes, it has no host, or urlsplit, the port or IDNA refuses it (a bad IPv6 literal
+    or port, a host label empty or over 63 characters), which would fail only at send time."""
+    try:
+        url = urllib.parse.urlsplit(text)
+        if url.scheme in schemes and url.hostname:
+            host = url.hostname.encode("idna").decode("ascii")
+            return url, (host, url.port or (443 if url.scheme == "https" else 80))
+    except ValueError:  # IDNA's UnicodeError is one
+        pass
+    raise ConfigError(f"{refusal} with a valid host and port: {text!r}")
 
 
 class HttpBackend:
@@ -94,34 +95,29 @@ class HttpBackend:
         import http.client
         import urllib.request
 
-        url = urllib.parse.urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ConfigError(f"endpoint is not an http or https URL: {endpoint!r}")
+        url, address = _http_url(endpoint, ("http", "https"), "endpoint is not an http or https URL")
         https = url.scheme == "https"
-        port = url.port or (443 if https else 80)
         target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        self._address, self._tunnel = (url.hostname, port), None
+        self._address, self._tunnel = address, None
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.hostname):
-            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_url.scheme != "http" or not proxy_url.hostname:
-                raise ConfigError(f"{url.scheme}_proxy is not an http:// proxy URL: {proxy!r}")
-            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            proxy = proxy if "://" in proxy else f"http://{proxy}"
+            proxy_url, self._address = _http_url(proxy, ("http",), f"{url.scheme}_proxy is not an http:// proxy URL")
             proxy_headers = {}
             if proxy_url.username is not None:
                 user = urllib.parse.unquote(proxy_url.username)
                 password = urllib.parse.unquote(proxy_url.password or "")
                 token = base64.b64encode(f"{user}:{password}".encode()).decode()
                 proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-            if https:
-                self._tunnel = (url.hostname, port, proxy_headers)
+            if https:  # http.client writes the CONNECT line in ASCII
+                self._tunnel = (*address, proxy_headers)
             else:
-                host = url.netloc.rpartition("@")[2]  # http.client sends it as Host
-                target = urllib.parse.urlunsplit((url.scheme, host, url.path or "/", url.query, ""))
+                netloc = url.netloc.rpartition("@")[2]  # http.client sends it as Host
+                target = urllib.parse.urlunsplit((url.scheme, netloc, url.path or "/", url.query, ""))
                 headers.update(proxy_headers)
         if https:
             import ssl

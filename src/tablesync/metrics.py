@@ -15,7 +15,7 @@ from . import prompts
 from .alignment import Alignment, align_deterministic
 from .errors import ComparisonFailed, OverlappingFacts, TableSyncError
 from .gateway import DEFAULT_EVAL_TEMPERATURE, CompletionRequest, Gateway
-from .tables import InfoTable, TableRow, Value, language_name, normalize_key, parse_kg, serialize_table, set_field
+from .tables import InfoTable, TableRow, Value, language_name, normalize_key, parse_kg, serialize_table
 
 COMPARISON_KEYS = ("similar_consistent", "similar_contradictory", "table1_unique", "table2_unique")
 
@@ -31,10 +31,7 @@ class AtomicComparison(Value):
         if len(union) != sum(len(g) for g in groups):
             shared = min(fact for fact in union if sum(fact in g for g in groups) > 1)
             raise OverlappingFacts(f"comparison fact lists must be disjoint; {shared!r} is in two")
-        set_field(self, "sct", sct)
-        set_field(self, "scd", scd)
-        set_field(self, "t1u", t1u)
-        set_field(self, "t2u", t2u)
+        Value.__init__(self, sct, scd, t1u, t2u)
 
 
 class RowScore(Value):

@@ -41,15 +41,13 @@ def fill(name: str, **slots: str) -> str:
 def _split(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Template text cut at its slots by `Template.pattern`: the literals, one
     more than the slot names, and the slot names in order. A `$` that starts no
-    slot and is not `$$` is a ValueError, as in `string.Template`."""
+    slot reads as a literal `$`; `fill` refuses such a template."""
     literals, names, start = [""], [], 0
     for match in Template.pattern.finditer(text):
-        if match.group("invalid") is not None:
-            raise ValueError(f"invalid placeholder at offset {match.start()} of template text")
         literals[-1] += text[start : match.start()]
         start = match.end()
         slot = match.group("named") or match.group("braced")
-        if slot is None:  # "$$" fills in as one "$"
+        if slot is None:  # "$$", or a "$" that starts no slot
             literals[-1] += "$"
         else:
             names.append(slot)

@@ -33,14 +33,6 @@ def translation_request(table_text='[["Pays","France"]]'):
 
 
 class TestRequests:
-    def test_rejects_empty_prompt(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="", model_id="m")
-
-    def test_rejects_out_of_range_temperature(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", model_id="m", temperature=1.5)
-
     def test_digest_stable_and_attempt_sensitive(self):
         request = CompletionRequest(prompt="p", model_id="m", temperature=0.0)
         same = CompletionRequest(prompt="p", model_id="m", temperature=0.0, tag="other")
@@ -490,6 +482,17 @@ class TestHttpBackend:
         assert (method, path) == ("CONNECT", f"127.0.0.1:{closed_port}")
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@r:pw").decode()
 
+    def test_tunnel_to_a_non_ascii_host_names_its_idna_form(self, http_server, monkeypatch):
+        monkeypatch.setenv("https_proxy", http_server.base)
+        monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 1)
+        http_server.script = [(407, b"")]
+        client = HttpBackend("https://b\u00fccher.example/v1/chat/completions")
+        with pytest.raises(BackendUnavailable, match="407"):
+            client.complete(REQUEST, 0)
+        client.close()
+        ((method, path, _, _, _),) = http_server.seen
+        assert (method, path) == ("CONNECT", "xn--bcher-kva.example:443")
+
     def test_connection_refused_is_backend_unavailable(self, closed_port, no_proxy_env, monkeypatch):
         monkeypatch.setattr(gateway_module, "HTTP_ATTEMPTS", 2)
         monkeypatch.setattr(gateway_module, "HTTP_BACKOFF_S", 0.0)
@@ -497,7 +500,25 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailable, match="no response after 2 attempts"):
             backend.complete(REQUEST, 0)
 
-    @pytest.mark.parametrize("endpoint", ["api.example/v1", "ftp://host/v1", "http:///v1"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "api.example/v1",
+            "ftp://host/v1",
+            "http:///v1",
+            "http://[::1/v1",
+            "http://host:abc/v1",
+            "http://host:99999/v1",
+            "http://a..b/v1/chat/completions",
+            f"http://{'a' * 64}.example/v1",
+        ],
+    )
     def test_endpoint_must_be_http_url(self, endpoint):
         with pytest.raises(ConfigError, match="not an http or https URL"):
             HttpBackend(endpoint)
+
+    @pytest.mark.parametrize("proxy", ["http://proxy:abc", "http://[::1"])
+    def test_malformed_proxy_url_is_refused_when_built(self, proxy, no_proxy_env, monkeypatch):
+        monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(ConfigError, match="http_proxy is not an http:// proxy URL"):
+            HttpBackend("http://api.example/v1")

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tablesync import alignment, gateway, metrics, tables
-from tablesync.errors import EmptyKey, OverlappingFacts
+from tablesync.errors import EmptyKey, InvalidValue, OverlappingFacts
 
 
 class Reference:
@@ -198,6 +198,14 @@ def test_checks_and_unhashable_types_match():
         tables.TableRow(" ", "v")
     with pytest.raises(OverlappingFacts):
         metrics.AtomicComparison(("x",), ("x",))
+    with pytest.raises(ValueError, match="unregistered language code"):
+        tables.InfoTable("E", "xx", "C", ())
+    with pytest.raises(ValueError, match="category is empty"):
+        tables.InfoTable("E", "en", " ", ())
+    with pytest.raises(InvalidValue, match="root must be a map"):
+        tables.KnowledgeGraph(["b"])
+    with pytest.raises(InvalidValue, match="empty or non-text key"):
+        tables.KnowledgeGraph({" ": "b"})
     assert metrics.RowScore(1, 2, 3) != alignment.AlignmentScore(1, 2, 3)  # equal fields, other type
     with pytest.raises(TypeError):
         hash(tables.KnowledgeGraph({"a": "b"}))
